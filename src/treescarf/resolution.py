@@ -10,9 +10,17 @@ share a label.  For forests, acyclicity degrades to connectivity, which is
 the fast path.
 
 The multigraded Betti numbers are computed independently of any candidate
-complex, from strict-divisor subcomplexes of the full simplex on the
-generators; that oracle is what the support criterion's consequences are
-tested against.
+complex, from the strict-divisor subcomplexes K_{<m} of the full simplex on
+the generators, one per element m of the lcm lattice; each K_{<m} is
+replaced by the nerve of its cover by maximal simplices, which has the same
+reduced homology (nerve theorem), unless that cover has more sets than
+K_{<m} has vertices.  That table is what the support criterion's
+consequences are tested against.  The Scarf complex is grown
+level by level from its vertices, using that a subset's lcm is unique
+exactly when no outside generator divides it and no codimension-1 subset
+shares it.  Neither enumerates the 2^t generator subsets; the definitions
+that do live in ``tests/oracles.py`` as the reference both are tested
+against.
 """
 
 from __future__ import annotations
@@ -21,8 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .complexes import Face, SimplicialComplex, face_sorted
-from .errors import (NotAFaceError, NotAForestError, NotAResolutionError,
-                     ScarfClosureError)
+from .errors import NotAFaceError, NotAForestError, NotAResolutionError
 from .homology import QQ, FieldSpec, is_acyclic, reduced_ranks_from_faces
 from .monomials import Monomial, MonomialIdeal, lcm
 
@@ -107,14 +114,8 @@ def supports_resolution(labeled: LabeledComplex,
     labels dividing it.  On failure returns the lexicographically smallest
     failing degree under the ideal's variable order.
     """
-    cache: dict = {}
     for m in labeled.ideal().lcm_lattice():
-        sub = labeled.divisor_subcomplex(m)
-        key = sub.vertices
-        ok = cache.get(key)
-        if ok is None:
-            ok = cache[key] = is_acyclic(sub, field)
-        if not ok:
+        if not is_acyclic(labeled.divisor_subcomplex(m), field):
             return False, m
     return True, None
 
@@ -130,14 +131,8 @@ def supports_resolution_tree(labeled: LabeledComplex) -> tuple[bool, Optional[Mo
     forest, witness = labeled.complex.is_forest()
     if not forest:
         raise NotAForestError("tree criterion needs a forest", witness=witness)
-    cache: dict = {}
     for m in labeled.ideal().lcm_lattice():
-        sub = labeled.divisor_subcomplex(m)
-        key = sub.vertices
-        ok = cache.get(key)
-        if ok is None:
-            ok = cache[key] = sub.is_connected()
-        if not ok:
+        if not labeled.divisor_subcomplex(m).is_connected():
             return False, m
     return True, None
 
@@ -183,39 +178,72 @@ class BettiTable:
         return col[i] if i < len(col) else 0
 
 
-def betti_table(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTable:
-    """Multigraded Betti numbers straight from the definition.
+def _divides(a: tuple, b: tuple) -> bool:
+    return all(x <= y for x, y in zip(a, b))
 
-    For each lcm m of generator subsets, the rank in homological position i
-    at degree m is the reduced homology rank, in dimension i-1, of the
-    subcomplex of the full simplex on the generators spanned by the faces
-    whose label *strictly* divides m (the empty face included).
+
+def _nerve(sets: list) -> list[Face]:
+    """Index sets of ``sets`` with a nonempty common intersection, plus the
+    empty face; grown depth-first, since the family is downward closed."""
+    faces: list[Face] = [frozenset()]
+    stack = [((j,), s) for j, s in enumerate(sets)]
+    while stack:
+        idx, common = stack.pop()
+        faces.append(frozenset(map(str, idx)))
+        for k in range(idx[-1] + 1, len(sets)):
+            meet = common & sets[k]
+            if meet:
+                stack.append((idx + (k,), meet))
+    return faces
+
+
+def betti_table(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTable:
+    """Multigraded Betti numbers, one lcm-lattice element at a time.
+
+    The rank in homological position i at degree m is the reduced homology
+    rank, in dimension i-1, of K_{<m}: the faces of the full simplex on
+    the generators whose label strictly divides m, the empty face included
+    (Bayer-Peeva-Sturmfels, *Monomial resolutions*, 1998).  Only lcms of
+    generator subsets can carry a nonzero rank, so the loop runs over the
+    L elements of ``ideal.lcm_lattice()``.
+
+    A subset's lcm falls short of m exactly when all its generators fall
+    short of m in some variable x, so K_{<m} is the union of the full
+    simplices on A_x = {g | m : deg_x g < deg_x m}.  Any nonempty
+    intersection of those simplices is again a simplex, so by the nerve
+    theorem (Bjoerner, *Topological methods*, 1995) K_{<m} has the reduced
+    homology of the nerve of the maximal A_x, over every field.  The
+    nerve of the dual cover, which covers the vertices of K_{<m} by the
+    maximal A_x each lies in, is K_{<m} itself; it is used when it has
+    fewer sets.  With r distinct maximal A_x and |G_m| generators
+    dividing m, the nerve then has at most 2^min(r, |G_m|) faces (r
+    alone can reach C(|G_m|, |G_m|/2) when there are more variables than
+    generators).  Cost: L * (t*n + r*|G_m| + nerve size) plus the rank
+    computations on the nerves.  The 2^t definition is kept as a test
+    oracle in ``tests/oracles.py``.
     """
     gens = ideal.generators
     variables = ideal.variables
     t = len(gens)
-    names = [str(i + 1) for i in range(t)]
     gvecs = [g.exponent_vector(variables) for g in gens]
-    value_faces: dict[tuple, list[Face]] = {}
-    subset_vec: list = [None] * (1 << t)
-    for mask in range(1, 1 << t):
-        low = mask & -mask
-        i = low.bit_length() - 1
-        rest = mask ^ low
-        vec = gvecs[i] if not rest else tuple(map(max, subset_vec[rest], gvecs[i]))
-        subset_vec[mask] = vec
-        value_faces.setdefault(vec, []).append(
-            frozenset(names[j] for j in range(t) if mask >> j & 1))
-    lattice = sorted(value_faces)
-    zero = (0,) * len(variables)
     by_degree = {}
     vector: list[int] = []
-    for vec in lattice:
-        strict = [frozenset()] if vec != zero else []
-        for other, fs in value_faces.items():
-            if other != vec and all(a <= b for a, b in zip(other, vec)):
-                strict.extend(fs)
-        ranks = reduced_ranks_from_faces(strict, field)
+    for m in ideal.lcm_lattice():
+        vec = ideal.monomial_key(m)
+        if not any(vec):
+            continue  # only the unit ideal has this degree, and nothing below it
+        below = [g for g in gvecs if _divides(g, vec)]
+        covers = dict.fromkeys(
+            frozenset(i for i, g in enumerate(below) if g[x] < e)
+            for x, e in enumerate(vec) if e)
+        covers.pop(frozenset(), None)
+        maximal = [a for a in covers if not any(a < b for b in covers)]
+        if len(maximal) > len(below):
+            # Every g in below falls short of m in some variable (g = m
+            # would leave maximal empty), so no dual set is empty.
+            maximal = [frozenset(j for j, a in enumerate(maximal) if i in a)
+                       for i in range(len(below))]
+        ranks = reduced_ranks_from_faces(_nerve(maximal), field)
         column = []
         for i in range(len(ranks.ranks)):
             r = ranks.rank(i - 1)
@@ -225,7 +253,6 @@ def betti_table(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTable:
                     vector.append(0)
                 vector[i] += r
         if any(column):
-            m = Monomial(dict(zip(variables, vec)))
             by_degree[m] = tuple(column)
     if not vector:
         vector = [t]  # only for the unit ideal, whose quotient is zero
@@ -237,40 +264,41 @@ def betti_table(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTable:
 def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
     """Faces of the full simplex on the generators whose label is unique.
 
-    Vertices are named by generator position ("1".."t").  Every vertex
-    survives (a vertex label equal to another face's label would contradict
-    generator minimality) and the surviving face set is downward closed;
-    both facts are verified, and a closure failure raises
-    ScarfClosureError since it can only mean a logic bug.
+    Vertices are named by generator position ("1".."t").  A subset S has a
+    unique lcm exactly when (a) no generator outside S divides lcm(S) and
+    (b) no S - {v} has the same lcm.  The Scarf complex is downward closed
+    (Bayer-Peeva-Sturmfels, *Monomial resolutions*, 1998), so it is grown
+    level by level: a kept face is extended by a higher-indexed generator
+    only when every subface of the candidate was kept.  Then (b) holds
+    already, because a kept S - {v} satisfies (a), which puts g_v outside
+    its lcm; only (a) is tested.  Every single generator is kept, by
+    minimality.  Cost: O(t*n) per candidate, and there are at most t
+    candidates per kept face.  The 2^t definition is kept as a test oracle
+    in ``tests/oracles.py``.
     """
     gens = ideal.generators
     t = len(gens)
     names = [str(i + 1) for i in range(t)]
     gvecs = [g.exponent_vector(ideal.variables) for g in gens]
-    subset_vec: list = [None] * (1 << t)
-    counts: dict[tuple, int] = {}
-    for mask in range(1, 1 << t):
-        low = mask & -mask
-        i = low.bit_length() - 1
-        rest = mask ^ low
-        vec = gvecs[i] if not rest else tuple(map(max, subset_vec[rest], gvecs[i]))
-        subset_vec[mask] = vec
-        counts[vec] = counts.get(vec, 0) + 1
-    kept = set()
-    for mask in range(1, 1 << t):
-        if counts[subset_vec[mask]] == 1:
-            kept.add(frozenset(names[j] for j in range(t) if mask >> j & 1))
-    for face in kept:
-        if len(face) < 2:
-            continue
-        for v in face:
-            if face - {v} not in kept:
-                raise ScarfClosureError(
-                    f"face {sorted(face)} kept but its subface misses {v}")
-    for name in names:
-        if frozenset({name}) not in kept:
-            raise AssertionError("a generator vertex fell out of the Scarf complex")
-    maximal = [f for f in kept if not any(f < g for g in kept)]
+    level = {(i,): g for i, g in enumerate(gvecs)}
+    maximal = []
+    while level:
+        grown = {}
+        for face, vec in level.items():
+            for w in range(face[-1] + 1, t):
+                cand = face + (w,)
+                if any(cand[:k] + cand[k + 1:] not in level
+                       for k in range(len(face))):
+                    continue
+                m = tuple(map(max, vec, gvecs[w]))
+                if not any(_divides(g, m) for u, g in enumerate(gvecs)
+                           if u not in cand):
+                    grown[cand] = m
+        covered = {cand[:k] + cand[k + 1:] for cand in grown
+                   for k in range(len(cand))}
+        maximal.extend(frozenset(names[i] for i in face)
+                       for face in level if face not in covered)
+        level = grown
     complex_ = SimplicialComplex._from_maximal(maximal)
     return LabeledComplex(complex_, dict(zip(names, gens)), ideal.variables)
 

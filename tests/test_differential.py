@@ -1,0 +1,184 @@
+"""Scarf complexes and Betti tables against the 2^t definitions in oracles.py.
+
+Facets, labels, Betti vectors and the multigraded columns (in order) must
+agree exactly, over the rationals and over GF(2), GF(3) and GF(5).
+"""
+
+from itertools import combinations
+from math import comb
+from random import Random
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from treescarf import (MonomialIdeal, ScarfComparison, betti_table,
+                       build_intermediate, build_J, build_Jprime, parse_monomial,
+                       random_h, scarf_complex, verify_scarf)
+from treescarf import resolution
+from treescarf.complexes import SimplicialComplex
+from treescarf.errors import BoundaryOfSimplexError, DegenerateVertexFacetError
+from treescarf.homology import QQ, FieldSpec
+from treescarf.monomials import UNIT, Monomial, minimalize
+
+import oracles
+from generators import RING_VARS, random_label_antichain, random_tree
+
+FIELDS = (QQ, FieldSpec(2), FieldSpec(3), FieldSpec(5))
+fields = st.sampled_from(FIELDS)
+
+
+def assert_matches_oracles(ideal, field):
+    fast, ref = scarf_complex(ideal), oracles.scarf_complex(ideal)
+    assert fast.complex.facets == ref.complex.facets
+    assert fast.labels == ref.labels
+    assert fast.variables == ref.variables
+    fast_table, ref_table = betti_table(ideal, field), oracles.betti_table(ideal, field)
+    assert fast_table.vector == ref_table.vector
+    assert list(fast_table.by_degree.items()) == list(ref_table.by_degree.items())
+
+
+@st.composite
+def antichain_ideals(draw):
+    rng = draw(st.randoms(use_true_random=True))
+    labels = random_label_antichain(rng, draw(st.integers(1, 7)), max_vars=4)
+    return MonomialIdeal(RING_VARS, labels)
+
+
+@st.composite
+def strongly_generic_ideals(draw):
+    """No variable has the same positive exponent in two generators."""
+    variables = RING_VARS[:draw(st.integers(3, 5))]
+    t = draw(st.integers(2, 7))
+    columns = []
+    for _ in variables:
+        exps = draw(st.permutations(range(1, t + 1)))
+        keep = draw(st.lists(st.integers(0, 2), min_size=t, max_size=t))
+        columns.append([e if k else 0 for e, k in zip(exps, keep)])
+    gens = minimalize(Monomial(dict(zip(variables, row))) for row in zip(*columns))
+    assume(len(gens) >= 2)
+    return MonomialIdeal(variables, gens)
+
+
+@st.composite
+def tree_scarf_ideals(draw):
+    rng = draw(st.randoms(use_true_random=True))
+    tree = random_tree(rng, max_facets=5, max_vertices=7)
+    variant = draw(st.sampled_from(("J", "Jprime", "intermediate")))
+    try:
+        if variant == "J":
+            return build_J(tree)
+        if variant == "Jprime":
+            return build_Jprime(tree)
+        return build_intermediate(tree, random_h(tree, rng))
+    except (BoundaryOfSimplexError, DegenerateVertexFacetError):
+        assume(False)
+
+
+@st.composite
+def wide_ideals(draw):
+    """More variables than generators, so K_{<m} can be covered by many
+    more maximal simplices than it has vertices."""
+    t = draw(st.integers(2, 6))
+    variables = tuple(f"x{k}" for k in range(draw(st.integers(t + 1, 12))))
+    rows = draw(st.lists(st.lists(st.integers(0, 2), min_size=len(variables),
+                                  max_size=len(variables)),
+                         min_size=t, max_size=t))
+    gens = minimalize(Monomial(dict(zip(variables, row))) for row in rows)
+    return MonomialIdeal(variables, gens)
+
+
+def subset_ideal(t: int, k: int) -> MonomialIdeal:
+    """One variable x_T per k-subset T of the t generators; g_i has exponent
+    1 in x_T when i is in T and 2 otherwise.  At the lcm of all generators
+    the maximal A_x are the C(t, k) subsets T."""
+    subsets = list(combinations(range(t), k))
+    variables = tuple("x" + "_".join(map(str, T)) for T in subsets)
+    return MonomialIdeal(variables, [
+        Monomial({v: 1 if i in T else 2 for v, T in zip(variables, subsets)})
+        for i in range(t)])
+
+
+def complete_graph(n: int) -> SimplicialComplex:
+    return SimplicialComplex(combinations(map(str, range(n)), 2))
+
+
+@settings(max_examples=150)
+@given(antichain_ideals(), fields)
+def test_random_antichains_match_oracles(ideal, field):
+    assert_matches_oracles(ideal, field)
+
+
+@settings(max_examples=100)
+@given(strongly_generic_ideals(), fields)
+def test_strongly_generic_ideals_match_oracles(ideal, field):
+    assert_matches_oracles(ideal, field)
+
+
+@settings(max_examples=100)
+@given(tree_scarf_ideals(), fields)
+def test_tree_scarf_ideals_match_oracles(ideal, field):
+    assert_matches_oracles(ideal, field)
+
+
+@settings(max_examples=100)
+@given(wide_ideals(), fields)
+def test_wide_ideals_match_oracles(ideal, field):
+    assert_matches_oracles(ideal, field)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("ideal", [
+    subset_ideal(5, 2), subset_ideal(6, 3), subset_ideal(8, 4),
+    build_J(complete_graph(4)), build_J(complete_graph(5)),
+], ids=["subsets-5-2", "subsets-6-3", "subsets-8-4", "J-K4", "J-K5"])
+def test_many_maximal_covers_match_oracles(ideal, field):
+    assert_matches_oracles(ideal, field)
+
+
+def test_nerve_cover_never_outnumbers_the_generators(monkeypatch):
+    # subset_ideal(8, 4) has 70 maximal A_x at the top degree, whose nerve
+    # has more than 2^35 faces; the dual cover has one set per generator.
+    nerve = resolution._nerve
+
+    def bounded_nerve(sets):
+        assert len(sets) <= 8
+        return nerve(sets)
+
+    monkeypatch.setattr(resolution, "_nerve", bounded_nerve)
+    assert betti_table(subset_ideal(8, 4)).vector == (8, 28, 56, 70, 35)
+
+
+def test_tree_scarf_ideals_beyond_the_oracles_reach():
+    # t >= 16 is out of reach for the 2^t definitions; the tree is its own
+    # Scarf complex and its f-vector is the Betti vector of J and Jprime.
+    rng = Random(5)
+    tree = random_tree(rng, max_facets=10, max_vertices=20)
+    while len(tree.vertices) < 16:
+        tree = random_tree(rng, max_facets=10, max_vertices=20)
+    for ideal in (build_J(tree), build_Jprime(tree)):
+        assert verify_scarf(tree, ideal)[0] == ScarfComparison.EQUAL
+        assert betti_table(ideal).vector == tree.f_vector()
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("ideal", [
+    MonomialIdeal((), [UNIT]),
+    MonomialIdeal(("x", "y"), [UNIT]),
+    MonomialIdeal(("x", "y"), [parse_monomial("x*y^2")]),
+    MonomialIdeal(("x", "y", "z", "u"), [parse_monomial(v) for v in "xyzu"]),
+    MonomialIdeal(("x", "y", "z"),
+                  [parse_monomial(s) for s in ("x^2", "y*z", "x*y^3")]),
+], ids=["unit-no-variables", "unit", "single", "coprime", "mixed"])
+def test_edge_cases_match_oracles(ideal, field):
+    assert_matches_oracles(ideal, field)
+
+
+def test_edge_case_answers():
+    unit = betti_table(MonomialIdeal(("x",), [UNIT]))
+    assert unit.vector == (1,) and unit.by_degree == {}
+    single = parse_monomial("x*y^2")
+    table = betti_table(MonomialIdeal(("x", "y"), [single]))
+    assert table.vector == (1,) and table.by_degree == {single: (1,)}
+    coprime = MonomialIdeal(("x", "y", "z", "u"), [parse_monomial(v) for v in "xyzu"])
+    assert betti_table(coprime).vector == tuple(comb(4, i + 1) for i in range(4))
