@@ -4,8 +4,9 @@ A complex is stored by its facets (the maximal faces); a set is a face
 exactly when it is contained in some facet, so faces are only enumerated on
 demand.  Faces are frozensets of vertex-name strings and the empty face has
 dimension -1.  Every value is immutable after construction and every
-operation is a pure function, so instances are safe to share between
-threads.
+operation is a pure function.  The face list and the forest decision are
+computed once per instance and kept; the write is idempotent and stores
+an immutable value, so instances stay safe to share between threads.
 
 The complex with no facets (the *empty complex*) is a legal value: it is
 produced by facet removal and induced subcomplexes, and is connected and a
@@ -60,7 +61,7 @@ class SimplicialComplex:
     deterministic.
     """
 
-    __slots__ = ("_facets", "_vertices", "_faces")
+    __slots__ = ("_facets", "_vertices", "_faces", "_forest")
 
     def __init__(self, candidate_facets: Iterable[Iterable[Vertex]]):
         candidates = [_as_face(f) for f in candidate_facets]
@@ -79,6 +80,7 @@ class SimplicialComplex:
         self._vertices = tuple(sorted(set().union(*self._facets), key=vertex_key)
                                ) if self._facets else ()
         self._faces = None
+        self._forest = None
 
     @classmethod
     def _from_maximal(cls, facets: Iterable[Face]) -> "SimplicialComplex":
@@ -225,22 +227,29 @@ class SimplicialComplex:
     def is_forest(self) -> tuple[bool, Optional[tuple[Face, ...]]]:
         """Whether every nonempty subcollection has a leaf.
 
-        This is the exhaustive definitional check over all 2^q - 1 facet
-        subsets, iterated by increasing size, so a returned witness (a
-        leafless subcollection) has minimal size.  Facets are handled as
-        bit masks; Python ints keep this exact for any vertex count.
+        Returns (True, None), or (False, a leafless subcollection).  The
+        search is exhaustive over all 2^q - 1 facet subsets, by increasing
+        size, so the witness has minimal size.  It runs once per instance:
+        the answer is kept, and as the complex is immutable every writer
+        stores the same value.  ``remove_facet`` and ``induced`` return new
+        complexes, which decide afresh.
         """
+        if self._forest is None:
+            witness = self._leafless_subcollection()
+            self._forest = (witness is None, witness)
+        return self._forest
+
+    def _leafless_subcollection(self) -> Optional[tuple[Face, ...]]:
+        # facets as bit masks; Python ints keep this exact for any vertex count
         q = len(self._facets)
-        if q == 0:
-            return True, None
         index = {v: i for i, v in enumerate(self._vertices)}
         masks = [sum(1 << index[v] for v in f) for f in self._facets]
         inter = [[m & n for n in masks] for m in masks]
         for size in range(1, q + 1):
             for combo in itertools.combinations(range(q), size):
                 if not _has_leaf(masks, inter, combo):
-                    return False, tuple(self._facets[i] for i in combo)
-        return True, None
+                    return tuple(self._facets[i] for i in combo)
+        return None
 
     def is_tree(self) -> bool:
         """Connected and a forest."""

@@ -97,29 +97,6 @@ def _rank_bareiss(m: list[list[int]]) -> int:
     return r
 
 
-def rank_fraction_gauss(matrix) -> int:
-    """Plain Gaussian elimination over Fractions; reference for _rank_bareiss."""
-    rows = [[Fraction(x) for x in r] for r in matrix]
-    if not rows or not rows[0]:
-        return 0
-    n_rows, n_cols = len(rows), len(rows[0])
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, n_rows):
-            if rows[i][c]:
-                f = rows[i][c] / rows[r][c]
-                for j in range(c, n_cols):
-                    rows[i][j] -= f * rows[r][j]
-        r += 1
-        if r == n_rows:
-            break
-    return r
-
-
 def _rank_mod_p(matrix, p: int) -> int:
     rows = [[int(x) % p for x in r] for r in matrix]
     n_rows, n_cols = len(rows), len(rows[0])

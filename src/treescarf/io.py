@@ -29,6 +29,12 @@ def _load_json(path):
                              location=f"line {exc.lineno}, column {exc.colno}") from None
 
 
+def _check_names(names, path, loc):
+    for name in names:
+        if not isinstance(name, str) or not name:
+            raise InputFileError(f"bad vertex name {name!r}", path=path, location=loc)
+
+
 def _facet_list(data, path=None):
     if not isinstance(data, dict) or "facets" not in data:
         raise InputFileError('expected an object with a "facets" key', path=path)
@@ -41,9 +47,7 @@ def _facet_list(data, path=None):
         if not isinstance(entry, list) or not entry:
             raise InputFileError("each facet must be a nonempty list of names",
                                  path=path, location=loc)
-        for name in entry:
-            if not isinstance(name, str) or not name:
-                raise InputFileError(f"bad vertex name {name!r}", path=path, location=loc)
+        _check_names(entry, path, loc)
         if len(set(entry)) != len(entry):
             raise InputFileError("duplicate vertex name in facet", path=path, location=loc)
         face = frozenset(entry)
@@ -111,6 +115,8 @@ def sequence_to_data(sequence: CollapseSequence) -> dict:
 def parse_sequence_data(data, path=None) -> CollapseSequence:
     if not isinstance(data, dict) or "steps" not in data or "terminal" not in data:
         raise InputFileError('expected an object with "steps" and "terminal"', path=path)
+    if not isinstance(data["steps"], list):
+        raise InputFileError('"steps" must be a list', path=path, location="steps")
     steps = []
     for i, entry in enumerate(data["steps"]):
         loc = f"steps[{i}]"
@@ -119,6 +125,7 @@ def parse_sequence_data(data, path=None) -> CollapseSequence:
                 or not isinstance(entry.get("coface"), list)):
             raise InputFileError('each step needs "free" and "coface" lists',
                                  path=path, location=loc)
+        _check_names(entry["free"] + entry["coface"], path, loc)
         steps.append(CollapseStep(frozenset(entry["free"]), frozenset(entry["coface"])))
     terminal = parse_complex_data({"facets": data["terminal"]}, path)
     return CollapseSequence(tuple(steps), terminal)

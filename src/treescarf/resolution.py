@@ -104,6 +104,14 @@ def taylor_complex(ideal: MonomialIdeal) -> LabeledComplex:
     return LabeledComplex(SimplicialComplex([names]), labels, ideal.variables)
 
 
+def _first_failing_degree(labeled: LabeledComplex,
+                          acyclic) -> tuple[bool, Optional[Monomial]]:
+    for m in labeled.ideal().lcm_lattice():
+        if not acyclic(labeled.divisor_subcomplex(m)):
+            return False, m
+    return True, None
+
+
 def supports_resolution(labeled: LabeledComplex,
                         field: FieldSpec = QQ) -> tuple[bool, Optional[Monomial]]:
     """Whether the labeled complex supports a free resolution of its ideal.
@@ -112,29 +120,27 @@ def supports_resolution(labeled: LabeledComplex,
     monomial; only lcms of generator subsets need checking, because the
     divisor subcomplex of any monomial is reproduced by the lcm of the
     labels dividing it.  On failure returns the lexicographically smallest
-    failing degree under the ideal's variable order.
+    failing degree under the ideal's variable order.  The loop over the
+    lcm lattice is shared with ``supports_resolution_tree``; only the
+    acyclicity test differs.
     """
-    for m in labeled.ideal().lcm_lattice():
-        if not is_acyclic(labeled.divisor_subcomplex(m), field):
-            return False, m
-    return True, None
+    return _first_failing_degree(labeled, lambda k: is_acyclic(k, field))
 
 
 def supports_resolution_tree(labeled: LabeledComplex) -> tuple[bool, Optional[Monomial]]:
     """Support check specialized to forests: connectivity replaces acyclicity.
 
     Induced subcomplexes of a forest are forests, and a forest is acyclic
-    exactly when it is connected (or empty), so this agrees with
-    ``supports_resolution`` on every forest input, failing degree included.
-    Raises NotAForestError (with the leafless witness) otherwise.
+    exactly when it is connected (or empty), so running the loop of
+    ``supports_resolution`` with ``is_connected`` as the test agrees with
+    it on every forest input, failing degree included.  Raises
+    NotAForestError (with the leafless witness) otherwise, from the
+    complex's kept forest decision.
     """
     forest, witness = labeled.complex.is_forest()
     if not forest:
         raise NotAForestError("tree criterion needs a forest", witness=witness)
-    for m in labeled.ideal().lcm_lattice():
-        if not labeled.divisor_subcomplex(m).is_connected():
-            return False, m
-    return True, None
+    return _first_failing_degree(labeled, SimplicialComplex.is_connected)
 
 
 def is_minimal(labeled: LabeledComplex) -> tuple[bool, Optional[tuple[Face, Face]]]:

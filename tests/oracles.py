@@ -1,11 +1,15 @@
 """Reference implementations that the library's fast paths are tested against.
 
-These are the definitions themselves, exponential in the number of
-generators t: both enumerate the lcm of every one of the 2^t generator
-subsets.  The library computes the same objects in time that scales with
-their output (see ``treescarf.resolution``); differential tests compare
-the two.
+The Betti table and the Scarf complex here are the definitions
+themselves, exponential in the number of generators t: both enumerate the
+lcm of every one of the 2^t generator subsets.  The library computes the
+same objects in time that scales with their output (see
+``treescarf.resolution``); differential tests compare the two.  Plain
+Gaussian elimination over Fractions is the reference for the library's
+fraction-free rank.
 """
+
+from fractions import Fraction
 
 from treescarf.complexes import Face, SimplicialComplex
 from treescarf.errors import ScarfClosureError
@@ -104,3 +108,26 @@ def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
     maximal = [f for f in kept if not any(f < g for g in kept)]
     complex_ = SimplicialComplex._from_maximal(maximal)
     return LabeledComplex(complex_, dict(zip(names, gens)), ideal.variables)
+
+
+def rank_fraction_gauss(matrix) -> int:
+    """Plain Gaussian elimination over Fractions; reference for ``homology.rank``."""
+    rows = [[Fraction(x) for x in r] for r in matrix]
+    if not rows or not rows[0]:
+        return 0
+    n_rows, n_cols = len(rows), len(rows[0])
+    r = 0
+    for c in range(n_cols):
+        piv = next((i for i in range(r, n_rows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(r + 1, n_rows):
+            if rows[i][c]:
+                f = rows[i][c] / rows[r][c]
+                for j in range(c, n_cols):
+                    rows[i][j] -= f * rows[r][j]
+        r += 1
+        if r == n_rows:
+            break
+    return r

@@ -9,7 +9,7 @@ from treescarf.cli import main
 from treescarf.errors import InputFileError
 from treescarf.io import (complex_to_data, ideal_to_data, load_complex,
                           load_ideal, load_sequence, parse_complex_data,
-                          parse_ideal_data)
+                          parse_ideal_data, parse_sequence_data)
 
 TAIL_FACETS = {"facets": [["1", "2", "3"], ["2", "3", "4"], ["4", "5"]]}
 DIAMOND_FACETS = {"facets": [["1", "2", "4"], ["2", "3", "4"]]}
@@ -72,6 +72,17 @@ def test_bad_ideal_data_rejected(data):
         parse_ideal_data(data)
 
 
+@pytest.mark.parametrize("data", [
+    {"steps": 5, "terminal": [["1"]]},
+    {"steps": [{"free": [["1"]], "coface": ["1", "2"]}], "terminal": [["2"]]},
+    {"steps": [{"free": [1], "coface": [1, 2]}], "terminal": [["2"]]},
+])
+def test_bad_sequence_data_rejected_with_step_location(data):
+    with pytest.raises(InputFileError) as err:
+        parse_sequence_data(data)
+    assert err.value.location.startswith("steps")
+
+
 def test_json_error_reports_location(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text('{"facets": [["1",]}')
@@ -101,6 +112,26 @@ def test_check_reports_witness_for_cycles(files, capsys):
     result = json.loads(out)["result"]
     assert not result["tree"]
     assert len(result["witness"]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "diamond"),
+    ("collapse", "diamond"),
+    ("supports", "diamond", "ideal"),
+    ("supports", "diamond", "ideal", "--verify"),
+])
+def test_each_command_decides_forest_once(files, capsys, monkeypatch, argv):
+    searched = []
+    search = SimplicialComplex._leafless_subcollection
+
+    def spy(self):
+        searched.append(self)
+        return search(self)
+
+    monkeypatch.setattr(SimplicialComplex, "_leafless_subcollection", spy)
+    code, _, _ = run(capsys, *(files.get(a, a) for a in argv))
+    assert code == 0
+    assert searched == [load_complex(files["diamond"])]
 
 
 def test_fvector_command(files, capsys):

@@ -231,6 +231,15 @@ def test_triangle_boundary_is_not_a_forest():
     assert set(witness) == set(map(frozenset, TRIANGLE_BOUNDARY))
 
 
+def test_forest_answer_belongs_to_the_instance():
+    cycle = SimplicialComplex(TRIANGLE_BOUNDARY)
+    assert not cycle.is_forest()[0]
+    for edge in TRIANGLE_BOUNDARY:
+        assert cycle.remove_facet(edge).is_forest() == (True, None)
+    assert cycle.is_forest() is cycle.is_forest()
+    assert not cycle.is_forest()[0]
+
+
 def test_forest_witness_has_minimal_size():
     # triangle boundary plus a pendant edge: the only leafless collection
     # is still the 3-cycle
