@@ -4,13 +4,15 @@ An elementary collapse removes a *free pair*: a facet together with a
 maximal proper face of it that lies in no other facet.  Collapsibility
 claims are never returned as bare booleans; they come as an ordered step
 sequence that ``verify_sequence`` can replay against the definition, so
-every certificate is independently checkable.
+every certificate is independently checkable.  A replay looks each face
+up in one table of its codimension-1 cofaces, and a tree certificate is
+replayed once, against the whole complex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .complexes import Face, SimplicialComplex, face_key, vertex_key
 from .errors import BadFacePairError, InvalidStepError, NotATreeError
@@ -43,16 +45,18 @@ def _step_key(pair):
 class _FaceSet:
     """Mutable face-set view of a complex while replaying collapses.
 
-    Keeping the full face set lets every validity question reduce to
-    one-vertex extensions: a face has a strict superface iff it has one of
-    codimension 1 (downward closure).
+    One table maps each present face, the empty face included, to the set
+    of its present codimension-1 cofaces.  A face is a facet when it has
+    none, and free when it has exactly one (downward closure makes it a facet).
     """
 
-    __slots__ = ("faces", "universe")
+    __slots__ = ("cofaces",)
 
     def __init__(self, complex_: SimplicialComplex):
-        self.faces = set(complex_.faces())
-        self.universe = set(complex_.vertices)
+        self.cofaces = {f: set() for f in complex_.faces(include_empty=True)}
+        for f in self.cofaces:
+            for v in f:
+                self.cofaces[f - {v}].add(f)
 
     def step_violation(self, step: CollapseStep) -> Optional[str]:
         """None when the step is valid now, else the violated condition."""
@@ -61,38 +65,30 @@ class _FaceSet:
             return "free face must be nonempty"
         if not (free < coface and len(free) == len(coface) - 1):
             return "free face is not a maximal proper face of the coface"
-        if coface not in self.faces:
+        if coface not in self.cofaces:
             return "coface is not a face of the complex"
-        if free not in self.faces:
+        if free not in self.cofaces:
             return "free face is not a face of the complex"
-        for v in self.universe - coface:
-            if coface | {v} in self.faces:
-                return "coface is not a facet"
-        for v in self.universe - free:
-            ext = free | {v}
-            if ext != coface and ext in self.faces:
-                return "free face lies in more than one facet"
+        if self.cofaces[coface]:
+            return "coface is not a facet"
+        if len(self.cofaces[free]) > 1:
+            return "free face lies in more than one facet"
         return None
 
     def apply(self, step: CollapseStep) -> None:
-        self.faces.discard(step.coface)
-        self.faces.discard(step.free_face)
+        for face in (step.coface, step.free_face):
+            del self.cofaces[face]
+            for v in face:
+                self.cofaces[face - {v}].discard(face)
 
     def free_pairs(self) -> list[tuple[Face, Face]]:
-        pairs = []
-        for free in self.faces:
-            exts = [free | {v} for v in self.universe - free if free | {v} in self.faces]
-            if len(exts) != 1:
-                continue
-            coface = exts[0]
-            if not any(coface | {v} in self.faces for v in self.universe - coface):
-                pairs.append((frozenset(free), frozenset(coface)))
+        pairs = [(free, coface) for free, up in self.cofaces.items()
+                 if free and len(up) == 1 for coface in up]
         return sorted(pairs, key=_step_key)
 
     def to_complex(self) -> SimplicialComplex:
-        maximal = [f for f in self.faces
-                   if not any(f | {v} in self.faces for v in self.universe - f)]
-        return SimplicialComplex._from_maximal(map(frozenset, maximal))
+        return SimplicialComplex._from_maximal(
+            f for f, up in self.cofaces.items() if not up)
 
 
 def free_pairs(complex_: SimplicialComplex) -> list[tuple[Face, Face]]:
@@ -145,35 +141,39 @@ def collapse_simplex_to_face(facet: Iterable[str], target: Iterable[str]) -> Col
     if not goal or not goal < start:
         raise BadFacePairError(
             "target must be a nonempty proper subset of the facet")
-    steps = []
-    cur = set(start)
-    while cur != goal:
-        x_last = max(cur - goal, key=vertex_key)
-        x = sorted(cur - {x_last}, key=vertex_key) + [x_last]
-        n = len(x)
-        steps.append(CollapseStep(frozenset(cur - {x[0]}), frozenset(cur)))
-        for i in range(2, n):
-            # subsets of {x_2..x_{i-1}} in binary-counting order
-            for code in range(1 << (i - 2)):
-                dropped = {x[i - 1]}
-                dropped.update(x[b + 1] for b in range(i - 2) if code >> b & 1)
-                coface = frozenset(cur - dropped)
-                steps.append(CollapseStep(coface - {x[0]}, coface))
-        cur.discard(x_last)
-    sequence = CollapseSequence(tuple(steps), SimplicialComplex([goal]))
+    sequence = CollapseSequence(tuple(_simplex_steps(start, goal)), SimplicialComplex([goal]))
     ok, bad = verify_sequence(SimplicialComplex([start]), sequence)
     if not ok:
         raise AssertionError(f"simplex collapse schedule failed at step {bad}")
     return sequence
 
 
+def _simplex_steps(start: Face, goal: Face) -> Iterator[CollapseStep]:
+    # the schedule of collapse_simplex_to_face, for a nonempty goal < start
+    cur = set(start)
+    while cur != goal:
+        x_last = max(cur - goal, key=vertex_key)
+        x = sorted(cur - {x_last}, key=vertex_key) + [x_last]
+        n = len(x)
+        yield CollapseStep(frozenset(cur - {x[0]}), frozenset(cur))
+        for i in range(2, n):
+            # subsets of {x_2..x_{i-1}} in binary-counting order
+            for code in range(1 << (i - 2)):
+                dropped = {x[i - 1]}
+                dropped.update(x[b + 1] for b in range(i - 2) if code >> b & 1)
+                coface = frozenset(cur - dropped)
+                yield CollapseStep(coface - {x[0]}, coface)
+        cur.discard(x_last)
+
+
 def tree_collapse_certificate(complex_: SimplicialComplex) -> CollapseSequence:
     """A verified collapse of a simplicial tree down to a single point.
 
-    Repeatedly takes the first leaf F with joint G, collapses the simplex
-    on F onto F & G (those steps stay valid in the whole complex: each face
-    they remove sticks out of every other facet), and continues on the
-    complex without F.  The sequence length is (#faces - 1) / 2.
+    Repeatedly takes the first leaf F with joint G, schedules the collapse
+    of the simplex on F onto F & G (valid in the whole complex: each face
+    it removes sticks out of every other facet), and continues on the
+    complex without F.  The joined schedules are replayed once, against
+    the whole complex.  The sequence length is (#faces - 1) / 2.
 
     Raises NotATreeError with the evidence when the input is empty,
     disconnected, or has a leafless subcollection.
@@ -194,12 +194,12 @@ def tree_collapse_certificate(complex_: SimplicialComplex) -> CollapseSequence:
             leaf, joint = cur.is_leaf(f)
             if leaf:
                 break
-        steps.extend(collapse_simplex_to_face(f, f & joint).steps)
+        steps.extend(_simplex_steps(f, f & joint))
         cur = cur.remove_facet(f)
     last = cur.facets[0]
     if len(last) > 1:
         point = min(last, key=vertex_key)
-        steps.extend(collapse_simplex_to_face(last, {point}).steps)
+        steps.extend(_simplex_steps(last, frozenset({point})))
         cur = SimplicialComplex([{point}])
     sequence = CollapseSequence(tuple(steps), cur)
     ok, bad = verify_sequence(complex_, sequence)

@@ -6,8 +6,9 @@ Certificate file:  {"steps": [{"free": [...], "coface": [...]}, ...],
                     "terminal": [["1"]]}
 
 Vertex-name order inside a facet is irrelevant; duplicate names in a facet
-and duplicate facets are rejected.  All emitters produce deterministic,
-canonically ordered JSON data that re-parses to an equal value.
+or in a step's face, and duplicate facets, are rejected.  All emitters
+produce deterministic, canonically ordered JSON data that re-parses to an
+equal value.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ def _check_names(names, path, loc):
     for name in names:
         if not isinstance(name, str) or not name:
             raise InputFileError(f"bad vertex name {name!r}", path=path, location=loc)
+    if len(set(names)) != len(names):
+        raise InputFileError("duplicate vertex name", path=path, location=loc)
 
 
 def _facet_list(data, path=None):
@@ -48,8 +51,6 @@ def _facet_list(data, path=None):
             raise InputFileError("each facet must be a nonempty list of names",
                                  path=path, location=loc)
         _check_names(entry, path, loc)
-        if len(set(entry)) != len(entry):
-            raise InputFileError("duplicate vertex name in facet", path=path, location=loc)
         face = frozenset(entry)
         if face in facets:
             raise InputFileError("duplicate facet", path=path, location=loc)
@@ -125,7 +126,8 @@ def parse_sequence_data(data, path=None) -> CollapseSequence:
                 or not isinstance(entry.get("coface"), list)):
             raise InputFileError('each step needs "free" and "coface" lists',
                                  path=path, location=loc)
-        _check_names(entry["free"] + entry["coface"], path, loc)
+        _check_names(entry["free"], path, loc)
+        _check_names(entry["coface"], path, loc)
         steps.append(CollapseStep(frozenset(entry["free"]), frozenset(entry["coface"])))
     terminal = parse_complex_data({"facets": data["terminal"]}, path)
     return CollapseSequence(tuple(steps), terminal)

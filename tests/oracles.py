@@ -6,12 +6,16 @@ lcm of every one of the 2^t generator subsets.  The library computes the
 same objects in time that scales with their output (see
 ``treescarf.resolution``); differential tests compare the two.  Plain
 Gaussian elimination over Fractions is the reference for the library's
-fraction-free rank.
+fraction-free rank.  The face set that answers every free-face question by
+scanning the vertex universe is the reference for the library's coface
+table, and its greedy loop the reference for ``greedy_collapse``.
 """
 
 from fractions import Fraction
+from typing import Optional
 
-from treescarf.complexes import Face, SimplicialComplex
+from treescarf.collapse import CollapseSequence, CollapseStep
+from treescarf.complexes import Face, SimplicialComplex, face_key
 from treescarf.errors import ScarfClosureError
 from treescarf.homology import QQ, FieldSpec, reduced_ranks_from_faces
 from treescarf.monomials import Monomial, MonomialIdeal
@@ -131,3 +135,71 @@ def rank_fraction_gauss(matrix) -> int:
         if r == n_rows:
             break
     return r
+
+
+class FaceSet:
+    """Mutable face set of a complex; every question scans the vertex universe.
+
+    A face has a strict superface iff it has one of codimension 1
+    (downward closure), so each question tries one-vertex extensions.
+    """
+
+    def __init__(self, complex_: SimplicialComplex):
+        self.faces = set(complex_.faces())
+        self.universe = set(complex_.vertices)
+
+    def step_violation(self, step: CollapseStep) -> Optional[str]:
+        """None when the step is valid now, else the violated condition."""
+        free, coface = step.free_face, step.coface
+        if not free:
+            return "free face must be nonempty"
+        if not (free < coface and len(free) == len(coface) - 1):
+            return "free face is not a maximal proper face of the coface"
+        if coface not in self.faces:
+            return "coface is not a face of the complex"
+        if free not in self.faces:
+            return "free face is not a face of the complex"
+        for v in self.universe - coface:
+            if coface | {v} in self.faces:
+                return "coface is not a facet"
+        for v in self.universe - free:
+            ext = free | {v}
+            if ext != coface and ext in self.faces:
+                return "free face lies in more than one facet"
+        return None
+
+    def apply(self, step: CollapseStep) -> None:
+        self.faces.discard(step.coface)
+        self.faces.discard(step.free_face)
+
+    def free_pairs(self) -> list[tuple[Face, Face]]:
+        pairs = []
+        for free in self.faces:
+            exts = [free | {v} for v in self.universe - free if free | {v} in self.faces]
+            if len(exts) != 1:
+                continue
+            coface = exts[0]
+            if not any(coface | {v} in self.faces for v in self.universe - coface):
+                pairs.append((frozenset(free), frozenset(coface)))
+        return sorted(pairs, key=lambda pair: (face_key(pair[0]), face_key(pair[1])))
+
+    def to_complex(self) -> SimplicialComplex:
+        maximal = [f for f in self.faces
+                   if not any(f | {v} in self.faces for v in self.universe - f)]
+        return SimplicialComplex._from_maximal(map(frozenset, maximal))
+
+
+def greedy_collapse(complex_: SimplicialComplex) -> tuple[CollapseSequence, SimplicialComplex]:
+    """Apply the first free pair, rescanning every face, until none remain."""
+    fs = FaceSet(complex_)
+    steps = []
+    while True:
+        pairs = fs.free_pairs()
+        if not pairs:
+            break
+        free, coface = pairs[0]
+        step = CollapseStep(free, coface)
+        fs.apply(step)
+        steps.append(step)
+    residual = fs.to_complex()
+    return CollapseSequence(tuple(steps), residual), residual

@@ -3,8 +3,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treescarf import SimplicialComplex, verify_sequence
+from treescarf import CollapseSequence, SimplicialComplex, verify_sequence
+from treescarf import collapse
 from treescarf.cli import main
 from treescarf.errors import InputFileError
 from treescarf.io import (complex_to_data, ideal_to_data, load_complex,
@@ -76,11 +79,40 @@ def test_bad_ideal_data_rejected(data):
     {"steps": 5, "terminal": [["1"]]},
     {"steps": [{"free": [["1"]], "coface": ["1", "2"]}], "terminal": [["2"]]},
     {"steps": [{"free": [1], "coface": [1, 2]}], "terminal": [["2"]]},
+    {"steps": [{"free": ["1", "1"], "coface": ["2", "1", "2"]}], "terminal": [["2"]]},
 ])
 def test_bad_sequence_data_rejected_with_step_location(data):
     with pytest.raises(InputFileError) as err:
         parse_sequence_data(data)
     assert err.value.location.startswith("steps")
+
+
+# arbitrary JSON-like values at every level, mixed with near-valid ones
+vertex_names = st.sampled_from(["1", "2", "3"])
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12)
+name_lists = (st.lists(vertex_names, min_size=1, max_size=3, unique=True)
+              | st.lists(vertex_names | json_values, max_size=4) | json_values)
+step_objects = (st.fixed_dictionaries({"free": name_lists, "coface": name_lists})
+                | st.dictionaries(st.sampled_from(["free", "coface"]), name_lists)
+                | json_values)
+certificates = st.fixed_dictionaries({
+    "steps": st.lists(step_objects, max_size=4) | json_values,
+    "terminal": st.lists(name_lists, min_size=1, max_size=3) | json_values,
+}) | json_values
+
+
+@settings(max_examples=500)
+@given(certificates)
+def test_sequence_loader_returns_a_sequence_or_a_typed_error(data):
+    try:
+        sequence = parse_sequence_data(data)
+    except InputFileError:
+        return
+    assert isinstance(sequence, CollapseSequence)
 
 
 def test_json_error_reports_location(tmp_path):
@@ -132,6 +164,21 @@ def test_each_command_decides_forest_once(files, capsys, monkeypatch, argv):
     code, _, _ = run(capsys, *(files.get(a, a) for a in argv))
     assert code == 0
     assert searched == [load_complex(files["diamond"])]
+
+
+@pytest.mark.parametrize("command", ["check", "collapse"])
+def test_tree_certificate_is_replayed_once(files, capsys, monkeypatch, command):
+    replayed = []
+    replay = collapse.verify_sequence
+
+    def spy(complex_, sequence):
+        replayed.append(complex_)
+        return replay(complex_, sequence)
+
+    monkeypatch.setattr(collapse, "verify_sequence", spy)
+    code, _, _ = run(capsys, command, files["tail"])
+    assert code == 0
+    assert replayed == [load_complex(files["tail"])]
 
 
 def test_fvector_command(files, capsys):

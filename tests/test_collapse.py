@@ -3,12 +3,16 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treescarf import (CollapseSequence, CollapseStep, SimplicialComplex,
                        collapse_simplex_to_face, elementary_collapse, free_pairs,
                        greedy_collapse, tree_collapse_certificate, verify_sequence)
+from treescarf import collapse
 from treescarf.errors import BadFacePairError, InvalidStepError, NotATreeError
 
+import oracles
 from generators import random_tree
 
 EDGE_TRIANGLE = SimplicialComplex([{"1", "2"}, {"2", "3", "4"}])
@@ -137,6 +141,19 @@ def test_simplex_collapse_never_touches_the_target():
         assert ok
 
 
+def test_simplex_collapse_replays_its_own_sequence(monkeypatch):
+    replayed = []
+    replay = collapse.verify_sequence
+
+    def spy(complex_, sequence):
+        replayed.append((complex_, sequence))
+        return replay(complex_, sequence)
+
+    monkeypatch.setattr(collapse, "verify_sequence", spy)
+    seq = collapse_simplex_to_face({"1", "2", "3"}, {"3"})
+    assert replayed == [(SimplicialComplex([{"1", "2", "3"}]), seq)]
+
+
 def test_bad_face_pairs_rejected():
     with pytest.raises(BadFacePairError):
         collapse_simplex_to_face({"1", "2"}, {"1", "2"})
@@ -241,3 +258,50 @@ def test_verify_flags_wrong_terminal():
 def test_empty_sequence_with_matching_terminal():
     seq = CollapseSequence((), EDGE_TRIANGLE)
     assert verify_sequence(EDGE_TRIANGLE, seq) == (True, None)
+
+
+# -- coface table against the scanning oracle ------------------------------------
+
+@st.composite
+def small_complexes(draw):
+    names = [str(i) for i in range(1, draw(st.integers(1, 6)) + 1)]
+    facets = draw(st.lists(st.sets(st.sampled_from(names), min_size=1),
+                           min_size=1, max_size=8))
+    return SimplicialComplex(facets)
+
+
+def candidate_steps(rng, faces, names):
+    """Steps to judge: codimension-1 pairs of present faces (valid, with a
+    non-facet coface, with a shared or an empty free face), cofaces that
+    are no face, and pairs of the wrong codimension or not nested."""
+    for _ in range(12):
+        c = rng.choice(faces)
+        kind = rng.randrange(4)
+        if kind == 0:
+            yield CollapseStep(c - {rng.choice(sorted(c))}, c)
+        elif kind == 1:
+            yield CollapseStep(c, c | {rng.choice(names)})
+        elif kind == 2:
+            yield CollapseStep(c - set(rng.sample(sorted(c), min(2, len(c)))), c)
+        else:
+            yield CollapseStep(rng.choice(faces), c)
+
+
+@settings(max_examples=300)
+@given(small_complexes(), st.randoms(use_true_random=True))
+def test_coface_table_matches_scanning_oracle(complex_, rng):
+    seq, residual = greedy_collapse(complex_)
+    ref_seq, ref_residual = oracles.greedy_collapse(complex_)
+    assert seq == ref_seq and residual == ref_residual
+    assert free_pairs(complex_) == oracles.FaceSet(complex_).free_pairs()
+    # an outside name makes cofaces that are no face
+    names = list(complex_.vertices) + ["0"]
+    table, ref = collapse._FaceSet(complex_), oracles.FaceSet(complex_)
+    for step in seq.steps + (None,):
+        assert table.free_pairs() == ref.free_pairs()
+        assert table.to_complex() == ref.to_complex()
+        for candidate in candidate_steps(rng, sorted(ref.faces, key=sorted), names):
+            assert table.step_violation(candidate) == ref.step_violation(candidate)
+        if step is not None:
+            table.apply(step)
+            ref.apply(step)
