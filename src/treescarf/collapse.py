@@ -11,27 +11,29 @@ replayed once, against the whole complex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
+from ._frozen import FrozenValue
 from .complexes import Face, SimplicialComplex, face_key, vertex_key
 from .errors import BadFacePairError, InvalidStepError, NotATreeError
 
 
-@dataclass(frozen=True)
-class CollapseStep:
+class CollapseStep(FrozenValue):
     """One elementary collapse: remove ``coface`` and its free face."""
 
-    free_face: Face
-    coface: Face
+    __slots__ = ("free_face", "coface")
+
+    def __init__(self, free_face: Face, coface: Face):
+        self._fill(free_face, coface)
 
 
-@dataclass(frozen=True)
-class CollapseSequence:
+class CollapseSequence(FrozenValue):
     """Ordered collapse steps and the complex they are claimed to reach."""
 
-    steps: tuple[CollapseStep, ...]
-    terminal: SimplicialComplex
+    __slots__ = ("steps", "terminal")
+
+    def __init__(self, steps: tuple[CollapseStep, ...], terminal: SimplicialComplex):
+        self._fill(steps, terminal)
 
     def __len__(self) -> int:
         return len(self.steps)

@@ -11,34 +11,55 @@ face), which is what makes the homology reduced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
+from ._frozen import FrozenValue
 from .complexes import Face, SimplicialComplex, face_key, face_sorted
+
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
 
 
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin primality test for 0 <= p < _MR_LIMIT."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """Coefficient field: characteristic 0 (rationals) or a prime p."""
+class FieldSpec(FrozenValue):
+    """Coefficient field: characteristic 0 (rationals) or a prime p.
 
-    characteristic: int = 0
+    Primes are certified exactly, so p must lie below 3.3 * 10^24.
+    """
 
-    def __post_init__(self):
-        c = self.characteristic
+    __slots__ = ("characteristic",)
+
+    def __init__(self, characteristic: int = 0):
+        c = characteristic
+        if c >= _MR_LIMIT:
+            raise ValueError(f"characteristic must be below {_MR_LIMIT}, got {c}")
         if c != 0 and not _is_prime(c):
             raise ValueError(f"characteristic must be 0 or a prime, got {c}")
+        self._fill(c)
 
 
 QQ = FieldSpec(0)
@@ -47,7 +68,11 @@ QQ = FieldSpec(0)
 # -- exact rank -----------------------------------------------------------------
 
 def rank(matrix, field: FieldSpec = QQ) -> int:
-    """Exact rank of a matrix (rows of ints or Fractions)."""
+    """Exact rank of a matrix (rows of ints or Fractions).
+
+    ``fractions`` is imported only when a row over the rationals holds a
+    non-int entry, so integer matrices never load it.
+    """
     rows = [list(r) for r in matrix]
     if not rows or not rows[0]:
         return 0
@@ -57,6 +82,7 @@ def rank(matrix, field: FieldSpec = QQ) -> int:
             if all(isinstance(x, int) for x in r):
                 cleared.append(r)
             else:
+                from fractions import Fraction
                 fracs = [Fraction(x) for x in r]
                 scale = 1
                 for x in fracs:
@@ -120,8 +146,7 @@ def _rank_mod_p(matrix, p: int) -> int:
 
 # -- chain complexes ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChainComplex:
+class ChainComplex(FrozenValue):
     """Bases (faces per dimension) and boundary matrices with +-1/0 entries.
 
     ``boundaries[d]`` maps dimension d to d-1, with rows indexed by
@@ -130,22 +155,22 @@ class ChainComplex:
     consecutive boundaries is checked to be zero at construction time.
     """
 
-    bases: dict
-    boundaries: dict
+    __slots__ = ("bases", "boundaries")
 
-    def __post_init__(self):
-        for d, mat in self.boundaries.items():
-            below = self.boundaries.get(d - 1)
+    def __init__(self, bases: dict, boundaries: dict):
+        for d, mat in boundaries.items():
+            below = boundaries.get(d - 1)
             if below is None:
                 continue
-            for col in range(len(self.bases[d])):
-                acc = [0] * len(self.bases[d - 2])
+            for col in range(len(bases[d])):
+                acc = [0] * len(bases[d - 2])
                 for i, entry in enumerate(c[col] for c in mat):
                     if entry:
                         for k in range(len(acc)):
                             acc[k] += entry * below[k][i]
                 if any(acc):
                     raise AssertionError("boundary maps do not compose to zero")
+        self._fill(bases, boundaries)
 
 
 def chain_complex(complex_: SimplicialComplex, include_empty: bool = False) -> ChainComplex:
@@ -183,21 +208,20 @@ def chain_complex_from_faces(faces: Iterable[Face], include_empty: bool = False)
 
 # -- homology ranks -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HomologyRanks:
+class HomologyRanks(FrozenValue):
     """Reduced homology ranks, indexed from dimension -1 upward.
 
     ``ranks[0]`` is the rank in dimension -1; trailing zeros are stripped,
     so the all-zero answer is the empty tuple.
     """
 
-    ranks: tuple[int, ...]
+    __slots__ = ("ranks",)
 
-    def __post_init__(self):
-        rs = tuple(self.ranks)
+    def __init__(self, ranks: tuple[int, ...]):
+        rs = tuple(ranks)
         while rs and rs[-1] == 0:
             rs = rs[:-1]
-        object.__setattr__(self, "ranks", rs)
+        self._fill(rs)
 
     def rank(self, dim: int) -> int:
         idx = dim + 1

@@ -23,11 +23,16 @@ from .monomials import MonomialIdeal, format_monomial, parse_monomial
 
 def _load_json(path):
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             return json.load(handle)
     except json.JSONDecodeError as exc:
         raise InputFileError("invalid JSON: " + exc.msg, path=path,
                              location=f"line {exc.lineno}, column {exc.colno}") from None
+    except UnicodeDecodeError as exc:
+        raise InputFileError("invalid JSON: not UTF-8 text", path=path,
+                             location=f"byte {exc.start}") from None
+    except RecursionError:
+        raise InputFileError("invalid JSON: nested too deeply", path=path) from None
 
 
 def _check_names(names, path, loc):

@@ -25,9 +25,9 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
+from ._frozen import FrozenValue
 from .complexes import Face, SimplicialComplex, face_sorted
 from .errors import NotAFaceError, NotAForestError, NotAResolutionError
 from .homology import QQ, FieldSpec, is_acyclic, reduced_ranks_from_faces
@@ -167,8 +167,7 @@ def is_minimal(labeled: LabeledComplex) -> tuple[bool, Optional[tuple[Face, Face
     return True, None
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(FrozenValue):
     """Multigraded Betti ranks and their aggregate vector.
 
     ``vector[0]`` counts the minimal generators, so ``vector[i]`` lines up
@@ -176,8 +175,10 @@ class BettiTable:
     degree with some nonzero rank to its (beta_0, beta_1, ...) column.
     """
 
-    by_degree: dict
-    vector: tuple[int, ...]
+    __slots__ = ("by_degree", "vector")
+
+    def __init__(self, by_degree: dict, vector: tuple[int, ...]):
+        self._fill(by_degree, vector)
 
     def rank(self, i: int, m: Monomial) -> int:
         col = self.by_degree.get(m, ())
@@ -309,14 +310,14 @@ def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
     return LabeledComplex(complex_, dict(zip(names, gens)), ideal.variables)
 
 
-@dataclass(frozen=True)
-class BettiFComparison:
+class BettiFComparison(FrozenValue):
     """Componentwise comparison of the Betti vector against the f-vector."""
 
-    betti: tuple[int, ...]
-    f_vector: tuple[int, ...]
-    bounded: tuple[bool, ...]
-    equal: bool
+    __slots__ = ("betti", "f_vector", "bounded", "equal")
+
+    def __init__(self, betti: tuple[int, ...], f_vector: tuple[int, ...],
+                 bounded: tuple[bool, ...], equal: bool):
+        self._fill(betti, f_vector, bounded, equal)
 
 
 def compare_betti_f(labeled: LabeledComplex, field: FieldSpec = QQ) -> BettiFComparison:

@@ -14,10 +14,10 @@ complex of any monomial ideal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
 from typing import Mapping, Optional
 
+from ._frozen import FrozenValue
 from .complexes import Face, SimplicialComplex, face_sorted
 from .errors import (BadHError, BoundaryOfSimplexError,
                      DegenerateVertexFacetError, DivisibilityViolationError,
@@ -26,8 +26,7 @@ from .monomials import UNIT, Monomial, MonomialIdeal
 from .resolution import LabeledComplex, scarf_complex
 
 
-@dataclass(frozen=True)
-class FaceVariableRing:
+class FaceVariableRing(FrozenValue):
     """One polynomial variable per nonempty face of a complex.
 
     Names are "x_" plus the concatenated sorted vertex names, with an extra
@@ -35,9 +34,11 @@ class FaceVariableRing:
     (so vertices 1..4 give the compact x_2, x_23, x_234 style).
     """
 
-    complex: SimplicialComplex
-    variables: tuple[str, ...]
-    of_face: dict
+    __slots__ = ("complex", "variables", "of_face")
+
+    def __init__(self, complex: SimplicialComplex, variables: tuple[str, ...],
+                 of_face: dict):
+        self._fill(complex, variables, of_face)
 
     def name(self, face: Face) -> str:
         return self.of_face[face]
@@ -53,12 +54,13 @@ def face_variable_ring(complex_: SimplicialComplex) -> FaceVariableRing:
     return FaceVariableRing(complex_, tuple(names), of_face)
 
 
-@dataclass(frozen=True)
-class VertexFacetSplit:
+class VertexFacetSplit(FrozenValue):
     """Per-vertex split of the facets: the ones avoiding v and the ones with v."""
 
-    not_containing: dict
-    containing: dict
+    __slots__ = ("not_containing", "containing")
+
+    def __init__(self, not_containing: dict, containing: dict):
+        self._fill(not_containing, containing)
 
 
 def vertex_facet_split(complex_: SimplicialComplex) -> VertexFacetSplit:

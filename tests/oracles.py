@@ -8,7 +8,9 @@ same objects in time that scales with their output (see
 Gaussian elimination over Fractions is the reference for the library's
 fraction-free rank.  The face set that answers every free-face question by
 scanning the vertex universe is the reference for the library's coface
-table, and its greedy loop the reference for ``greedy_collapse``.
+table, and its greedy loop the reference for ``greedy_collapse``.  Trial
+division and the Lucas test (which certifies a prime from the factorisation
+of p - 1) are the references for the Miller-Rabin test behind ``FieldSpec``.
 """
 
 from fractions import Fraction
@@ -135,6 +137,38 @@ def rank_fraction_gauss(matrix) -> int:
         if r == n_rows:
             break
     return r
+
+
+def is_prime_trial_division(p: int) -> bool:
+    """Trial division; reference for ``homology._is_prime``."""
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def is_prime_lucas(p: int, factors_of_p_minus_1: dict) -> bool:
+    """Lucas test: p is prime iff some a has order exactly p - 1 modulo p.
+
+    ``factors_of_p_minus_1`` maps each prime q dividing p - 1 to its
+    exponent; each q is checked by trial division, so the factors must be
+    small enough for it.  Returns False when no base below 200 has full
+    order, which for a prime p is vanishingly unlikely.
+    """
+    product = 1
+    for q, e in factors_of_p_minus_1.items():
+        if not is_prime_trial_division(q):
+            raise ValueError(f"{q} is not prime")
+        product *= q ** e
+    if product != p - 1:
+        raise ValueError("the factors do not multiply to p - 1")
+    return any(pow(a, p - 1, p) == 1
+               and all(pow(a, (p - 1) // q, p) != 1 for q in factors_of_p_minus_1)
+               for a in range(2, 200))
 
 
 class FaceSet:

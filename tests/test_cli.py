@@ -1,11 +1,16 @@
 """Command-line interface: reports, file round trips, determinism, errors."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treescarf
 from treescarf import CollapseSequence, SimplicialComplex, verify_sequence
 from treescarf import collapse
 from treescarf.cli import main
@@ -310,10 +315,13 @@ def test_reports_are_byte_identical_across_runs(files, capsys):
 
 def test_malformed_file_is_an_operational_error(files, capsys):
     p = files["tmp"] / "bad.json"
-    p.write_text("{nope")
-    code, out, err = run(capsys, "check", str(p))
-    assert code == 2 and out == ""
-    assert json.loads(err)["error"] == "InputFileError"
+    for content in (b"{nope",
+                    b"[" * 3000,                 # deeper than the parser's recursion limit
+                    b'{"facets": [["\xff"]]}'):  # not UTF-8
+        p.write_bytes(content)
+        code, out, err = run(capsys, "check", str(p))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "InputFileError"
 
 
 def test_missing_file_is_an_operational_error(files, capsys):
@@ -325,3 +333,26 @@ def test_missing_file_is_an_operational_error(files, capsys):
 def test_bad_field_flag(files, capsys):
     code, _, err = run(capsys, "betti", files["ideal"], "--field", "6")
     assert code == 2
+
+
+def test_large_prime_field_answers(files, capsys):
+    code, out, _ = run(capsys, "betti", files["ideal"], "--field", "1000000000000000003")
+    assert code == 0
+    _, rational, _ = run(capsys, "betti", files["ideal"])
+    assert json.loads(out)["result"] == json.loads(rational)["result"]
+    code, _, err = run(capsys, "betti", files["ideal"], "--field", str(2**89 - 1))
+    assert code == 2 and json.loads(err)["error"] == "InputFileError"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_fractions():
+    # Every command runs in its own process, so each pays the package's
+    # import; compare with what the bare interpreter had already loaded.
+    probe = ("import sys; before = set(sys.modules); import treescarf.cli; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    src = str(Path(treescarf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    added = set(proc.stdout.split())
+    assert "treescarf.cli" in added
+    assert not added & {"dataclasses", "fractions"}

@@ -1,17 +1,23 @@
-"""Exact homology: chain complexes, ranks, acyclicity."""
+"""Exact homology: chain complexes, ranks, acyclicity; the result value types."""
 
+import copy
+import pickle
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from treescarf import (QQ, FieldSpec, SimplicialComplex, chain_complex,
-                       is_acyclic, rank, reduced_homology_ranks,
+from treescarf import (QQ, BettiFComparison, BettiTable, ChainComplex,
+                       CollapseSequence, CollapseStep, FaceVariableRing,
+                       FieldSpec, HomologyRanks, SimplicialComplex,
+                       VertexFacetSplit, chain_complex, is_acyclic,
+                       parse_monomial, rank, reduced_homology_ranks,
                        tree_collapse_certificate)
-from treescarf.homology import chain_complex_from_faces, reduced_ranks_from_faces
+from treescarf.homology import (_is_prime, chain_complex_from_faces,
+                                reduced_ranks_from_faces)
 
 from generators import random_tree
-from oracles import rank_fraction_gauss
+from oracles import is_prime_lucas, is_prime_trial_division, rank_fraction_gauss
 
 POINT = SimplicialComplex([{"1"}])
 CIRCLE = SimplicialComplex([{"1", "2"}, {"2", "3"}, {"1", "3"}])
@@ -23,13 +29,65 @@ TWO_POINTS = SimplicialComplex([{"1"}, {"2"}])
 # -- field spec -----------------------------------------------------------------
 
 def test_field_spec_accepts_zero_and_primes():
-    FieldSpec(0)
+    assert FieldSpec() == FieldSpec(0) == QQ
     FieldSpec(2)
     FieldSpec(7919)
     with pytest.raises(ValueError):
         FieldSpec(6)
     with pytest.raises(ValueError):
         FieldSpec(1)
+
+
+CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341,
+              41041, 46657, 52633, 62745, 63973, 75361, 101101, 115921,
+              126217, 162401, 825265, 321197185)
+# Strong pseudoprimes to every prime base up to 7, 31, 37 and 41
+# respectively, each with a factorisation that proves it composite.  The
+# last is the smallest that passes all thirteen bases, so it is the first
+# characteristic outside the range where the test is exact.
+STRONG_PSEUDOPRIMES = {3215031751: (151, 751, 28351),
+                       3825123056546413051: (149491, 747451, 34233211),
+                       318665857834031151167461: (399165290221, 798330580441),
+                       3317044064679887385961981: (1287836182261, 2575672364521)}
+# Primes above 10^18 with the factorisation of p - 1 that certifies them.
+LARGE_PRIMES = {
+    10**18 + 3: {2: 1, 3: 1, 17: 1, 131: 1, 1427: 1, 52445056723: 1},
+    10**18 + 9: {2: 3, 3: 2, 97: 1, 26209: 1, 32779: 1, 166667: 1},
+    2**61 - 1: {2: 1, 3: 2, 5: 2, 7: 1, 11: 1, 13: 1, 31: 1, 41: 1, 61: 1,
+                151: 1, 331: 1, 1321: 1},
+}
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    for p in range(10**5 + 1):
+        assert _is_prime(p) == is_prime_trial_division(p), p
+    for n in CARMICHAEL:
+        assert not is_prime_trial_division(n)
+        assert not _is_prime(n), n
+
+
+def test_miller_rabin_rejects_strong_pseudoprimes():
+    *below_limit, beyond = STRONG_PSEUDOPRIMES
+    for n, factors in STRONG_PSEUDOPRIMES.items():
+        product = 1
+        for q in factors:
+            product *= q
+        assert product == n and min(factors) > 1
+    for n in below_limit:
+        assert not _is_prime(n), n
+        with pytest.raises(ValueError, match="0 or a prime"):
+            FieldSpec(n)
+    for n in (beyond, 2**89 - 1):  # the second is a Mersenne prime
+        with pytest.raises(ValueError, match="below"):
+            FieldSpec(n)
+
+
+def test_large_primes_are_certified_fields():
+    for p, factors in LARGE_PRIMES.items():
+        assert is_prime_lucas(p, factors)
+        assert _is_prime(p), p
+        assert FieldSpec(p).characteristic == p
+    assert not is_prime_lucas(10**18 + 1, {2: 18, 5: 18})
 
 
 # -- rank -----------------------------------------------------------------------
@@ -190,3 +248,87 @@ def test_faces_level_chain_complex_consistency():
     assert len(cc.bases[-1]) == 1
     assert len(cc.bases[0]) == 3
     assert reduced_ranks_from_faces(faces).is_zero()
+
+
+# -- result value types ------------------------------------------------------------
+
+VALUE_CASES = [
+    (CollapseStep, ("free_face", "coface"),
+     (frozenset(), frozenset({"1"})), (frozenset(), frozenset({"2"})),
+     "CollapseStep(free_face=frozenset(), coface=frozenset({'1'}))"),
+    (CollapseSequence, ("steps", "terminal"),
+     ((CollapseStep(frozenset(), frozenset({"1"})),), SimplicialComplex([{"2"}])),
+     ((), SimplicialComplex([{"2"}])),
+     "CollapseSequence(steps=(CollapseStep(free_face=frozenset(), "
+     "coface=frozenset({'1'})),), terminal=SimplicialComplex<{2}>)"),
+    (FieldSpec, ("characteristic",), (3,), (5,), "FieldSpec(characteristic=3)"),
+    (ChainComplex, ("bases", "boundaries"),
+     ({-1: (frozenset(),), 0: (frozenset({"1"}),)}, {0: ((1,),)}),
+     ({0: (frozenset({"1"}),)}, {}),
+     "ChainComplex(bases={-1: (frozenset(),), 0: (frozenset({'1'}),)}, "
+     "boundaries={0: ((1,),)})"),
+    (HomologyRanks, ("ranks",), ((0, 1),), ((1,),), "HomologyRanks(ranks=(0, 1))"),
+    (BettiTable, ("by_degree", "vector"),
+     ({parse_monomial("x"): (1,)}, (1,)), ({}, ()),
+     "BettiTable(by_degree={Monomial('x'): (1,)}, vector=(1,))"),
+    (BettiFComparison, ("betti", "f_vector", "bounded", "equal"),
+     ((1, 1), (1, 1), (True, True), True), ((1,), (1, 1), (True, True), False),
+     "BettiFComparison(betti=(1, 1), f_vector=(1, 1), bounded=(True, True), "
+     "equal=True)"),
+    (FaceVariableRing, ("complex", "variables", "of_face"),
+     (SimplicialComplex([{"1"}]), ("x_1",), {frozenset({"1"}): "x_1"}),
+     (SimplicialComplex([{"1"}]), ("x_2",), {frozenset({"1"}): "x_2"}),
+     "FaceVariableRing(complex=SimplicialComplex<{1}>, variables=('x_1',), "
+     "of_face={frozenset({'1'}): 'x_1'})"),
+    (VertexFacetSplit, ("not_containing", "containing"),
+     ({"1": ()}, {"1": (frozenset({"1"}),)}), ({"1": ()}, {"1": ()}),
+     "VertexFacetSplit(not_containing={'1': ()}, containing={'1': (frozenset({'1'}),)})"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, args, other_args, text", VALUE_CASES,
+                         ids=[case[0].__name__ for case in VALUE_CASES])
+def test_result_types_are_frozen_values(cls, fields, args, other_args, text):
+    value = cls(*args)
+    by_keyword = cls(**dict(zip(fields, args)))
+    assert value == by_keyword and not value != by_keyword
+    assert value != cls(*other_args)
+    assert value != args and value.__eq__(args) is NotImplemented
+    assert value != object()
+    try:
+        hash(args)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(by_keyword)
+    assert repr(value) == text
+    for name, arg in zip(fields, args):
+        assert getattr(value, name) == arg
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    for clone in (copy.copy(value), copy.deepcopy(value),
+                  pickle.loads(pickle.dumps(value))):
+        assert type(clone) is cls and clone == value
+
+
+def test_value_types_of_other_types_differ_with_equal_fields():
+    assert BettiTable({}, ()) != VertexFacetSplit({}, ())
+    assert VertexFacetSplit({}, ()) != BettiTable({}, ())
+
+
+def test_value_types_keep_their_checks():
+    assert HomologyRanks((1, 0, 0)).ranks == (1,)
+    assert HomologyRanks([0, 0]) == HomologyRanks(())
+    point = (frozenset({"1"}),)
+    edge = (frozenset({"1", "2"}),)
+    ends = (frozenset({"1"}), frozenset({"2"}))
+    with pytest.raises(AssertionError):
+        # both ends map to the empty face with +1, so d0 d1 = 2, not 0
+        ChainComplex({-1: (frozenset(),), 0: ends, 1: edge},
+                     {0: ((1, 1),), 1: ((1,), (1,))})
+    ChainComplex({-1: (frozenset(),), 0: ends, 1: edge},
+                 {0: ((1, 1),), 1: ((-1,), (1,))})
+    ChainComplex({-1: (frozenset(),), 0: point}, {0: ((1,),)})
