@@ -18,11 +18,10 @@ from .resolution import (BettiFComparison, BettiTable, LabeledComplex,
                          betti_table, compare_betti_f, is_minimal,
                          scarf_complex, supports_resolution,
                          supports_resolution_tree, taylor_complex)
-from .scarf_ideals import (FaceVariableRing, ScarfComparison, VertexFacetSplit,
-                           build_intermediate, build_J, build_Jprime,
-                           face_variable_ring, is_boundary_of_simplex,
-                           m_double_prime, random_h, verify_scarf,
-                           vertex_facet_split)
+from .scarf_ideals import (FaceVariableRing, ScarfComparison, build_intermediate,
+                           build_J, build_Jprime, face_variable_ring,
+                           is_boundary_of_simplex, m_double_prime, random_h,
+                           verify_scarf)
 
 __all__ = [
     "CollapseSequence", "CollapseStep", "collapse_simplex_to_face",
@@ -36,8 +35,7 @@ __all__ = [
     "BettiFComparison", "BettiTable", "LabeledComplex", "betti_table",
     "compare_betti_f", "is_minimal", "scarf_complex", "supports_resolution",
     "supports_resolution_tree", "taylor_complex",
-    "FaceVariableRing", "ScarfComparison", "VertexFacetSplit",
+    "FaceVariableRing", "ScarfComparison",
     "build_intermediate", "build_J", "build_Jprime", "face_variable_ring",
     "is_boundary_of_simplex", "m_double_prime", "random_h", "verify_scarf",
-    "vertex_facet_split",
 ]

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from random import Random
 
 from . import io
 from .collapse import greedy_collapse, tree_collapse_certificate
@@ -121,14 +120,19 @@ def cmd_scarf(args) -> dict:
 def cmd_build_scarf(args) -> dict:
     complex_ = io.load_complex(args.complex_file)
     diagnostics = []
-    if args.variant == "J":
-        ideal = build_J(complex_)
-    elif args.variant == "Jprime":
-        ideal = build_Jprime(complex_)
-    else:
-        h = random_h(complex_, Random(args.seed))
-        ideal = build_intermediate(complex_, h)
-        diagnostics.append(f"h sampled with seed {args.seed}")
+    try:
+        if args.variant == "J":
+            ideal = build_J(complex_)
+        elif args.variant == "Jprime":
+            ideal = build_Jprime(complex_)
+        else:
+            from random import Random  # only this variant samples
+            h = random_h(complex_, Random(args.seed))
+            ideal = build_intermediate(complex_, h)
+            diagnostics.append(f"h sampled with seed {args.seed}")
+    except ValueError as exc:
+        # vertex names whose face-variable names no ideal file can hold
+        raise InputFileError(str(exc), path=args.complex_file) from None
     status, _ = verify_scarf(complex_, ideal)
     result = dict(io.ideal_to_data(ideal))
     result["variant"] = args.variant

@@ -11,7 +11,7 @@ replayed once, against the whole complex.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from collections.abc import Iterable, Iterator
 
 from ._frozen import FrozenValue
 from .complexes import Face, SimplicialComplex, face_key, vertex_key
@@ -60,7 +60,7 @@ class _FaceSet:
             for v in f:
                 self.cofaces[f - {v}].add(f)
 
-    def step_violation(self, step: CollapseStep) -> Optional[str]:
+    def step_violation(self, step: CollapseStep) -> str | None:
         """None when the step is valid now, else the violated condition."""
         free, coface = step.free_face, step.coface
         if not free:
@@ -109,7 +109,7 @@ def elementary_collapse(complex_: SimplicialComplex, step: CollapseStep) -> Simp
 
 
 def verify_sequence(complex_: SimplicialComplex,
-                    sequence: CollapseSequence) -> tuple[bool, Optional[int]]:
+                    sequence: CollapseSequence) -> tuple[bool, int | None]:
     """Replay a certificate against the definition.
 
     Returns (True, None) when every step is valid in order and the final

@@ -16,7 +16,7 @@ forest by convention.  It is not a legal constructor input.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Optional
+from collections.abc import Iterable
 
 from .errors import EmptyFaceError, EmptyInputError, NotAFacetError
 
@@ -181,7 +181,7 @@ class SimplicialComplex:
 
     # -- leaves, trees, forests ------------------------------------------------
 
-    def is_leaf(self, facet: Iterable[Vertex]) -> tuple[bool, Optional[Face]]:
+    def is_leaf(self, facet: Iterable[Vertex]) -> tuple[bool, Face | None]:
         """Whether a facet is a leaf, and a joint witnessing it.
 
         A facet F is a leaf when it is the only facet, or when some other
@@ -224,7 +224,7 @@ class SimplicialComplex:
                 return False
         return True
 
-    def is_forest(self) -> tuple[bool, Optional[tuple[Face, ...]]]:
+    def is_forest(self) -> tuple[bool, tuple[Face, ...] | None]:
         """Whether every nonempty subcollection has a leaf.
 
         Returns (True, None), or (False, a leafless subcollection).  The
@@ -239,7 +239,7 @@ class SimplicialComplex:
             self._forest = (witness is None, witness)
         return self._forest
 
-    def _leafless_subcollection(self) -> Optional[tuple[Face, ...]]:
+    def _leafless_subcollection(self) -> tuple[Face, ...] | None:
         # facets as bit masks; Python ints keep this exact for any vertex count
         q = len(self._facets)
         index = {v: i for i, v in enumerate(self._vertices)}

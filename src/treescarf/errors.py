@@ -82,10 +82,6 @@ class NotAResolutionError(TreescarfError):
         self.failing_degree = failing_degree
 
 
-class ScarfClosureError(TreescarfError):
-    """Scarf face set failed downward closure; signals a logic bug."""
-
-
 # -- Scarf ideal constructions ------------------------------------------------
 
 class BoundaryOfSimplexError(TreescarfError):
@@ -94,10 +90,6 @@ class BoundaryOfSimplexError(TreescarfError):
 
 class DegenerateVertexFacetError(TreescarfError):
     """A single-vertex facet makes the reduced Scarf ideal undefined."""
-
-
-class DivisibilityViolationError(TreescarfError):
-    """An exact monomial quotient failed; signals a logic bug."""
 
 
 class BadHError(TreescarfError):

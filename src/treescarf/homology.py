@@ -11,7 +11,7 @@ face), which is what makes the homology reduced.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from ._frozen import FrozenValue
 from .complexes import Face, SimplicialComplex, face_key, face_sorted

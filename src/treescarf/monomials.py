@@ -10,7 +10,7 @@ failing degrees.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping, Optional, Union
+from collections.abc import Iterable, Mapping
 
 from .errors import EmptyListError, MonomialParseError
 
@@ -20,7 +20,7 @@ class Monomial:
 
     __slots__ = ("_exps", "_items")
 
-    def __init__(self, exponents: Union[Mapping[str, int], Iterable[tuple[str, int]]] = ()):
+    def __init__(self, exponents: Mapping[str, int] | Iterable[tuple[str, int]] = ()):
         exps = {}
         for name, e in dict(exponents).items():
             if not isinstance(name, str) or not name:
@@ -159,7 +159,10 @@ def parse_monomial(text: str) -> Monomial:
             d = _INT_RE.match(text, pos)
             if d is None:
                 raise MonomialParseError("expected an integer exponent", pos)
-            exp = int(d.group())
+            try:
+                exp = int(d.group())
+            except ValueError:  # more digits than int() converts
+                raise MonomialParseError("exponent too large", pos) from None
             if exp < 1:
                 raise MonomialParseError("exponent must be positive", pos)
             pos = d.end()
@@ -174,7 +177,7 @@ def parse_monomial(text: str) -> Monomial:
     return Monomial(exps)
 
 
-def format_monomial(m: Monomial, variables: Optional[Iterable[str]] = None) -> str:
+def format_monomial(m: Monomial, variables: Iterable[str] | None = None) -> str:
     """Canonical text for a monomial; round-trips through parse_monomial.
 
     With ``variables`` the factors follow that order (any leftover variables

@@ -25,7 +25,7 @@ against.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from collections.abc import Iterable, Mapping
 
 from ._frozen import FrozenValue
 from .complexes import Face, SimplicialComplex, face_sorted
@@ -46,7 +46,7 @@ class LabeledComplex:
 
     def __init__(self, complex_: SimplicialComplex,
                  labels: Mapping[str, Monomial],
-                 variables: Optional[Iterable[str]] = None):
+                 variables: Iterable[str] | None = None):
         self._complex = complex_
         self._labels = dict(labels)
         if set(self._labels) != set(complex_.vertices):
@@ -105,7 +105,7 @@ def taylor_complex(ideal: MonomialIdeal) -> LabeledComplex:
 
 
 def _first_failing_degree(labeled: LabeledComplex,
-                          acyclic) -> tuple[bool, Optional[Monomial]]:
+                          acyclic) -> tuple[bool, Monomial | None]:
     for m in labeled.ideal().lcm_lattice():
         if not acyclic(labeled.divisor_subcomplex(m)):
             return False, m
@@ -113,7 +113,7 @@ def _first_failing_degree(labeled: LabeledComplex,
 
 
 def supports_resolution(labeled: LabeledComplex,
-                        field: FieldSpec = QQ) -> tuple[bool, Optional[Monomial]]:
+                        field: FieldSpec = QQ) -> tuple[bool, Monomial | None]:
     """Whether the labeled complex supports a free resolution of its ideal.
 
     Checks that the divisor subcomplex is empty or acyclic for every
@@ -127,7 +127,7 @@ def supports_resolution(labeled: LabeledComplex,
     return _first_failing_degree(labeled, lambda k: is_acyclic(k, field))
 
 
-def supports_resolution_tree(labeled: LabeledComplex) -> tuple[bool, Optional[Monomial]]:
+def supports_resolution_tree(labeled: LabeledComplex) -> tuple[bool, Monomial | None]:
     """Support check specialized to forests: connectivity replaces acyclicity.
 
     Induced subcomplexes of a forest are forests, and a forest is acyclic
@@ -143,7 +143,7 @@ def supports_resolution_tree(labeled: LabeledComplex) -> tuple[bool, Optional[Mo
     return _first_failing_degree(labeled, SimplicialComplex.is_connected)
 
 
-def is_minimal(labeled: LabeledComplex) -> tuple[bool, Optional[tuple[Face, Face]]]:
+def is_minimal(labeled: LabeledComplex) -> tuple[bool, tuple[Face, Face] | None]:
     """No face shares its label with a maximal proper subface.
 
     Codimension-1 checking suffices: labels divide along inclusions, so an

@@ -1,12 +1,13 @@
 """Building monomial ideals whose Scarf complex is a given complex.
 
 Work in the polynomial ring with one variable per nonempty face of the
-complex.  The full construction assigns to each vertex v the product of the
-variables of all faces avoiding v; the reduced construction shaves that
-generator down to a squarefree monomial built from the facets around v, and
-an interpolating family multiplies the reduced generators by divisors of
-the leftover factor.  Round-trip verification recovers the Scarf complex of
-the built ideal and compares it with the input complex.
+complex.  Every construction here is squarefree, so a generator is a set of
+faces, the product of their variables.  The full construction assigns to
+each vertex v the faces avoiding v; the reduced construction keeps only
+faces built from the facets around v, and an interpolating family adds to
+each reduced generator some of the faces it left out.  Round-trip
+verification recovers the Scarf complex of the built ideal and compares it
+with the input complex.
 
 None of this applies to the boundary of a simplex, which is not the Scarf
 complex of any monomial ideal.
@@ -14,15 +15,13 @@ complex of any monomial ideal.
 
 from __future__ import annotations
 
-from random import Random
-from typing import Mapping, Optional
+from collections.abc import Mapping
 
 from ._frozen import FrozenValue
 from .complexes import Face, SimplicialComplex, face_sorted
 from .errors import (BadHError, BoundaryOfSimplexError,
-                     DegenerateVertexFacetError, DivisibilityViolationError,
-                     IndexMismatchError)
-from .monomials import UNIT, Monomial, MonomialIdeal
+                     DegenerateVertexFacetError, IndexMismatchError)
+from .monomials import UNIT, Monomial, MonomialIdeal, _NAME_RE
 from .resolution import LabeledComplex, scarf_complex
 
 
@@ -45,6 +44,12 @@ class FaceVariableRing(FrozenValue):
 
 
 def face_variable_ring(complex_: SimplicialComplex) -> FaceVariableRing:
+    """Raises ValueError for vertex names that make a face-variable name
+    outside the monomial grammar or the same name for two faces."""
+    for v in complex_.vertices:
+        # other face-variable names join vertex names with "" or "_"
+        if not _NAME_RE.fullmatch("x_" + v):
+            raise ValueError(f"vertex name {v!r} cannot be part of a variable name")
     faces = complex_.faces()
     sep = "" if all(len(v) == 1 for v in complex_.vertices) else "_"
     of_face = {f: "x_" + sep.join(face_sorted(f)) for f in faces}
@@ -54,26 +59,6 @@ def face_variable_ring(complex_: SimplicialComplex) -> FaceVariableRing:
     return FaceVariableRing(complex_, tuple(names), of_face)
 
 
-class VertexFacetSplit(FrozenValue):
-    """Per-vertex split of the facets: the ones avoiding v and the ones with v."""
-
-    __slots__ = ("not_containing", "containing")
-
-    def __init__(self, not_containing: dict, containing: dict):
-        self._fill(not_containing, containing)
-
-
-def vertex_facet_split(complex_: SimplicialComplex) -> VertexFacetSplit:
-    avoid = {}
-    meet = {}
-    for v in complex_.vertices:
-        avoid[v] = tuple(f for f in complex_.facets if v not in f)
-        meet[v] = tuple(f for f in complex_.facets if v in f)
-        if not meet[v]:
-            raise AssertionError(f"vertex {v} lies in no facet")
-    return VertexFacetSplit(avoid, meet)
-
-
 def is_boundary_of_simplex(complex_: SimplicialComplex) -> bool:
     """All (r-1)-subsets of an r-element vertex set, and nothing else."""
     r = len(complex_.vertices)
@@ -81,107 +66,108 @@ def is_boundary_of_simplex(complex_: SimplicialComplex) -> bool:
             and all(len(f) == r - 1 for f in complex_.facets))
 
 
-def _require_eligible(complex_: SimplicialComplex) -> None:
+def _face_sets(complex_: SimplicialComplex, reduced: bool):
+    """The face variables and, for each vertex v in vertex order, the
+    variables of the full generator J_v (a list, in variable order) and,
+    when ``reduced``, of the reduced generator J'_v (a set; else None).
+
+    J_v takes every nonempty face avoiding v.  J'_v takes G - {v} for each
+    facet G containing v, and each facet F avoiding v with its
+    codimension-1 faces.  Those faces avoid v too, so J'_v divides J_v by
+    construction, and the cofactor m''_v = J_v / J'_v takes the faces of
+    J_v not in J'_v.  A single-vertex facet would put the empty face, which
+    has no variable, into J'_v, so the reduced form rejects it.
+    """
     if is_boundary_of_simplex(complex_):
         raise BoundaryOfSimplexError(
             "the boundary of a simplex is not a Scarf complex")
+    if reduced and any(len(f) == 1 for f in complex_.facets):
+        raise DegenerateVertexFacetError(
+            "a single-vertex facet leaves the reduced generator undefined")
+    ring = face_variable_ring(complex_)
+    name = ring.of_face
+    per_vertex = []
+    for v in complex_.vertices:
+        full = [x for f, x in name.items() if v not in f]
+        kept = None
+        if reduced:
+            kept = set()
+            for g in complex_.facets:
+                if v in g:
+                    kept.add(name[g - {v}])
+                else:
+                    kept.add(name[g])
+                    kept.update(name[g - {w}] for w in g)
+        per_vertex.append((full, kept))
+    return ring.variables, per_vertex
+
+
+def _product(variables) -> Monomial:
+    """The squarefree monomial over these variables."""
+    return Monomial(dict.fromkeys(variables, 1))
 
 
 def build_J(complex_: SimplicialComplex) -> MonomialIdeal:
     """The full Scarf ideal: one generator per vertex v, the product of the
     face variables over every nonempty face avoiding v."""
-    _require_eligible(complex_)
-    ring = face_variable_ring(complex_)
-    faces = complex_.faces()
-    gens = [Monomial({ring.name(f): 1 for f in faces if v not in f})
-            for v in complex_.vertices]
-    return MonomialIdeal(ring.variables, gens)
-
-
-def _reduced_parts(complex_: SimplicialComplex):
-    """Shared construction: ring, full generators, reduced generators.
-
-    The reduced generator for v is the radical of the product of x_{G - v}
-    over facets G containing v, times x_F and all its codimension-1 face
-    variables for every facet F avoiding v.
-    """
-    _require_eligible(complex_)
-    if any(len(f) == 1 for f in complex_.facets):
-        raise DegenerateVertexFacetError(
-            "a single-vertex facet leaves the reduced generator undefined")
-    ring = face_variable_ring(complex_)
-    split = vertex_facet_split(complex_)
-    full = build_J(complex_)
-    reduced = []
-    for v in complex_.vertices:
-        product = UNIT
-        for g in split.containing[v]:
-            product = product * Monomial({ring.name(g - {v}): 1})
-        for f in split.not_containing[v]:
-            product = product * Monomial({ring.name(f): 1})
-            for w in f:
-                product = product * Monomial({ring.name(f - {w}): 1})
-        reduced.append(product.radical())
-    for m_full, m_red in zip(full.generators, reduced):
-        if not m_red.divides(m_full):
-            raise DivisibilityViolationError(
-                "a reduced generator does not divide the full one")
-    return ring, full.generators, tuple(reduced)
+    variables, per_vertex = _face_sets(complex_, reduced=False)
+    return MonomialIdeal(variables, [_product(full) for full, _ in per_vertex])
 
 
 def build_Jprime(complex_: SimplicialComplex) -> MonomialIdeal:
     """The squarefree reduced Scarf ideal.
 
-    Single-vertex facets are rejected: G - {v} would be the empty face,
-    which has no variable.
+    The generator for v is the product of x_{G - v} over facets G
+    containing v, and of x_F and its codimension-1 face variables over
+    facets F avoiding v, each variable once.  Single-vertex facets are
+    rejected: G - {v} would be the empty face, which has no variable.
     """
-    ring, _, reduced = _reduced_parts(complex_)
-    return MonomialIdeal(ring.variables, reduced)
+    variables, per_vertex = _face_sets(complex_, reduced=True)
+    return MonomialIdeal(variables, [_product(kept) for _, kept in per_vertex])
 
 
 def m_double_prime(complex_: SimplicialComplex, vertex: str) -> Monomial:
     """Exact cofactor: full generator of the vertex over the reduced one."""
     if vertex not in complex_.vertices:
         raise KeyError(vertex)
-    _, full, reduced = _reduced_parts(complex_)
-    i = complex_.vertices.index(vertex)
-    try:
-        return full[i].divide_exact(reduced[i])
-    except ValueError as exc:
-        raise DivisibilityViolationError(str(exc)) from None
+    _, per_vertex = _face_sets(complex_, reduced=True)
+    full, kept = per_vertex[complex_.vertices.index(vertex)]
+    return _product(x for x in full if x not in kept)
 
 
 def build_intermediate(complex_: SimplicialComplex,
-                       h: Optional[Mapping[str, Monomial]] = None) -> MonomialIdeal:
+                       h: Mapping[str, Monomial] | None = None) -> MonomialIdeal:
     """Generators h_v * m'_v, where each h_v divides the cofactor m''_v.
 
     Missing h entries default to 1, so build_intermediate(c) is the reduced
     ideal and h_v = m''_v for all v rebuilds the full one.
     """
-    ring, full, reduced = _reduced_parts(complex_)
+    variables, per_vertex = _face_sets(complex_, reduced=True)
     factors = dict(h or {})
     unknown = set(factors) - set(complex_.vertices)
     if unknown:
         raise BadHError(f"h given for non-vertices {sorted(unknown)}",
                         vertex=sorted(unknown)[0])
     gens = []
-    for v, m_full, m_red in zip(complex_.vertices, full, reduced):
+    for v, (full, kept) in zip(complex_.vertices, per_vertex):
         hv = factors.get(v, UNIT)
-        if not hv.divides(m_full.divide_exact(m_red)):
+        if not hv.divides(_product(x for x in full if x not in kept)):
             raise BadHError(f"h_{v} = {hv} does not divide the cofactor of {v}",
                             vertex=v)
-        gens.append(hv * m_red)
-    return MonomialIdeal(ring.variables, gens)
+        # a divisor of the squarefree cofactor adds variables J'_v lacks
+        gens.append(_product([*kept, *hv.variables]))
+    return MonomialIdeal(variables, gens)
 
 
-def random_h(complex_: SimplicialComplex, rng: Random) -> dict:
-    """A uniformly random divisor of each cofactor m''_v."""
-    _, full, reduced = _reduced_parts(complex_)
+def random_h(complex_: SimplicialComplex, rng) -> dict:
+    """A uniformly random divisor of each cofactor m''_v, drawn from the
+    ``random.Random`` instance ``rng`` one variable at a time, in sorted
+    name order."""
+    _, per_vertex = _face_sets(complex_, reduced=True)
     out = {}
-    for v, m_full, m_red in zip(complex_.vertices, full, reduced):
-        cofactor = m_full.divide_exact(m_red)
-        out[v] = Monomial({name: rng.randint(0, cofactor.exponent(name))
-                           for name in cofactor.variables})
+    for v, (full, kept) in zip(complex_.vertices, per_vertex):
+        cofactor = sorted(x for x in full if x not in kept)
+        out[v] = Monomial({x: rng.randint(0, 1) for x in cofactor})
     return out
 
 

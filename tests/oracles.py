@@ -11,17 +11,23 @@ scanning the vertex universe is the reference for the library's coface
 table, and its greedy loop the reference for ``greedy_collapse``.  Trial
 division and the Lucas test (which certifies a prime from the factorisation
 of p - 1) are the references for the Miller-Rabin test behind ``FieldSpec``.
+The Scarf ideals built by monomial products, radicals and exact quotients
+are the references for ``treescarf.scarf_ideals``, which builds each
+squarefree generator as a set of faces.
 """
 
 from fractions import Fraction
-from typing import Optional
+from random import Random
+from typing import Mapping, Optional
 
 from treescarf.collapse import CollapseSequence, CollapseStep
 from treescarf.complexes import Face, SimplicialComplex, face_key
-from treescarf.errors import ScarfClosureError
+from treescarf.errors import (BadHError, BoundaryOfSimplexError,
+                              DegenerateVertexFacetError)
 from treescarf.homology import QQ, FieldSpec, reduced_ranks_from_faces
-from treescarf.monomials import Monomial, MonomialIdeal
+from treescarf.monomials import UNIT, Monomial, MonomialIdeal
 from treescarf.resolution import BettiTable, LabeledComplex
+from treescarf.scarf_ideals import face_variable_ring, is_boundary_of_simplex
 
 
 def betti_table(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTable:
@@ -82,7 +88,7 @@ def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
     survives (a vertex label equal to another face's label would contradict
     generator minimality) and the surviving face set is downward closed;
     both facts are verified, and a closure failure raises
-    ScarfClosureError since it can only mean a logic bug.
+    AssertionError since it can only mean a logic bug.
     """
     gens = ideal.generators
     t = len(gens)
@@ -106,7 +112,7 @@ def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
             continue
         for v in face:
             if face - {v} not in kept:
-                raise ScarfClosureError(
+                raise AssertionError(
                     f"face {sorted(face)} kept but its subface misses {v}")
     for name in names:
         if frozenset({name}) not in kept:
@@ -237,3 +243,97 @@ def greedy_collapse(complex_: SimplicialComplex) -> tuple[CollapseSequence, Simp
         steps.append(step)
     residual = fs.to_complex()
     return CollapseSequence(tuple(steps), residual), residual
+
+
+def _require_eligible(complex_: SimplicialComplex) -> None:
+    if is_boundary_of_simplex(complex_):
+        raise BoundaryOfSimplexError(
+            "the boundary of a simplex is not a Scarf complex")
+
+
+def build_J(complex_: SimplicialComplex) -> MonomialIdeal:
+    """The full Scarf ideal: one generator per vertex v, the product of the
+    face variables over every nonempty face avoiding v."""
+    _require_eligible(complex_)
+    ring = face_variable_ring(complex_)
+    faces = complex_.faces()
+    gens = [Monomial({ring.name(f): 1 for f in faces if v not in f})
+            for v in complex_.vertices]
+    return MonomialIdeal(ring.variables, gens)
+
+
+def _reduced_parts(complex_: SimplicialComplex):
+    """Shared construction: ring, full generators, reduced generators.
+
+    The reduced generator for v is the radical of the product of x_{G - v}
+    over facets G containing v, times x_F and all its codimension-1 face
+    variables for every facet F avoiding v.
+    """
+    _require_eligible(complex_)
+    if any(len(f) == 1 for f in complex_.facets):
+        raise DegenerateVertexFacetError(
+            "a single-vertex facet leaves the reduced generator undefined")
+    ring = face_variable_ring(complex_)
+    full = build_J(complex_)
+    reduced = []
+    for v in complex_.vertices:
+        product = UNIT
+        for g in complex_.facets:
+            if v in g:
+                product = product * Monomial({ring.name(g - {v}): 1})
+        for f in complex_.facets:
+            if v in f:
+                continue
+            product = product * Monomial({ring.name(f): 1})
+            for w in f:
+                product = product * Monomial({ring.name(f - {w}): 1})
+        reduced.append(product.radical())
+    for m_full, m_red in zip(full.generators, reduced):
+        if not m_red.divides(m_full):
+            raise AssertionError("a reduced generator does not divide the full one")
+    return ring, full.generators, tuple(reduced)
+
+
+def build_Jprime(complex_: SimplicialComplex) -> MonomialIdeal:
+    """The squarefree reduced Scarf ideal."""
+    ring, _, reduced = _reduced_parts(complex_)
+    return MonomialIdeal(ring.variables, reduced)
+
+
+def m_double_prime(complex_: SimplicialComplex, vertex: str) -> Monomial:
+    """Exact cofactor: full generator of the vertex over the reduced one."""
+    if vertex not in complex_.vertices:
+        raise KeyError(vertex)
+    _, full, reduced = _reduced_parts(complex_)
+    i = complex_.vertices.index(vertex)
+    return full[i].divide_exact(reduced[i])
+
+
+def build_intermediate(complex_: SimplicialComplex,
+                       h: Optional[Mapping[str, Monomial]] = None) -> MonomialIdeal:
+    """Generators h_v * m'_v, where each h_v divides the cofactor m''_v."""
+    ring, full, reduced = _reduced_parts(complex_)
+    factors = dict(h or {})
+    unknown = set(factors) - set(complex_.vertices)
+    if unknown:
+        raise BadHError(f"h given for non-vertices {sorted(unknown)}",
+                        vertex=sorted(unknown)[0])
+    gens = []
+    for v, m_full, m_red in zip(complex_.vertices, full, reduced):
+        hv = factors.get(v, UNIT)
+        if not hv.divides(m_full.divide_exact(m_red)):
+            raise BadHError(f"h_{v} = {hv} does not divide the cofactor of {v}",
+                            vertex=v)
+        gens.append(hv * m_red)
+    return MonomialIdeal(ring.variables, gens)
+
+
+def random_h(complex_: SimplicialComplex, rng: Random) -> dict:
+    """A uniformly random divisor of each cofactor m''_v."""
+    _, full, reduced = _reduced_parts(complex_)
+    out = {}
+    for v, m_full, m_red in zip(complex_.vertices, full, reduced):
+        cofactor = m_full.divide_exact(m_red)
+        out[v] = Monomial({name: rng.randint(0, cofactor.exponent(name))
+                           for name in cofactor.variables})
+    return out

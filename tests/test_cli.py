@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treescarf
-from treescarf import CollapseSequence, SimplicialComplex, verify_sequence
+from treescarf import (CollapseSequence, MonomialIdeal, SimplicialComplex,
+                       verify_sequence)
 from treescarf import collapse
 from treescarf.cli import main
 from treescarf.errors import InputFileError
@@ -110,6 +111,19 @@ certificates = st.fixed_dictionaries({
 }) | json_values
 
 
+complexes = st.fixed_dictionaries({
+    "facets": st.lists(name_lists, min_size=1, max_size=3) | json_values,
+}) | json_values
+monomial_texts = (st.text(alphabet="xy1*^ 09", max_size=8)
+                  | st.sampled_from(["x", "x*y^2", "1", "x^0", "x^" + "9" * 5000])
+                  | json_values)
+ideals = st.fixed_dictionaries({
+    "variables": st.lists(st.sampled_from(["x", "y", ""]) | json_values, max_size=3)
+    | json_values,
+    "generators": st.lists(monomial_texts, min_size=1, max_size=3) | json_values,
+}) | json_values
+
+
 @settings(max_examples=500)
 @given(certificates)
 def test_sequence_loader_returns_a_sequence_or_a_typed_error(data):
@@ -118,6 +132,26 @@ def test_sequence_loader_returns_a_sequence_or_a_typed_error(data):
     except InputFileError:
         return
     assert isinstance(sequence, CollapseSequence)
+
+
+@settings(max_examples=500)
+@given(complexes)
+def test_complex_loader_returns_a_complex_or_a_typed_error(data):
+    try:
+        complex_ = parse_complex_data(data)
+    except InputFileError:
+        return
+    assert isinstance(complex_, SimplicialComplex)
+
+
+@settings(max_examples=500)
+@given(ideals)
+def test_ideal_loader_returns_an_ideal_or_a_typed_error(data):
+    try:
+        ideal = parse_ideal_data(data)
+    except InputFileError:
+        return
+    assert isinstance(ideal, MonomialIdeal)
 
 
 def test_json_error_reports_location(tmp_path):
@@ -265,6 +299,55 @@ def test_build_scarf_reduced_generators_print_exactly(files, capsys):
     ]
 
 
+TAIL_VARIABLES = ["x_1", "x_2", "x_3", "x_4", "x_5", "x_12", "x_13", "x_23",
+                  "x_24", "x_34", "x_45", "x_123", "x_234"]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("--variant", "J"), {
+        "generators": ["x_2*x_3*x_4*x_5*x_23*x_24*x_34*x_45*x_234",
+                       "x_1*x_3*x_4*x_5*x_13*x_34*x_45",
+                       "x_1*x_2*x_4*x_5*x_12*x_24*x_45",
+                       "x_1*x_2*x_3*x_5*x_12*x_13*x_23*x_123",
+                       "x_1*x_2*x_3*x_4*x_12*x_13*x_23*x_24*x_34*x_123*x_234"],
+        "variables": TAIL_VARIABLES, "variant": "J", "verification": "EQUAL"}),
+    (("--variant", "Jprime"), {
+        "generators": ["x_4*x_5*x_23*x_24*x_34*x_45*x_234",
+                       "x_4*x_5*x_13*x_34*x_45",
+                       "x_4*x_5*x_12*x_24*x_45",
+                       "x_5*x_12*x_13*x_23*x_123",
+                       "x_4*x_12*x_13*x_23*x_24*x_34*x_123*x_234"],
+        "variables": TAIL_VARIABLES, "variant": "Jprime", "verification": "EQUAL"}),
+    (("--variant", "intermediate", "--seed", "7"), {
+        "generators": ["x_2*x_4*x_5*x_23*x_24*x_34*x_45*x_234",
+                       "x_1*x_4*x_5*x_13*x_34*x_45",
+                       "x_4*x_5*x_12*x_24*x_45",
+                       "x_1*x_5*x_12*x_13*x_23*x_123",
+                       "x_3*x_4*x_12*x_13*x_23*x_24*x_34*x_123*x_234"],
+        "h": {"1": "x_2", "2": "x_1", "3": "1", "4": "x_1", "5": "x_3"},
+        "variables": TAIL_VARIABLES, "variant": "intermediate",
+        "verification": "CONTAINS"}),
+], ids=["J", "Jprime", "intermediate-seed7"])
+def test_build_scarf_results_are_pinned(files, capsys, argv, expected):
+    code, out, _ = run(capsys, "build-scarf", files["tail"], *argv)
+    assert code == 0
+    assert json.loads(out)["result"] == expected
+
+
+@pytest.mark.parametrize("facets", [
+    [["a-1", "b"], ["b", "c"]],    # "x_a-1" is outside the monomial grammar
+    [["a", "b"], ["a_b", "c"]],    # {a, b} and {a_b} are both "x_a_b"
+])
+def test_build_scarf_rejects_unusable_vertex_names(files, capsys, facets):
+    p = files["tmp"] / "names.json"
+    p.write_text(json.dumps({"facets": facets}))
+    out_path = files["tmp"] / "names_ideal.json"
+    code, out, err = run(capsys, "build-scarf", str(p), "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "InputFileError"
+    assert not out_path.exists()
+
+
 def test_supports_on_a_minimal_support(files, capsys):
     p = files["tmp"] / "edge_triangle.json"
     p.write_text(json.dumps({"facets": [["1", "2"], ["2", "3", "4"]]}))
@@ -315,13 +398,17 @@ def test_reports_are_byte_identical_across_runs(files, capsys):
 
 def test_malformed_file_is_an_operational_error(files, capsys):
     p = files["tmp"] / "bad.json"
-    for content in (b"{nope",
-                    b"[" * 3000,                 # deeper than the parser's recursion limit
-                    b'{"facets": [["\xff"]]}'):  # not UTF-8
+    huge_exponent = json.dumps({"variables": ["x"], "generators": ["x^" + "9" * 5000]})
+    for command, content in (
+            ("check", b"{nope"),
+            ("check", b"[" * 3000),                 # deeper than the parser's recursion limit
+            ("check", b'{"facets": [["\xff"]]}'),  # not UTF-8
+            ("betti", huge_exponent.encode())):     # beyond int()'s digit limit
         p.write_bytes(content)
-        code, out, err = run(capsys, "check", str(p))
+        code, out, err = run(capsys, command, str(p))
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "InputFileError"
+    assert "generators[0]" in json.loads(err)["message"]
 
 
 def test_missing_file_is_an_operational_error(files, capsys):
@@ -347,12 +434,14 @@ def test_large_prime_field_answers(files, capsys):
 def test_cli_import_loads_neither_dataclasses_nor_fractions():
     # Every command runs in its own process, so each pays the package's
     # import; compare with what the bare interpreter had already loaded.
+    # -S skips site hooks, which may preload some of these modules and so
+    # hide an import the package itself makes.
     probe = ("import sys; before = set(sys.modules); import treescarf.cli; "
              "print(' '.join(sorted(set(sys.modules) - before)))")
     src = str(Path(treescarf.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     added = set(proc.stdout.split())
     assert "treescarf.cli" in added
-    assert not added & {"dataclasses", "fractions"}
+    assert not added & {"dataclasses", "fractions", "typing", "random"}

@@ -10,9 +10,8 @@ import pytest
 from treescarf import (QQ, BettiFComparison, BettiTable, ChainComplex,
                        CollapseSequence, CollapseStep, FaceVariableRing,
                        FieldSpec, HomologyRanks, SimplicialComplex,
-                       VertexFacetSplit, chain_complex, is_acyclic,
-                       parse_monomial, rank, reduced_homology_ranks,
-                       tree_collapse_certificate)
+                       chain_complex, is_acyclic, parse_monomial, rank,
+                       reduced_homology_ranks, tree_collapse_certificate)
 from treescarf.homology import (_is_prime, chain_complex_from_faces,
                                 reduced_ranks_from_faces)
 
@@ -280,9 +279,6 @@ VALUE_CASES = [
      (SimplicialComplex([{"1"}]), ("x_2",), {frozenset({"1"}): "x_2"}),
      "FaceVariableRing(complex=SimplicialComplex<{1}>, variables=('x_1',), "
      "of_face={frozenset({'1'}): 'x_1'})"),
-    (VertexFacetSplit, ("not_containing", "containing"),
-     ({"1": ()}, {"1": (frozenset({"1"}),)}), ({"1": ()}, {"1": ()}),
-     "VertexFacetSplit(not_containing={'1': ()}, containing={'1': (frozenset({'1'}),)})"),
 ]
 
 
@@ -315,8 +311,8 @@ def test_result_types_are_frozen_values(cls, fields, args, other_args, text):
 
 
 def test_value_types_of_other_types_differ_with_equal_fields():
-    assert BettiTable({}, ()) != VertexFacetSplit({}, ())
-    assert VertexFacetSplit({}, ()) != BettiTable({}, ())
+    assert BettiTable({}, ()) != CollapseStep({}, ())
+    assert CollapseStep({}, ()) != BettiTable({}, ())
 
 
 def test_value_types_keep_their_checks():

@@ -4,15 +4,19 @@ import itertools
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treescarf import (SimplicialComplex, betti_table, build_intermediate,
                        build_J, build_Jprime, face_variable_ring,
                        is_boundary_of_simplex, is_minimal, lcm, m_double_prime,
                        parse_monomial, random_h, scarf_complex,
-                       supports_resolution, verify_scarf, vertex_facet_split)
+                       supports_resolution, verify_scarf)
 from treescarf.errors import (BadHError, BoundaryOfSimplexError,
-                              DegenerateVertexFacetError, IndexMismatchError)
+                              DegenerateVertexFacetError, IndexMismatchError,
+                              TreescarfError)
 
+import oracles
 from generators import random_complex, random_tree
 
 EDGE_TRIANGLE = SimplicialComplex([{"1", "2"}, {"2", "3", "4"}])
@@ -47,16 +51,6 @@ def test_face_variables_follow_the_compact_naming():
 def test_face_variables_use_separators_for_long_names():
     ring = face_variable_ring(SimplicialComplex([{"a", "b10"}]))
     assert set(ring.variables) == {"x_a", "x_b10", "x_a_b10"}
-
-
-def test_vertex_facet_split():
-    split = vertex_facet_split(EDGE_TRIANGLE)
-    assert split.not_containing["2"] == ()
-    assert len(split.containing["2"]) == 2
-    assert split.not_containing["1"] == (frozenset({"2", "3", "4"}),)
-    assert split.containing["1"] == (frozenset({"1", "2"}),)
-    lone = vertex_facet_split(SimplicialComplex([{"1", "2"}]))
-    assert all(not v for v in lone.not_containing.values())
 
 
 # -- the full construction -----------------------------------------------------------
@@ -250,3 +244,37 @@ def test_point_complex_round_trip():
     ideal = build_J(point)
     assert ideal.generators[0].is_unit()
     assert verify_scarf(point, ideal)[0] == "EQUAL"
+
+
+# -- the product-and-radical definitions in oracles.py ---------------------------------
+
+@st.composite
+def small_complexes(draw):
+    names = draw(st.sampled_from([("1", "2", "3", "4", "5", "6"),
+                                  ("a", "b10", "c", "dd", "e", "f7")]))
+    names = names[:draw(st.integers(1, 6))]
+    facets = draw(st.lists(st.sets(st.sampled_from(names), min_size=1),
+                           min_size=1, max_size=2 * len(names)))
+    return SimplicialComplex(facets)
+
+
+def outcome(build, *args):
+    try:
+        return build(*args)
+    except (TreescarfError, KeyError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300)
+@given(small_complexes(), st.integers(0, 2**32))
+def test_constructions_match_the_oracles(c, seed):
+    # values and variable order must agree, and so must the error raised
+    # first on simplex boundaries, single-vertex facets and non-vertices
+    assert outcome(build_J, c) == outcome(oracles.build_J, c)
+    assert outcome(build_Jprime, c) == outcome(oracles.build_Jprime, c)
+    for v in c.vertices + ("absent",):
+        assert outcome(m_double_prime, c, v) == outcome(oracles.m_double_prime, c, v)
+    h = outcome(random_h, c, Random(seed))
+    assert h == outcome(oracles.random_h, c, Random(seed))
+    if isinstance(h, dict):
+        assert build_intermediate(c, h) == oracles.build_intermediate(c, h)
