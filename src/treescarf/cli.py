@@ -71,7 +71,7 @@ def cmd_supports(args) -> dict:
         raise ArityMismatchError(
             f"{len(ideal.generators)} generators for {len(complex_.vertices)} vertices")
     order = list(complex_.vertices)
-    if args.labels:
+    if args.labels is not None:
         order = args.labels.split(",")
         if sorted(order) != sorted(complex_.vertices):
             raise InputFileError("--labels must list every vertex exactly once")

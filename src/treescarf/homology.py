@@ -12,6 +12,7 @@ face), which is what makes the homology reduced.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from operator import index
 
 from ._frozen import FrozenValue
 from .complexes import Face, SimplicialComplex, face_key, face_sorted
@@ -68,38 +69,21 @@ QQ = FieldSpec(0)
 # -- exact rank -----------------------------------------------------------------
 
 def rank(matrix, field: FieldSpec = QQ) -> int:
-    """Exact rank of a matrix (rows of ints or Fractions).
+    """Exact rank of a matrix of ints over the field.
 
-    ``fractions`` is imported only when a row over the rationals holds a
-    non-int entry, so integer matrices never load it.
+    An entry that ``operator.index`` refuses, such as a rational or a
+    float, raises TypeError; bools count as ints.
     """
-    rows = [list(r) for r in matrix]
+    rows = [list(map(index, r)) for r in matrix]
     if not rows or not rows[0]:
         return 0
     if field.characteristic == 0:
-        cleared = []
-        for r in rows:
-            if all(isinstance(x, int) for x in r):
-                cleared.append(r)
-            else:
-                from fractions import Fraction
-                fracs = [Fraction(x) for x in r]
-                scale = 1
-                for x in fracs:
-                    scale = scale * x.denominator // _gcd(scale, x.denominator)
-                cleared.append([int(x * scale) for x in fracs])
-        return _rank_bareiss(cleared)
+        return _rank_bareiss(rows)
     return _rank_mod_p(rows, field.characteristic)
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _rank_bareiss(m: list[list[int]]) -> int:
-    """Fraction-free Gaussian elimination; the divisions are exact."""
+    """Bareiss elimination in integers; every division is exact."""
     n_rows = len(m)
     n_cols = len(m[0])
     r = 0
@@ -123,8 +107,9 @@ def _rank_bareiss(m: list[list[int]]) -> int:
     return r
 
 
-def _rank_mod_p(matrix, p: int) -> int:
-    rows = [[int(x) % p for x in r] for r in matrix]
+def _rank_mod_p(m: list[list[int]], p: int) -> int:
+    """Gaussian elimination over GF(p), scaling each pivot to 1."""
+    rows = [[x % p for x in r] for r in m]
     n_rows, n_cols = len(rows), len(rows[0])
     r = 0
     for c in range(n_cols):
@@ -151,25 +136,14 @@ class ChainComplex(FrozenValue):
 
     ``boundaries[d]`` maps dimension d to d-1, with rows indexed by
     ``bases[d-1]`` and columns by ``bases[d]``.  Dimension -1 holds the
-    empty face when the complex is augmented.  The composition of
-    consecutive boundaries is checked to be zero at construction time.
+    empty face when the complex is augmented.  The fields are stored as
+    given; ``chain_complex_from_faces`` builds maps whose consecutive
+    compositions vanish, which the test suite checks.
     """
 
     __slots__ = ("bases", "boundaries")
 
     def __init__(self, bases: dict, boundaries: dict):
-        for d, mat in boundaries.items():
-            below = boundaries.get(d - 1)
-            if below is None:
-                continue
-            for col in range(len(bases[d])):
-                acc = [0] * len(bases[d - 2])
-                for i, entry in enumerate(c[col] for c in mat):
-                    if entry:
-                        for k in range(len(acc)):
-                            acc[k] += entry * below[k][i]
-                if any(acc):
-                    raise AssertionError("boundary maps do not compose to zero")
         self._fill(bases, boundaries)
 
 

@@ -18,7 +18,7 @@ import json
 from .collapse import CollapseSequence, CollapseStep
 from .complexes import SimplicialComplex, face_sorted
 from .errors import InputFileError, MonomialParseError
-from .monomials import MonomialIdeal, format_monomial, parse_monomial
+from .monomials import _NAME_RE, MonomialIdeal, format_monomial, parse_monomial
 
 
 def _load_json(path):
@@ -80,9 +80,12 @@ def parse_ideal_data(data, path=None) -> MonomialIdeal:
         raise InputFileError('expected an object with "variables" and "generators"',
                              path=path)
     variables = data["variables"]
-    if (not isinstance(variables, list)
-            or not all(isinstance(v, str) and v for v in variables)):
+    if not isinstance(variables, list):
         raise InputFileError('"variables" must be a list of names', path=path)
+    for i, name in enumerate(variables):
+        if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
+            raise InputFileError(f"bad variable name {name!r}", path=path,
+                                 location=f"variables[{i}]")
     raw = data["generators"]
     if not isinstance(raw, list) or not raw:
         raise InputFileError('"generators" must be a nonempty list', path=path)

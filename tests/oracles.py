@@ -6,7 +6,8 @@ lcm of every one of the 2^t generator subsets.  The library computes the
 same objects in time that scales with their output (see
 ``treescarf.resolution``); differential tests compare the two.  Plain
 Gaussian elimination over Fractions is the reference for the library's
-fraction-free rank.  The face set that answers every free-face question by
+fraction-free rank, and Gauss-Jordan elimination mod p for its rank over
+GF(p).  The face set that answers every free-face question by
 scanning the vertex universe is the reference for the library's coface
 table, and its greedy loop the reference for ``greedy_collapse``.  Trial
 division and the Lucas test (which certifies a prime from the factorisation
@@ -142,6 +143,28 @@ def rank_fraction_gauss(matrix) -> int:
         r += 1
         if r == n_rows:
             break
+    return r
+
+
+def rank_mod_p_gauss(matrix, p: int) -> int:
+    """Plain Gauss-Jordan elimination mod p; reference for ``rank`` over GF(p)."""
+    rows = [[x % p for x in r] for r in matrix]
+    if not rows or not rows[0]:
+        return 0
+    n_rows, n_cols = len(rows), len(rows[0])
+    r = 0
+    for c in range(n_cols):
+        piv = next((i for i in range(r, n_rows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(n_rows):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        r += 1
     return r
 
 

@@ -69,16 +69,23 @@ def test_bad_complex_data_rejected(data):
         parse_complex_data(data)
 
 
-@pytest.mark.parametrize("data", [
-    {"variables": ["x"]},
-    {"variables": ["x"], "generators": []},
-    {"variables": ["x"], "generators": ["x*"]},
-    {"variables": ["x"], "generators": ["y"]},
-    {"variables": ["x", "y"], "generators": ["x", "x*y"]},
-])
-def test_bad_ideal_data_rejected(data):
-    with pytest.raises(InputFileError):
+BAD_IDEALS = [
+    ({"variables": ["x"]}, None),
+    ({"variables": ["x"], "generators": []}, None),
+    ({"variables": ["x"], "generators": ["x*"]}, "generators[0]"),
+    ({"variables": ["x"], "generators": ["y"]}, None),
+    ({"variables": ["x", "y"], "generators": ["x", "x*y"]}, None),
+    ({"variables": ["x", "a-1"], "generators": ["x"]}, "variables[1]"),
+    ({"variables": ["x", " "], "generators": ["x"]}, "variables[1]"),
+]
+
+
+@pytest.mark.parametrize("data, location", BAD_IDEALS,
+                         ids=[f"data{i}" for i in range(len(BAD_IDEALS))])
+def test_bad_ideal_data_rejected(data, location):
+    with pytest.raises(InputFileError) as err:
         parse_ideal_data(data)
+    assert err.value.location == location
 
 
 @pytest.mark.parametrize("data", [
@@ -247,6 +254,16 @@ def test_supports_reports_failing_degree(files, capsys):
     result = json.loads(out)["result"]
     assert not result["supports"]
     assert result["failing_degree"] == "x*y^2*z"
+
+
+@pytest.mark.parametrize("labels", ["", "1,2,2", "1,2,2,4", "1,2,3"])
+def test_supports_labels_must_list_every_vertex(files, capsys, labels):
+    code, out, err = run(capsys, "supports", files["diamond"], files["ideal"],
+                         "--labels", labels)
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "InputFileError"
+    assert "--labels must list every vertex exactly once" in error["message"]
 
 
 def test_supports_arity_mismatch(files, capsys):

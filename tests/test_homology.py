@@ -6,6 +6,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treescarf import (QQ, BettiFComparison, BettiTable, ChainComplex,
                        CollapseSequence, CollapseStep, FaceVariableRing,
@@ -15,8 +17,9 @@ from treescarf import (QQ, BettiFComparison, BettiTable, ChainComplex,
 from treescarf.homology import (_is_prime, chain_complex_from_faces,
                                 reduced_ranks_from_faces)
 
-from generators import random_tree
-from oracles import is_prime_lucas, is_prime_trial_division, rank_fraction_gauss
+from generators import random_complex, random_tree
+from oracles import (is_prime_lucas, is_prime_trial_division, rank_fraction_gauss,
+                     rank_mod_p_gauss)
 
 POINT = SimplicialComplex([{"1"}])
 CIRCLE = SimplicialComplex([{"1", "2"}, {"2", "3"}, {"1", "3"}])
@@ -103,20 +106,41 @@ def test_rank_of_circle_boundary():
     assert rank(cc.boundaries[1]) == 2
 
 
-def test_rank_handles_fractions():
-    singular = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1, 1)]]
-    assert rank(singular) == 1
-    regular = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 1)]]
-    assert rank(regular) == 2
+def test_rank_rejects_non_integer_entries():
+    for field in (QQ, FieldSpec(3)):
+        for entry in (Fraction(1, 2), 0.5):
+            with pytest.raises(TypeError):
+                rank([[entry]], field)
+            with pytest.raises(TypeError):
+                rank([[1, 2], [1, entry]], field)
+        assert rank([[True, False], [False, True]], field) == 2
+
+
+PRIMES = (2, 3, 5, 7, 10**18 + 3)
+
+
+def random_matrices(rng, count, bound):
+    for _ in range(count):
+        rows = rng.randint(1, 6)
+        cols = rng.randint(1, 6)
+        yield [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
 
 
 def test_rank_agrees_with_fraction_gauss_on_random_matrices():
     rng = Random(13)
+    small = list(random_matrices(rng, 200, 3))
+    huge = list(random_matrices(rng, 100, 10**20))  # entries beyond every prime
+    low_rank = []  # products through an inner dimension of at most 3
     for _ in range(200):
-        rows = rng.randint(1, 6)
-        cols = rng.randint(1, 6)
-        m = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        rows, cols, inner = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 3)
+        a = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(rows)]
+        b = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(inner)]
+        low_rank.append([[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+                         for row in a])
+    for m in small + huge + low_rank:
         assert rank(m) == rank_fraction_gauss(m)
+        for p in PRIMES:
+            assert rank(m, FieldSpec(p)) == rank_mod_p_gauss(m, p), (m, p)
 
 
 def test_mod_p_rank_can_differ_from_rational_rank():
@@ -134,9 +158,21 @@ def test_edge_boundary_column():
     assert sorted(col) == [-1, 1]
 
 
-def test_boundaries_compose_to_zero_on_a_simplex():
-    cc = chain_complex(SimplicialComplex([{"1", "2", "3", "4"}]), include_empty=True)
-    assert set(cc.boundaries) == {0, 1, 2, 3}  # construction checks composition
+@settings(max_examples=200)
+@given(st.randoms(use_true_random=True), st.booleans(), st.booleans())
+def test_builder_boundaries_compose_to_zero(rng, tree, include_empty):
+    if tree:
+        complex_ = random_tree(rng, max_facets=5, max_vertices=8)
+    else:
+        complex_ = random_complex(rng, max_vertices=6)
+    cc = chain_complex_from_faces(complex_.faces(), include_empty)
+    assert set(cc.boundaries) == {d for d in cc.bases if d - 1 in cc.bases}
+    for d, mat in cc.boundaries.items():
+        assert len(mat) == len(cc.bases[d - 1])
+        below = cc.boundaries.get(d - 1, ())
+        for col in zip(*mat):
+            assert sorted(map(abs, filter(None, col))) == [1] * (d + 1)
+            assert not any(sum(a * b for a, b in zip(row, col)) for row in below)
 
 
 def test_chain_complex_of_empty_complex_is_zero():
@@ -321,10 +357,6 @@ def test_value_types_keep_their_checks():
     point = (frozenset({"1"}),)
     edge = (frozenset({"1", "2"}),)
     ends = (frozenset({"1"}), frozenset({"2"}))
-    with pytest.raises(AssertionError):
-        # both ends map to the empty face with +1, so d0 d1 = 2, not 0
-        ChainComplex({-1: (frozenset(),), 0: ends, 1: edge},
-                     {0: ((1, 1),), 1: ((1,), (1,))})
     ChainComplex({-1: (frozenset(),), 0: ends, 1: edge},
                  {0: ((1, 1),), 1: ((-1,), (1,))})
     ChainComplex({-1: (frozenset(),), 0: point}, {0: ((1,),)})
