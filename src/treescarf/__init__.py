@@ -6,12 +6,12 @@ collapsible, and builds Scarf ideals for a given complex, all with exact
 arithmetic.
 """
 
-from .collapse import (CollapseSequence, CollapseStep, collapse_simplex_to_face,
-                       elementary_collapse, free_pairs, greedy_collapse,
-                       tree_collapse_certificate, verify_sequence)
+from .collapse import (CollapseSequence, CollapseStep, elementary_collapse,
+                       free_pairs, greedy_collapse, tree_collapse_certificate,
+                       verify_sequence)
 from .complexes import Face, SimplicialComplex, face_key, face_sorted, vertex_key
-from .homology import (QQ, ChainComplex, FieldSpec, HomologyRanks, chain_complex,
-                       is_acyclic, rank, reduced_homology_ranks)
+from .homology import (QQ, ChainComplex, FieldSpec, HomologyRanks, is_acyclic,
+                       rank, reduced_homology_ranks)
 from .monomials import (UNIT, Monomial, MonomialIdeal, format_monomial, lcm,
                         minimalize, parse_monomial)
 from .resolution import (BettiFComparison, BettiTable, LabeledComplex,
@@ -24,12 +24,12 @@ from .scarf_ideals import (FaceVariableRing, ScarfComparison, build_intermediate
                            verify_scarf)
 
 __all__ = [
-    "CollapseSequence", "CollapseStep", "collapse_simplex_to_face",
-    "elementary_collapse", "free_pairs", "greedy_collapse",
+    "CollapseSequence", "CollapseStep", "elementary_collapse", "free_pairs",
+    "greedy_collapse",
     "tree_collapse_certificate", "verify_sequence",
     "Face", "SimplicialComplex", "face_key", "face_sorted", "vertex_key",
-    "QQ", "ChainComplex", "FieldSpec", "HomologyRanks", "chain_complex",
-    "is_acyclic", "rank", "reduced_homology_ranks",
+    "QQ", "ChainComplex", "FieldSpec", "HomologyRanks", "is_acyclic", "rank",
+    "reduced_homology_ranks",
     "UNIT", "Monomial", "MonomialIdeal", "format_monomial", "lcm",
     "minimalize", "parse_monomial",
     "BettiFComparison", "BettiTable", "LabeledComplex", "betti_table",

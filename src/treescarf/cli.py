@@ -32,10 +32,6 @@ def _field(args) -> FieldSpec:
         raise InputFileError(str(exc)) from None
 
 
-def _facet_lists(complex_):
-    return [list(face_sorted(f)) for f in complex_.facets]
-
-
 def cmd_check(args) -> dict:
     complex_ = io.load_complex(args.complex_file)
     connected = complex_.is_connected()
@@ -52,7 +48,7 @@ def cmd_check(args) -> dict:
     if result["tree"]:
         cert = tree_collapse_certificate(complex_)
         result["collapse"] = {"steps": len(cert.steps),
-                              "terminal": _facet_lists(cert.terminal)}
+                              "terminal": io.complex_to_data(cert.terminal)["facets"]}
         diagnostics.append("collapse certificate verified")
     return {"inputs": {"complex": io.complex_to_data(complex_)}, "result": result,
             "diagnostics": diagnostics}
@@ -109,7 +105,7 @@ def cmd_scarf(args) -> dict:
     ideal = io.load_ideal(args.ideal_file)
     scarf = scarf_complex(ideal)
     result = {
-        "facets": _facet_lists(scarf.complex),
+        "facets": io.complex_to_data(scarf.complex)["facets"],
         "f_vector": list(scarf.complex.f_vector()),
         "labels": {v: ideal.format(scarf.label(v)) for v in scarf.complex.vertices},
     }

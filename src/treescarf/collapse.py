@@ -11,11 +11,11 @@ replayed once, against the whole complex.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 from ._frozen import FrozenValue
 from .complexes import Face, SimplicialComplex, face_key, vertex_key
-from .errors import BadFacePairError, InvalidStepError, NotATreeError
+from .errors import InvalidStepError, NotATreeError
 
 
 class CollapseStep(FrozenValue):
@@ -35,9 +35,6 @@ class CollapseSequence(FrozenValue):
     def __init__(self, steps: tuple[CollapseStep, ...], terminal: SimplicialComplex):
         self._fill(steps, terminal)
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
 
 def _step_key(pair):
     free, coface = pair
@@ -55,7 +52,9 @@ class _FaceSet:
     __slots__ = ("cofaces",)
 
     def __init__(self, complex_: SimplicialComplex):
-        self.cofaces = {f: set() for f in complex_.faces(include_empty=True)}
+        self.cofaces = {f: set() for f in complex_.faces()}
+        if self.cofaces:
+            self.cofaces[frozenset()] = set()
         for f in self.cofaces:
             for v in f:
                 self.cofaces[f - {v}].add(f)
@@ -126,32 +125,19 @@ def verify_sequence(complex_: SimplicialComplex,
     return True, None
 
 
-def collapse_simplex_to_face(facet: Iterable[str], target: Iterable[str]) -> CollapseSequence:
-    """Collapse the full simplex on ``facet`` down to the simplex on ``target``.
+def _simplex_steps(start: Face, goal: Face) -> Iterator[CollapseStep]:
+    """Collapse the full simplex on ``start`` down to the simplex on the
+    nonempty proper face ``goal``.
 
     Follows the inductive schedule: with the simplex's vertices ordered
-    x_1..x_n so that x_n avoids the target, first collapse away the maximal
+    x_1..x_n so that x_n avoids the goal, first collapse away the maximal
     face missing x_1, then eliminate each remaining maximal face F_i
     (i = 2..n-1) through the cascade of its intersections with earlier
     maximal faces, always paired against the same intersection extended by
     x_1; what is left is the simplex without x_n, and the construction
-    recurses.  Each round halves toward the target, removing exactly two
+    recurses.  Each round halves toward the goal, removing exactly two
     faces per step.
     """
-    start = frozenset(facet)
-    goal = frozenset(target)
-    if not goal or not goal < start:
-        raise BadFacePairError(
-            "target must be a nonempty proper subset of the facet")
-    sequence = CollapseSequence(tuple(_simplex_steps(start, goal)), SimplicialComplex([goal]))
-    ok, bad = verify_sequence(SimplicialComplex([start]), sequence)
-    if not ok:
-        raise AssertionError(f"simplex collapse schedule failed at step {bad}")
-    return sequence
-
-
-def _simplex_steps(start: Face, goal: Face) -> Iterator[CollapseStep]:
-    # the schedule of collapse_simplex_to_face, for a nonempty goal < start
     cur = set(start)
     while cur != goal:
         x_last = max(cur - goal, key=vertex_key)

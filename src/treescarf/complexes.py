@@ -121,14 +121,9 @@ class SimplicialComplex:
         face = frozenset(vertices)
         return any(face <= g for g in self._facets)
 
-    def __contains__(self, vertices) -> bool:
-        return self.has_face(vertices)
-
-    def faces(self, include_empty: bool = False) -> list[Face]:
-        """All faces in a deterministic order (dimension, then vertex names).
-
-        The empty face is excluded unless ``include_empty`` is set.
-        """
+    def faces(self) -> list[Face]:
+        """All nonempty faces in a deterministic order (dimension, then
+        vertex names)."""
         if self._faces is None:
             found = set()
             for facet in self._facets:
@@ -136,10 +131,7 @@ class SimplicialComplex:
                 for r in range(1, len(names) + 1):
                     found.update(map(frozenset, itertools.combinations(names, r)))
             self._faces = tuple(sorted(found, key=face_key))
-        result = list(self._faces)
-        if include_empty and self._facets:
-            result.insert(0, frozenset())
-        return result
+        return list(self._faces)
 
     def f_vector(self) -> tuple[int, ...]:
         """Face counts by dimension, (f_0, f_1, ...); () for the empty complex."""

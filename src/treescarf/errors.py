@@ -33,10 +33,6 @@ class InvalidStepError(TreescarfError):
     """A collapse step is not valid on the current complex."""
 
 
-class BadFacePairError(TreescarfError):
-    """The target of a simplex collapse is not a proper nonempty face."""
-
-
 class NotATreeError(TreescarfError):
     """The complex is not a simplicial tree.
 
@@ -100,12 +96,8 @@ class BadHError(TreescarfError):
         self.vertex = vertex
 
 
-class IndexMismatchError(TreescarfError):
-    """Generator count does not match the vertex count."""
-
-
 class ArityMismatchError(TreescarfError):
-    """CLI inputs disagree on the number of generators/vertices."""
+    """An ideal's generator count does not match a complex's vertex count."""
 
 
 # -- file formats --------------------------------------------------------------

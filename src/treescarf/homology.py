@@ -5,8 +5,8 @@ integer elimination (Bareiss), ranks over GF(p) from modular elimination.
 No floating point is used anywhere.
 
 Chain complexes are built with the standard alternating-sign boundary over
-the canonical vertex order, optionally augmented to dimension -1 (the empty
-face), which is what makes the homology reduced.
+the canonical vertex order and augmented to dimension -1 (the empty face),
+which is what makes the homology reduced.
 """
 
 from __future__ import annotations
@@ -147,16 +147,11 @@ class ChainComplex(FrozenValue):
         self._fill(bases, boundaries)
 
 
-def chain_complex(complex_: SimplicialComplex, include_empty: bool = False) -> ChainComplex:
-    """Chain complex of a simplicial complex; see chain_complex_from_faces."""
-    return chain_complex_from_faces(complex_.faces(), include_empty)
+def chain_complex_from_faces(faces: Iterable[Face]) -> ChainComplex:
+    """Augmented chain complex of a downward-closed set of nonempty faces.
 
-
-def chain_complex_from_faces(faces: Iterable[Face], include_empty: bool = False) -> ChainComplex:
-    """Chain complex of a downward-closed set of nonempty faces.
-
-    With ``include_empty`` the augmentation map to dimension -1 is added
-    (every vertex maps to the empty face with coefficient 1).
+    Dimension -1 holds the empty face, and every vertex maps to it with
+    coefficient 1.  No faces at all give the zero complex.
     """
     by_dim: dict[int, list[Face]] = {}
     for f in set(faces):
@@ -173,10 +168,9 @@ def chain_complex_from_faces(faces: Iterable[Face], include_empty: bool = False)
             for k, v in enumerate(face_sorted(face)):
                 mat[index[d - 1][face - {v}]][col] = (-1) ** k
         boundaries[d] = tuple(map(tuple, mat))
-    if include_empty:
+    if bases:
         bases[-1] = (frozenset(),)
-        if 0 in bases:
-            boundaries[0] = (tuple(1 for _ in bases[0]),)
+        boundaries[0] = (tuple(1 for _ in bases[0]),)
     return ChainComplex(bases, boundaries)
 
 
@@ -224,7 +218,7 @@ def reduced_ranks_from_faces(faces: Iterable[Face], field: FieldSpec = QQ) -> Ho
         return HomologyRanks(())
     if not nonempty:
         return HomologyRanks((1,))
-    cc = chain_complex_from_faces(nonempty, include_empty=True)
+    cc = chain_complex_from_faces(nonempty)
     top = max(cc.bases)
     f_counts = {d: len(b) for d, b in cc.bases.items()}
     b_ranks = {d: rank(mat, field) for d, mat in cc.boundaries.items()}

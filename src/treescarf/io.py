@@ -31,6 +31,9 @@ def _load_json(path):
     except UnicodeDecodeError as exc:
         raise InputFileError("invalid JSON: not UTF-8 text", path=path,
                              location=f"byte {exc.start}") from None
+    except ValueError as exc:
+        # an integer literal longer than int()'s digit limit
+        raise InputFileError(f"invalid JSON: {exc}", path=path) from None
     except RecursionError:
         raise InputFileError("invalid JSON: nested too deeply", path=path) from None
 
@@ -43,15 +46,13 @@ def _check_names(names, path, loc):
         raise InputFileError("duplicate vertex name", path=path, location=loc)
 
 
-def _facet_list(data, path=None):
-    if not isinstance(data, dict) or "facets" not in data:
-        raise InputFileError('expected an object with a "facets" key', path=path)
-    raw = data["facets"]
+def _facet_list(raw, key, path):
+    # ``raw`` is the facet list stored under ``key``, which errors name
     if not isinstance(raw, list) or not raw:
-        raise InputFileError('"facets" must be a nonempty list', path=path)
+        raise InputFileError(f'"{key}" must be a nonempty list', path=path)
     facets = []
     for i, entry in enumerate(raw):
-        loc = f"facets[{i}]"
+        loc = f"{key}[{i}]"
         if not isinstance(entry, list) or not entry:
             raise InputFileError("each facet must be a nonempty list of names",
                                  path=path, location=loc)
@@ -64,7 +65,9 @@ def _facet_list(data, path=None):
 
 
 def parse_complex_data(data, path=None) -> SimplicialComplex:
-    return SimplicialComplex(_facet_list(data, path))
+    if not isinstance(data, dict) or "facets" not in data:
+        raise InputFileError('expected an object with a "facets" key', path=path)
+    return SimplicialComplex(_facet_list(data["facets"], "facets", path))
 
 
 def load_complex(path) -> SimplicialComplex:
@@ -137,7 +140,7 @@ def parse_sequence_data(data, path=None) -> CollapseSequence:
         _check_names(entry["free"], path, loc)
         _check_names(entry["coface"], path, loc)
         steps.append(CollapseStep(frozenset(entry["free"]), frozenset(entry["coface"])))
-    terminal = parse_complex_data({"facets": data["terminal"]}, path)
+    terminal = SimplicialComplex(_facet_list(data["terminal"], "terminal", path))
     return CollapseSequence(tuple(steps), terminal)
 
 

@@ -18,9 +18,9 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from ._frozen import FrozenValue
-from .complexes import Face, SimplicialComplex, face_sorted
-from .errors import (BadHError, BoundaryOfSimplexError,
-                     DegenerateVertexFacetError, IndexMismatchError)
+from .complexes import SimplicialComplex, face_sorted
+from .errors import (ArityMismatchError, BadHError, BoundaryOfSimplexError,
+                     DegenerateVertexFacetError)
 from .monomials import UNIT, Monomial, MonomialIdeal, _NAME_RE
 from .resolution import LabeledComplex, scarf_complex
 
@@ -38,9 +38,6 @@ class FaceVariableRing(FrozenValue):
     def __init__(self, complex: SimplicialComplex, variables: tuple[str, ...],
                  of_face: dict):
         self._fill(complex, variables, of_face)
-
-    def name(self, face: Face) -> str:
-        return self.of_face[face]
 
 
 def face_variable_ring(complex_: SimplicialComplex) -> FaceVariableRing:
@@ -187,7 +184,7 @@ def verify_scarf(complex_: SimplicialComplex,
     NEITHER otherwise, along with the computed Scarf complex.
     """
     if len(ideal.generators) != len(complex_.vertices):
-        raise IndexMismatchError(
+        raise ArityMismatchError(
             f"{len(ideal.generators)} generators for {len(complex_.vertices)} vertices")
     scarf = scarf_complex(ideal)
     rename = {str(i + 1): v for i, v in enumerate(complex_.vertices)}

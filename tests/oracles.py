@@ -4,8 +4,10 @@ The Betti table and the Scarf complex here are the definitions
 themselves, exponential in the number of generators t: both enumerate the
 lcm of every one of the 2^t generator subsets.  The library computes the
 same objects in time that scales with their output (see
-``treescarf.resolution``); differential tests compare the two.  Plain
-Gaussian elimination over Fractions is the reference for the library's
+``treescarf.resolution``); differential tests compare the two.  The Betti
+table is also computed a second way, from the order complexes of intervals
+in the lcm lattice, which shares no code with the first.  Plain Gaussian
+elimination over Fractions is the reference for the library's
 fraction-free rank, and Gauss-Jordan elimination mod p for its rank over
 GF(p).  The face set that answers every free-face question by
 scanning the vertex universe is the reference for the library's coface
@@ -80,6 +82,59 @@ def betti_table(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTable:
     elif vector[0] != t:
         raise AssertionError("generator count disagrees with degree ranks")
     return BettiTable(by_degree, tuple(vector))
+
+
+def betti_table_lcm_lattice(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTable:
+    """Multigraded Betti numbers from the lcm lattice (Gasharov, Peeva and
+    Welker, "The lcm-lattice in monomial resolutions", 1999).
+
+    The lattice holds the lcm of every subset of generators, the unit
+    monomial (the empty subset) as its bottom.  For m above the bottom, the
+    rank in homological position i at degree m is the reduced homology
+    rank, in dimension i-1, of the order complex of the open interval
+    (1, m): the chains of lattice elements strictly between 1 and m, the
+    empty chain included.  Shares no code with the Taylor-subcomplex
+    definition in ``betti_table``.
+    """
+    variables = ideal.variables
+    bottom = (0,) * len(variables)
+    lattice = {bottom}
+    for g in ideal.generators:
+        vec = g.exponent_vector(variables)
+        lattice |= {tuple(map(max, vec, m)) for m in lattice}
+    by_degree = {}
+    vector: list[int] = []
+    for m in sorted(lattice - {bottom}):
+        inside = sorted((x for x in lattice if x not in (bottom, m)
+                         and all(a <= b for a, b in zip(x, m))), key=sum)
+        ranks = reduced_ranks_from_faces(_chains(inside), field)
+        column = tuple(ranks.rank(i - 1) for i in range(len(ranks.ranks)))
+        if any(column):
+            by_degree[Monomial(dict(zip(variables, m)))] = column
+        for i, r in enumerate(column):
+            if i == len(vector):
+                vector.append(0)
+            vector[i] += r
+    if not vector:
+        vector = [len(ideal.generators)]  # only for the unit ideal
+    return BettiTable(by_degree, tuple(vector))
+
+
+def _chains(elements: list) -> list[Face]:
+    """Every chain of the componentwise order on ``elements`` (exponent
+    vectors sorted so that each comes after all it exceeds), as faces on
+    their positions, the empty chain included."""
+    faces = []
+
+    def extend(chain):
+        faces.append(frozenset(map(str, chain)))
+        top = elements[chain[-1]] if chain else None
+        for j in range(chain[-1] + 1 if chain else 0, len(elements)):
+            if top is None or all(a <= b for a, b in zip(top, elements[j])):
+                extend(chain + (j,))
+
+    extend(())
+    return faces
 
 
 def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
@@ -280,7 +335,7 @@ def build_J(complex_: SimplicialComplex) -> MonomialIdeal:
     _require_eligible(complex_)
     ring = face_variable_ring(complex_)
     faces = complex_.faces()
-    gens = [Monomial({ring.name(f): 1 for f in faces if v not in f})
+    gens = [Monomial({ring.of_face[f]: 1 for f in faces if v not in f})
             for v in complex_.vertices]
     return MonomialIdeal(ring.variables, gens)
 
@@ -303,13 +358,13 @@ def _reduced_parts(complex_: SimplicialComplex):
         product = UNIT
         for g in complex_.facets:
             if v in g:
-                product = product * Monomial({ring.name(g - {v}): 1})
+                product = product * Monomial({ring.of_face[g - {v}]: 1})
         for f in complex_.facets:
             if v in f:
                 continue
-            product = product * Monomial({ring.name(f): 1})
+            product = product * Monomial({ring.of_face[f]: 1})
             for w in f:
-                product = product * Monomial({ring.name(f - {w}): 1})
+                product = product * Monomial({ring.of_face[f - {w}]: 1})
         reduced.append(product.radical())
     for m_full, m_red in zip(full.generators, reduced):
         if not m_red.divides(m_full):

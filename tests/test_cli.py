@@ -4,6 +4,9 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 import treescarf
 from treescarf import (CollapseSequence, MonomialIdeal, SimplicialComplex,
                        verify_sequence)
-from treescarf import collapse
+from treescarf import collapse, errors
 from treescarf.cli import main
 from treescarf.errors import InputFileError
 from treescarf.io import (complex_to_data, ideal_to_data, load_complex,
@@ -98,6 +101,18 @@ def test_bad_sequence_data_rejected_with_step_location(data):
     with pytest.raises(InputFileError) as err:
         parse_sequence_data(data)
     assert err.value.location.startswith("steps")
+
+
+@pytest.mark.parametrize("terminal, location", [
+    ([["1", "1"]], "terminal[0]"),
+    ([["1"], []], "terminal[1]"),
+    ([], None),
+])
+def test_bad_sequence_terminal_rejected_with_terminal_location(terminal, location):
+    with pytest.raises(InputFileError) as err:
+        parse_sequence_data({"steps": [], "terminal": terminal})
+    assert err.value.location == location
+    assert "terminal" in str(err.value) and "facets" not in str(err.value)
 
 
 # arbitrary JSON-like values at every level, mixed with near-valid ones
@@ -416,10 +431,12 @@ def test_reports_are_byte_identical_across_runs(files, capsys):
 def test_malformed_file_is_an_operational_error(files, capsys):
     p = files["tmp"] / "bad.json"
     huge_exponent = json.dumps({"variables": ["x"], "generators": ["x^" + "9" * 5000]})
+    huge_literal = '{"facets": [["1", "2"]], "x": %s}' % ("1" * 5000)
     for command, content in (
             ("check", b"{nope"),
             ("check", b"[" * 3000),                 # deeper than the parser's recursion limit
             ("check", b'{"facets": [["\xff"]]}'),  # not UTF-8
+            ("check", huge_literal.encode()),       # a JSON integer beyond int()'s digit limit
             ("betti", huge_exponent.encode())):     # beyond int()'s digit limit
         p.write_bytes(content)
         code, out, err = run(capsys, command, str(p))
@@ -446,6 +463,110 @@ def test_large_prime_field_answers(files, capsys):
     assert json.loads(out)["result"] == json.loads(rational)["result"]
     code, _, err = run(capsys, "betti", files["ideal"], "--field", str(2**89 - 1))
     assert code == 2 and json.loads(err)["error"] == "InputFileError"
+
+
+# -- every command on small generated files ----------------------------------------
+
+# names that break face-variable names ("a-b") or mix lengths ("10") included
+fuzz_names = st.sampled_from(["1", "2", "3", "4", "10", "a", "x_1", "a-b"])
+fuzz_vertices = st.lists(fuzz_names, min_size=1, max_size=5, unique=True)
+
+
+@st.composite
+def fuzz_complexes(draw):
+    names = draw(fuzz_vertices)
+    facets = draw(st.lists(st.lists(st.sampled_from(names), min_size=1, unique=True),
+                           min_size=1, max_size=4, unique_by=frozenset))
+    return {"facets": facets}
+
+
+@st.composite
+def fuzz_ideals(draw, count=None):
+    variables = draw(st.lists(st.sampled_from(["x", "y", "z"]), min_size=1,
+                              max_size=3, unique=True))
+    exponents = st.lists(st.integers(0, 2), min_size=len(variables),
+                         max_size=len(variables))
+    gens = draw(st.lists(exponents, min_size=count or 1, max_size=count or 4))
+    texts = ["*".join(f"{x}^{e}" for x, e in zip(variables, g) if e) or "1"
+             for g in gens]
+    return {"variables": variables, "generators": texts}
+
+
+def mostly(strategy):
+    """``strategy`` three times in four; else a file of the wrong kind or a
+    malformed one."""
+    wrong = fuzz_complexes() | fuzz_ideals() | certificates
+    return st.integers(0, 3).flatmap(lambda k: strategy if k else wrong)
+
+
+def command_lines(draw, complex_file, ideal_file, vertices, out):
+    labels = draw(st.permutations(vertices) | st.lists(fuzz_names, max_size=5))
+    field = str(draw(st.sampled_from([0, 2, 3, 4])))
+    yield ["check", complex_file]
+    yield ["fvector", complex_file]
+    yield ["collapse", complex_file, "--out", out]
+    for extra in ([], ["--verify"], ["--labels", ",".join(labels)],
+                  ["--labels", ",".join(labels), "--verify"]):
+        yield ["supports", complex_file, ideal_file, "--field", field, *extra]
+    yield ["scarf", ideal_file]
+    yield ["betti", ideal_file, "--field", field]
+    for variant in ("J", "Jprime", "intermediate"):
+        yield ["build-scarf", complex_file, "--variant", variant,
+               "--seed", str(draw(st.integers(0, 3))), "--out", out]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), mostly(fuzz_complexes()))
+def test_every_command_reports_or_raises_a_typed_error(data, complex_data):
+    vertices = sorted({v for f in complex_data.get("facets", [])
+                       if isinstance(f, list) for v in f if isinstance(v, str)}
+                      if isinstance(complex_data, dict) else [])
+    # one generator per vertex where four generators allow it, so that
+    # supports gets past its arity check
+    ideal_data = data.draw(mostly(fuzz_ideals(min(len(vertices), 4) or None)))
+    with tempfile.TemporaryDirectory() as tmp:
+        complex_file = os.path.join(tmp, "complex.json")
+        ideal_file = os.path.join(tmp, "ideal.json")
+        for path, content in ((complex_file, complex_data), (ideal_file, ideal_data)):
+            with open(path, "w") as handle:
+                json.dump(content, handle)
+        out = os.path.join(tmp, "out.json")
+        for argv in command_lines(data.draw, complex_file, ideal_file, vertices, out):
+            stdout, stderr = StringIO(), StringIO()
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                code = main(argv)
+            if code == 0:
+                report = json.loads(stdout.getvalue())
+                assert list(report) == ["command", "diagnostics", "inputs", "result"]
+                assert stderr.getvalue() == ""
+            else:
+                assert code == 2 and stdout.getvalue() == "", argv
+                name = json.loads(stderr.getvalue())["error"]
+                assert issubclass(getattr(errors, name, type(None)),
+                                  errors.TreescarfError), (argv, stderr.getvalue())
+
+
+PUBLIC_NAMES = [
+    "BettiFComparison", "BettiTable", "ChainComplex", "CollapseSequence",
+    "CollapseStep", "Face", "FaceVariableRing", "FieldSpec", "HomologyRanks",
+    "LabeledComplex", "Monomial", "MonomialIdeal", "QQ", "ScarfComparison",
+    "SimplicialComplex", "UNIT", "betti_table", "build_J", "build_Jprime",
+    "build_intermediate", "compare_betti_f", "elementary_collapse", "face_key",
+    "face_sorted", "face_variable_ring", "format_monomial", "free_pairs",
+    "greedy_collapse", "is_acyclic", "is_boundary_of_simplex", "is_minimal",
+    "lcm", "m_double_prime", "minimalize", "parse_monomial", "random_h", "rank",
+    "reduced_homology_ranks", "scarf_complex", "supports_resolution",
+    "supports_resolution_tree", "taylor_complex", "tree_collapse_certificate",
+    "verify_scarf", "verify_sequence", "vertex_key",
+]
+
+
+def test_public_names_are_pinned():
+    # a name added to or dropped from the package is a contract change
+    assert sorted(treescarf.__all__) == PUBLIC_NAMES
+    namespace = {}
+    exec("from treescarf import *", namespace)
+    assert set(PUBLIC_NAMES) <= set(namespace)
 
 
 def test_cli_import_loads_neither_dataclasses_nor_fractions():

@@ -77,11 +77,6 @@ def test_faces_of_edge_triangle_match_powerset_enumeration():
     assert len(c.faces()) == 9
 
 
-def test_faces_include_empty_flag():
-    c = SimplicialComplex([{"1", "2"}])
-    assert c.faces(include_empty=True)[0] == frozenset()
-
-
 def test_f_vectors():
     assert SimplicialComplex(EDGE_TRIANGLE).f_vector() == (4, 4, 1)
     assert SimplicialComplex(TRIANGLES_WITH_TAIL).f_vector() == (5, 6, 2)

@@ -39,9 +39,9 @@ def assert_matches_oracles(ideal, field):
 
 
 @st.composite
-def antichain_ideals(draw):
+def antichain_ideals(draw, max_size=7):
     rng = draw(st.randoms(use_true_random=True))
-    labels = random_label_antichain(rng, draw(st.integers(1, 7)), max_vars=4)
+    labels = random_label_antichain(rng, draw(st.integers(1, max_size)), max_vars=4)
     return MonomialIdeal(RING_VARS, labels)
 
 
@@ -61,9 +61,9 @@ def strongly_generic_ideals(draw):
 
 
 @st.composite
-def tree_scarf_ideals(draw):
+def tree_scarf_ideals(draw, max_facets=5, max_vertices=7):
     rng = draw(st.randoms(use_true_random=True))
-    tree = random_tree(rng, max_facets=5, max_vertices=7)
+    tree = random_tree(rng, max_facets=max_facets, max_vertices=max_vertices)
     variant = draw(st.sampled_from(("J", "Jprime", "intermediate")))
     try:
         if variant == "J":
@@ -125,6 +125,34 @@ def test_tree_scarf_ideals_match_oracles(ideal, field):
 @given(wide_ideals(), fields)
 def test_wide_ideals_match_oracles(ideal, field):
     assert_matches_oracles(ideal, field)
+
+
+# -- the lcm-lattice oracle: a second, independent Betti definition -------------
+
+SPREAD = MonomialIdeal(("x", "y", "z", "u"), [parse_monomial(s) for s in
+                                              ("x*y^2", "y*z", "x*z^2", "z*u")])
+
+
+def test_lcm_lattice_oracle_indexing_on_the_spread_ideal():
+    # generators sit in position 0 (the empty interval has rank 1 in
+    # dimension -1); the triangle {2, 3, 4} of the supporting tree gives
+    # position 2, and the lattice element x*y^2*z^2 carries no rank
+    table = oracles.betti_table_lcm_lattice(SPREAD)
+    assert table.vector == (4, 4, 1)
+    assert table.by_degree[parse_monomial("y*z")] == (1,)
+    assert table.by_degree[parse_monomial("x*y^2*z")] == (0, 1)
+    assert table.by_degree[parse_monomial("x*y*z^2*u")] == (0, 0, 1)
+    assert parse_monomial("x*y^2*z^2") not in table.by_degree
+
+
+# the order complexes grow with the number of chains, so the inputs stay small
+@settings(max_examples=100, deadline=None)
+@given(antichain_ideals(max_size=5) | tree_scarf_ideals(max_facets=3, max_vertices=5),
+       st.sampled_from((QQ, FieldSpec(2))))
+def test_betti_table_matches_lcm_lattice_oracle(ideal, field):
+    fast, ref = betti_table(ideal, field), oracles.betti_table_lcm_lattice(ideal, field)
+    assert fast.vector == ref.vector
+    assert list(fast.by_degree.items()) == list(ref.by_degree.items())
 
 
 @pytest.mark.parametrize("field", FIELDS)

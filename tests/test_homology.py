@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from treescarf import (QQ, BettiFComparison, BettiTable, ChainComplex,
                        CollapseSequence, CollapseStep, FaceVariableRing,
                        FieldSpec, HomologyRanks, SimplicialComplex,
-                       chain_complex, is_acyclic, parse_monomial, rank,
+                       is_acyclic, parse_monomial, rank,
                        reduced_homology_ranks, tree_collapse_certificate)
 from treescarf.homology import (_is_prime, chain_complex_from_faces,
                                 reduced_ranks_from_faces)
@@ -102,7 +102,7 @@ def test_rank_identity_and_zero():
 
 
 def test_rank_of_circle_boundary():
-    cc = chain_complex(CIRCLE)
+    cc = chain_complex_from_faces(CIRCLE.faces())
     assert rank(cc.boundaries[1]) == 2
 
 
@@ -153,19 +153,19 @@ def test_mod_p_rank_can_differ_from_rational_rank():
 # -- chain complexes ---------------------------------------------------------------
 
 def test_edge_boundary_column():
-    cc = chain_complex(SimplicialComplex([{"1", "2"}]))
+    cc = chain_complex_from_faces(SimplicialComplex([{"1", "2"}]).faces())
     col = [row[0] for row in cc.boundaries[1]]
     assert sorted(col) == [-1, 1]
 
 
 @settings(max_examples=200)
-@given(st.randoms(use_true_random=True), st.booleans(), st.booleans())
-def test_builder_boundaries_compose_to_zero(rng, tree, include_empty):
+@given(st.randoms(use_true_random=True), st.booleans())
+def test_builder_boundaries_compose_to_zero(rng, tree):
     if tree:
         complex_ = random_tree(rng, max_facets=5, max_vertices=8)
     else:
         complex_ = random_complex(rng, max_vertices=6)
-    cc = chain_complex_from_faces(complex_.faces(), include_empty)
+    cc = chain_complex_from_faces(complex_.faces())
     assert set(cc.boundaries) == {d for d in cc.bases if d - 1 in cc.bases}
     for d, mat in cc.boundaries.items():
         assert len(mat) == len(cc.bases[d - 1])
@@ -176,7 +176,7 @@ def test_builder_boundaries_compose_to_zero(rng, tree, include_empty):
 
 
 def test_chain_complex_of_empty_complex_is_zero():
-    cc = chain_complex(SimplicialComplex.empty())
+    cc = chain_complex_from_faces(SimplicialComplex.empty().faces())
     assert cc.bases == {} and cc.boundaries == {}
 
 
@@ -184,7 +184,7 @@ def test_rank_nullity_bookkeeping():
     rng = Random(29)
     for _ in range(10):
         c = random_tree(rng, max_facets=4, max_vertices=7)
-        cc = chain_complex(c, include_empty=True)
+        cc = chain_complex_from_faces(c.faces())
         for d, mat in cc.boundaries.items():
             cols = len(cc.bases[d])
             r = rank(mat)
@@ -279,7 +279,7 @@ def test_acyclicity_over_prime_fields():
 
 def test_faces_level_chain_complex_consistency():
     faces = SimplicialComplex([{"1", "2", "3"}]).faces()
-    cc = chain_complex_from_faces(faces, include_empty=True)
+    cc = chain_complex_from_faces(faces)
     assert len(cc.bases[-1]) == 1
     assert len(cc.bases[0]) == 3
     assert reduced_ranks_from_faces(faces).is_zero()

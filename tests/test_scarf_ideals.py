@@ -12,9 +12,9 @@ from treescarf import (SimplicialComplex, betti_table, build_intermediate,
                        is_boundary_of_simplex, is_minimal, lcm, m_double_prime,
                        parse_monomial, random_h, scarf_complex,
                        supports_resolution, verify_scarf)
-from treescarf.errors import (BadHError, BoundaryOfSimplexError,
-                              DegenerateVertexFacetError, IndexMismatchError,
-                              TreescarfError)
+from treescarf.errors import (ArityMismatchError, BadHError,
+                              BoundaryOfSimplexError,
+                              DegenerateVertexFacetError, TreescarfError)
 
 import oracles
 from generators import random_complex, random_tree
@@ -183,7 +183,7 @@ def test_round_trip_on_random_complexes():
 
 
 def test_generator_count_must_match():
-    with pytest.raises(IndexMismatchError):
+    with pytest.raises(ArityMismatchError):
         verify_scarf(EDGE_TRIANGLE, build_J(TRIANGLES_WITH_TAIL))
 
 
