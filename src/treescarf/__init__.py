@@ -14,8 +14,7 @@ from .homology import (QQ, ChainComplex, FieldSpec, HomologyRanks, is_acyclic,
                        rank, reduced_homology_ranks)
 from .monomials import (UNIT, Monomial, MonomialIdeal, format_monomial, lcm,
                         minimalize, parse_monomial)
-from .resolution import (BettiFComparison, BettiTable, LabeledComplex,
-                         betti_table, compare_betti_f, is_minimal,
+from .resolution import (BettiTable, LabeledComplex, betti_table, is_minimal,
                          scarf_complex, supports_resolution,
                          supports_resolution_tree, taylor_complex)
 from .scarf_ideals import (FaceVariableRing, ScarfComparison, build_intermediate,
@@ -32,9 +31,9 @@ __all__ = [
     "reduced_homology_ranks",
     "UNIT", "Monomial", "MonomialIdeal", "format_monomial", "lcm",
     "minimalize", "parse_monomial",
-    "BettiFComparison", "BettiTable", "LabeledComplex", "betti_table",
-    "compare_betti_f", "is_minimal", "scarf_complex", "supports_resolution",
-    "supports_resolution_tree", "taylor_complex",
+    "BettiTable", "LabeledComplex", "betti_table", "is_minimal",
+    "scarf_complex", "supports_resolution", "supports_resolution_tree",
+    "taylor_complex",
     "FaceVariableRing", "ScarfComparison",
     "build_intermediate", "build_J", "build_Jprime", "face_variable_ring",
     "is_boundary_of_simplex", "m_double_prime", "random_h", "verify_scarf",

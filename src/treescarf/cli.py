@@ -240,7 +240,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         report = _COMMANDS[args.command](args)
-    except (TreescarfError, OSError, ValueError) as exc:
+    except (TreescarfError, ValueError) as exc:
         error = {"command": args.command, "error": type(exc).__name__,
                  "message": str(exc)}
         print(json.dumps(error, indent=2, sort_keys=True), file=sys.stderr)

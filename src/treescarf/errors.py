@@ -68,16 +68,6 @@ class MonomialParseError(TreescarfError):
         self.position = position
 
 
-# -- resolutions -------------------------------------------------------------
-
-class NotAResolutionError(TreescarfError):
-    """The labeled complex does not support a resolution."""
-
-    def __init__(self, message, failing_degree=None):
-        super().__init__(message)
-        self.failing_degree = failing_degree
-
-
 # -- Scarf ideal constructions ------------------------------------------------
 
 class BoundaryOfSimplexError(TreescarfError):

@@ -36,6 +36,8 @@ def _load_json(path):
         raise InputFileError(f"invalid JSON: {exc}", path=path) from None
     except RecursionError:
         raise InputFileError("invalid JSON: nested too deeply", path=path) from None
+    except OSError as exc:
+        raise InputFileError(f"cannot read: {exc.strerror}", path=path) from None
 
 
 def _check_names(names, path, loc):
@@ -149,6 +151,9 @@ def load_sequence(path) -> CollapseSequence:
 
 
 def dump_json(data, path) -> None:
-    with open(path, "w") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    try:
+        with open(path, "w") as handle:
+            json.dump(data, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+    except OSError as exc:
+        raise InputFileError(f"cannot write: {exc.strerror}", path=path) from None

@@ -6,8 +6,8 @@ generators of a monomial ideal; each face is labeled by the lcm of its
 vertex labels.  The chain complex of the labeled complex resolves the
 quotient by the ideal exactly when every divisor subcomplex is empty or
 acyclic, and the resolution is minimal exactly when no two nested faces
-share a label.  For forests, acyclicity degrades to connectivity, which is
-the fast path.
+share a label.  For forests, acyclicity degrades to connectivity, and only
+the lcms of vertex pairs need testing, which is the fast path.
 
 The multigraded Betti numbers are computed independently of any candidate
 complex, from the strict-divisor subcomplexes K_{<m} of the full simplex on
@@ -29,7 +29,7 @@ from collections.abc import Iterable, Mapping
 
 from ._frozen import FrozenValue
 from .complexes import Face, SimplicialComplex, face_sorted
-from .errors import NotAFaceError, NotAForestError, NotAResolutionError
+from .errors import NotAFaceError, NotAForestError
 from .homology import QQ, FieldSpec, is_acyclic, reduced_ranks_from_faces
 from .monomials import Monomial, MonomialIdeal, lcm
 
@@ -104,14 +104,6 @@ def taylor_complex(ideal: MonomialIdeal) -> LabeledComplex:
     return LabeledComplex(SimplicialComplex([names]), labels, ideal.variables)
 
 
-def _first_failing_degree(labeled: LabeledComplex,
-                          acyclic) -> tuple[bool, Monomial | None]:
-    for m in labeled.ideal().lcm_lattice():
-        if not acyclic(labeled.divisor_subcomplex(m)):
-            return False, m
-    return True, None
-
-
 def supports_resolution(labeled: LabeledComplex,
                         field: FieldSpec = QQ) -> tuple[bool, Monomial | None]:
     """Whether the labeled complex supports a free resolution of its ideal.
@@ -120,27 +112,39 @@ def supports_resolution(labeled: LabeledComplex,
     monomial; only lcms of generator subsets need checking, because the
     divisor subcomplex of any monomial is reproduced by the lcm of the
     labels dividing it.  On failure returns the lexicographically smallest
-    failing degree under the ideal's variable order.  The loop over the
-    lcm lattice is shared with ``supports_resolution_tree``; only the
-    acyclicity test differs.
+    failing degree under the ideal's variable order.  Cost: one acyclicity
+    test per element of ``labeled.ideal().lcm_lattice()``.
     """
-    return _first_failing_degree(labeled, lambda k: is_acyclic(k, field))
+    for m in labeled.ideal().lcm_lattice():
+        if not is_acyclic(labeled.divisor_subcomplex(m), field):
+            return False, m
+    return True, None
 
 
 def supports_resolution_tree(labeled: LabeledComplex) -> tuple[bool, Monomial | None]:
-    """Support check specialized to forests: connectivity replaces acyclicity.
+    """Support check specialized to forests, over pair lcms only.
 
     Induced subcomplexes of a forest are forests, and a forest is acyclic
-    exactly when it is connected (or empty), so running the loop of
-    ``supports_resolution`` with ``is_connected`` as the test agrees with
-    it on every forest input, failing degree included.  Raises
+    exactly when it is connected (or empty).  If some Delta_{<=m} with m in
+    the lcm lattice separates vertices u and v, then so does its subcomplex
+    Delta_{<=lcm(m_u, m_v)}, and lcm(m_u, m_v) divides m, so it is
+    lexicographically no larger.  Testing connectivity at the distinct
+    pair lcms, in lexicographic order, therefore gives the answer and the
+    failing degree of ``supports_resolution`` on every forest, in at most
+    t(t-1)/2 checks and without building the lcm lattice.  Raises
     NotAForestError (with the leafless witness) otherwise, from the
     complex's kept forest decision.
     """
     forest, witness = labeled.complex.is_forest()
     if not forest:
         raise NotAForestError("tree criterion needs a forest", witness=witness)
-    return _first_failing_degree(labeled, SimplicialComplex.is_connected)
+    ideal = labeled.ideal()
+    gens = ideal.generators
+    pairs = {g.lcm(h) for i, g in enumerate(gens) for h in gens[i + 1:]}
+    for m in sorted(pairs, key=ideal.monomial_key):
+        if not labeled.divisor_subcomplex(m).is_connected():
+            return False, m
+    return True, None
 
 
 def is_minimal(labeled: LabeledComplex) -> tuple[bool, tuple[Face, Face] | None]:
@@ -308,32 +312,3 @@ def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
         level = grown
     complex_ = SimplicialComplex._from_maximal(maximal)
     return LabeledComplex(complex_, dict(zip(names, gens)), ideal.variables)
-
-
-class BettiFComparison(FrozenValue):
-    """Componentwise comparison of the Betti vector against the f-vector."""
-
-    __slots__ = ("betti", "f_vector", "bounded", "equal")
-
-    def __init__(self, betti: tuple[int, ...], f_vector: tuple[int, ...],
-                 bounded: tuple[bool, ...], equal: bool):
-        self._fill(betti, f_vector, bounded, equal)
-
-
-def compare_betti_f(labeled: LabeledComplex, field: FieldSpec = QQ) -> BettiFComparison:
-    """Check beta_i <= f_i for a supporting labeled complex.
-
-    Vectors are padded with zeros to a common length.  Raises
-    NotAResolutionError when the complex does not support a resolution.
-    """
-    ok, failing = supports_resolution(labeled, field)
-    if not ok:
-        raise NotAResolutionError("complex does not support a resolution",
-                                  failing_degree=failing)
-    betti = betti_table(labeled.ideal(), field).vector
-    fvec = labeled.complex.f_vector()
-    width = max(len(betti), len(fvec))
-    betti = betti + (0,) * (width - len(betti))
-    fvec = fvec + (0,) * (width - len(fvec))
-    bounded = tuple(b <= f for b, f in zip(betti, fvec))
-    return BettiFComparison(betti, fvec, bounded, betti == fvec)

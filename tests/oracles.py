@@ -6,7 +6,9 @@ lcm of every one of the 2^t generator subsets.  The library computes the
 same objects in time that scales with their output (see
 ``treescarf.resolution``); differential tests compare the two.  The Betti
 table is also computed a second way, from the order complexes of intervals
-in the lcm lattice, which shares no code with the first.  Plain Gaussian
+in the lcm lattice, which shares no code with the first.  The tree
+support criterion tests connectivity at every lcm-lattice element, where
+the library tests only the lcms of vertex pairs.  Plain Gaussian
 elimination over Fractions is the reference for the library's
 fraction-free rank, and Gauss-Jordan elimination mod p for its rank over
 GF(p).  The face set that answers every free-face question by
@@ -176,6 +178,17 @@ def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
     maximal = [f for f in kept if not any(f < g for g in kept)]
     complex_ = SimplicialComplex._from_maximal(maximal)
     return LabeledComplex(complex_, dict(zip(names, gens)), ideal.variables)
+
+
+def supports_resolution_tree(labeled: LabeledComplex) -> tuple[bool, Optional[Monomial]]:
+    """The tree criterion over the whole lcm lattice: the lexicographically
+    first m whose divisor subcomplex is disconnected, one connectivity test
+    per lattice element.  Reference for the library's pair-lcm test; the
+    input must be a forest."""
+    for m in labeled.ideal().lcm_lattice():
+        if not labeled.divisor_subcomplex(m).is_connected():
+            return False, m
+    return True, None
 
 
 def rank_fraction_gauss(matrix) -> int:

@@ -446,9 +446,16 @@ def test_malformed_file_is_an_operational_error(files, capsys):
 
 
 def test_missing_file_is_an_operational_error(files, capsys):
-    code, _, err = run(capsys, "check", str(files["tmp"] / "absent.json"))
-    assert code == 2
-    assert "absent.json" in json.loads(err)["message"]
+    # so is an --out path that cannot be written, such as a directory
+    absent = str(files["tmp"] / "absent.json")
+    for argv, path in ((["check", absent], absent),
+                       (["collapse", files["tail"], "--out", str(files["tmp"])],
+                        str(files["tmp"]))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "InputFileError"
+        assert error["message"].startswith(path + ": cannot ")
 
 
 def test_bad_field_flag(files, capsys):
@@ -530,7 +537,8 @@ def test_every_command_reports_or_raises_a_typed_error(data, complex_data):
         for path, content in ((complex_file, complex_data), (ideal_file, ideal_data)):
             with open(path, "w") as handle:
                 json.dump(content, handle)
-        out = os.path.join(tmp, "out.json")
+        # a directory as --out cannot be written
+        out = data.draw(st.sampled_from([os.path.join(tmp, "out.json"), tmp]))
         for argv in command_lines(data.draw, complex_file, ideal_file, vertices, out):
             stdout, stderr = StringIO(), StringIO()
             with redirect_stdout(stdout), redirect_stderr(stderr):
@@ -547,17 +555,16 @@ def test_every_command_reports_or_raises_a_typed_error(data, complex_data):
 
 
 PUBLIC_NAMES = [
-    "BettiFComparison", "BettiTable", "ChainComplex", "CollapseSequence",
-    "CollapseStep", "Face", "FaceVariableRing", "FieldSpec", "HomologyRanks",
-    "LabeledComplex", "Monomial", "MonomialIdeal", "QQ", "ScarfComparison",
-    "SimplicialComplex", "UNIT", "betti_table", "build_J", "build_Jprime",
-    "build_intermediate", "compare_betti_f", "elementary_collapse", "face_key",
-    "face_sorted", "face_variable_ring", "format_monomial", "free_pairs",
-    "greedy_collapse", "is_acyclic", "is_boundary_of_simplex", "is_minimal",
-    "lcm", "m_double_prime", "minimalize", "parse_monomial", "random_h", "rank",
-    "reduced_homology_ranks", "scarf_complex", "supports_resolution",
-    "supports_resolution_tree", "taylor_complex", "tree_collapse_certificate",
-    "verify_scarf", "verify_sequence", "vertex_key",
+    "BettiTable", "ChainComplex", "CollapseSequence", "CollapseStep", "Face",
+    "FaceVariableRing", "FieldSpec", "HomologyRanks", "LabeledComplex", "Monomial",
+    "MonomialIdeal", "QQ", "ScarfComparison", "SimplicialComplex", "UNIT",
+    "betti_table", "build_J", "build_Jprime", "build_intermediate",
+    "elementary_collapse", "face_key", "face_sorted", "face_variable_ring",
+    "format_monomial", "free_pairs", "greedy_collapse", "is_acyclic",
+    "is_boundary_of_simplex", "is_minimal", "lcm", "m_double_prime", "minimalize",
+    "parse_monomial", "random_h", "rank", "reduced_homology_ranks", "scarf_complex",
+    "supports_resolution", "supports_resolution_tree", "taylor_complex",
+    "tree_collapse_certificate", "verify_scarf", "verify_sequence", "vertex_key",
 ]
 
 

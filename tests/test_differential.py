@@ -1,4 +1,5 @@
-"""Scarf complexes and Betti tables against the 2^t definitions in oracles.py.
+"""Scarf complexes and Betti tables against the 2^t definitions in oracles.py,
+and the pair-lcm tree criterion against the lcm-lattice loop.
 
 Facets, labels, Betti vectors and the multigraded columns (in order) must
 agree exactly, over the rationals and over GF(2), GF(3) and GF(5).
@@ -12,9 +13,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from treescarf import (MonomialIdeal, ScarfComparison, betti_table,
-                       build_intermediate, build_J, build_Jprime, parse_monomial,
-                       random_h, scarf_complex, verify_scarf)
+from treescarf import (LabeledComplex, MonomialIdeal, ScarfComparison,
+                       betti_table, build_intermediate, build_J, build_Jprime,
+                       parse_monomial, random_h, scarf_complex,
+                       supports_resolution, supports_resolution_tree,
+                       verify_scarf)
 from treescarf import resolution
 from treescarf.complexes import SimplicialComplex
 from treescarf.errors import BoundaryOfSimplexError, DegenerateVertexFacetError
@@ -210,3 +213,47 @@ def test_edge_case_answers():
     assert table.vector == (1,) and table.by_degree == {single: (1,)}
     coprime = MonomialIdeal(("x", "y", "z", "u"), [parse_monomial(v) for v in "xyzu"])
     assert betti_table(coprime).vector == tuple(comb(4, i + 1) for i in range(4))
+
+
+# -- the tree criterion: pair lcms against the whole lcm lattice -----------------
+
+@st.composite
+def labeled_forests(draw):
+    """Disjoint unions of one to three random trees on at most 8 vertices,
+    labeled by a random antichain or by the generators of J' in a random
+    order."""
+    rng = draw(st.randoms(use_true_random=True))
+    k = draw(st.sampled_from((1, 1, 2, 3)))
+    facets, offset = [], 0
+    for _ in range(k):
+        tree = random_tree(rng, max_facets=4, max_vertices=8 // k)
+        facets.extend({str(int(v) + offset) for v in f} for f in tree.facets)
+        offset += len(tree.vertices)
+    forest = SimplicialComplex(facets)
+    vertices = forest.vertices
+    if draw(st.booleans()):
+        try:
+            ideal = build_Jprime(forest)
+        except (BoundaryOfSimplexError, DegenerateVertexFacetError):
+            pass
+        else:
+            order = draw(st.permutations(ideal.generators))
+            return LabeledComplex(forest, dict(zip(vertices, order)), ideal.variables)
+    labels = random_label_antichain(rng, len(vertices))
+    return LabeledComplex(forest, dict(zip(vertices, labels)))
+
+
+def test_tree_criterion_matches_the_lattice_loop_and_the_general_criterion():
+    seen = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(labeled_forests())
+    def check(labeled):
+        answer = supports_resolution_tree(labeled)
+        assert answer == oracles.supports_resolution_tree(labeled)
+        assert answer == supports_resolution(labeled)
+        seen.add((labeled.complex.is_connected(), answer[0]))
+
+    check()
+    # both answers on trees; a disconnected forest never supports
+    assert seen == {(True, True), (True, False), (False, False)}

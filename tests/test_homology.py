@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treescarf import (QQ, BettiFComparison, BettiTable, ChainComplex,
-                       CollapseSequence, CollapseStep, FaceVariableRing,
-                       FieldSpec, HomologyRanks, SimplicialComplex,
-                       is_acyclic, parse_monomial, rank,
-                       reduced_homology_ranks, tree_collapse_certificate)
+from treescarf import (QQ, BettiTable, ChainComplex, CollapseSequence,
+                       CollapseStep, FaceVariableRing, FieldSpec,
+                       HomologyRanks, SimplicialComplex, is_acyclic,
+                       parse_monomial, rank, reduced_homology_ranks,
+                       tree_collapse_certificate)
 from treescarf.homology import (_is_prime, chain_complex_from_faces,
                                 reduced_ranks_from_faces)
 
@@ -306,10 +306,6 @@ VALUE_CASES = [
     (BettiTable, ("by_degree", "vector"),
      ({parse_monomial("x"): (1,)}, (1,)), ({}, ()),
      "BettiTable(by_degree={Monomial('x'): (1,)}, vector=(1,))"),
-    (BettiFComparison, ("betti", "f_vector", "bounded", "equal"),
-     ((1, 1), (1, 1), (True, True), True), ((1,), (1, 1), (True, True), False),
-     "BettiFComparison(betti=(1, 1), f_vector=(1, 1), bounded=(True, True), "
-     "equal=True)"),
     (FaceVariableRing, ("complex", "variables", "of_face"),
      (SimplicialComplex([{"1"}]), ("x_1",), {frozenset({"1"}): "x_1"}),
      (SimplicialComplex([{"1"}]), ("x_2",), {frozenset({"1"}): "x_2"}),
