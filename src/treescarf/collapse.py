@@ -157,10 +157,12 @@ def _simplex_steps(start: Face, goal: Face) -> Iterator[CollapseStep]:
 def tree_collapse_certificate(complex_: SimplicialComplex) -> CollapseSequence:
     """A verified collapse of a simplicial tree down to a single point.
 
-    Repeatedly takes the first leaf F with joint G, schedules the collapse
-    of the simplex on F onto F & G (valid in the whole complex: each face
-    it removes sticks out of every other facet), and continues on the
-    complex without F.  The joined schedules are replayed once, against
+    Prunes the tree leaf by leaf, in the order the forest code gives:
+    each leaf F is the first in facet order of the facets still left, and
+    G is its first joint.  For each, schedules the collapse of the simplex
+    on F onto F & G (valid in the whole complex: each face it removes
+    sticks out of every other facet left), then collapses the last facet
+    to its first vertex.  The joined schedules are replayed once, against
     the whole complex.  The sequence length is (#faces - 1) / 2.
 
     Raises NotATreeError with the evidence when the input is empty,
@@ -176,20 +178,13 @@ def tree_collapse_certificate(complex_: SimplicialComplex) -> CollapseSequence:
         raise NotATreeError("complex has a leafless subcollection",
                             witness=witness)
     steps: list[CollapseStep] = []
-    cur = complex_
-    while len(cur.facets) > 1:
-        for f in cur.facets:
-            leaf, joint = cur.is_leaf(f)
-            if leaf:
-                break
-        steps.extend(_simplex_steps(f, f & joint))
-        cur = cur.remove_facet(f)
-    last = cur.facets[0]
+    *pruned, (last, _) = complex_._leaf_order()
+    for leaf, joint in pruned:
+        steps.extend(_simplex_steps(leaf, leaf & joint))
+    point = min(last, key=vertex_key)
     if len(last) > 1:
-        point = min(last, key=vertex_key)
         steps.extend(_simplex_steps(last, frozenset({point})))
-        cur = SimplicialComplex([{point}])
-    sequence = CollapseSequence(tuple(steps), cur)
+    sequence = CollapseSequence(tuple(steps), SimplicialComplex([{point}]))
     ok, bad = verify_sequence(complex_, sequence)
     if not ok:
         raise AssertionError(f"tree collapse certificate failed at step {bad}")

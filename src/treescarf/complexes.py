@@ -9,8 +9,9 @@ computed once per instance and kept; the write is idempotent and stores
 an immutable value, so instances stay safe to share between threads.
 
 The complex with no facets (the *empty complex*) is a legal value: it is
-produced by facet removal and induced subcomplexes, and is connected and a
-forest by convention.  It is not a legal constructor input.
+produced by ``SimplicialComplex.empty()`` and by induced subcomplexes, and
+is connected and a forest by convention.  It is not a legal constructor
+input.
 """
 
 from __future__ import annotations
@@ -18,14 +19,15 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable
 
-from .errors import EmptyFaceError, EmptyInputError, NotAFacetError
+from .errors import EmptyFaceError, EmptyInputError
 
 Vertex = str
 Face = frozenset
 
 
 def vertex_key(name: Vertex) -> tuple[int, str]:
-    """Sort key for vertex names: length first, then lexicographic.
+    """Sort key for vertex and variable names: length first, then
+    lexicographic.
 
     Keeps numeral names in natural order ("2" before "10").
     """
@@ -148,18 +150,6 @@ class SimplicialComplex:
 
     # -- structural operations ------------------------------------------------
 
-    def _require_facet(self, vertices: Iterable[Vertex]) -> Face:
-        face = frozenset(vertices)
-        if face not in self._facets:
-            raise NotAFacetError(f"{sorted(face)} is not a facet")
-        return face
-
-    def remove_facet(self, facet: Iterable[Vertex]) -> "SimplicialComplex":
-        """The complex generated by the remaining facets (possibly empty)."""
-        face = self._require_facet(facet)
-        return SimplicialComplex._from_maximal(
-            g for g in self._facets if g != face)
-
     def induced(self, names: Iterable[Vertex]) -> "SimplicialComplex":
         """Induced subcomplex on a vertex subset: all faces inside it.
 
@@ -172,30 +162,6 @@ class SimplicialComplex:
         return SimplicialComplex._from_maximal(maximal)
 
     # -- leaves, trees, forests ------------------------------------------------
-
-    def is_leaf(self, facet: Iterable[Vertex]) -> tuple[bool, Face | None]:
-        """Whether a facet is a leaf, and a joint witnessing it.
-
-        A facet F is a leaf when it is the only facet, or when some other
-        facet G contains the whole intersection of F with the rest of the
-        complex.  The joint returned is the first eligible facet in the
-        canonical facet order (no joint for a lone facet).
-        """
-        face = self._require_facet(facet)
-        others = [g for g in self._facets if g != face]
-        if not others:
-            return True, None
-        boundary = frozenset().union(*(face & g for g in others))
-        for g in others:
-            if boundary <= g:
-                return True, g
-        return False, None
-
-    def free_vertices(self, facet: Iterable[Vertex]) -> frozenset:
-        """Vertices of the facet that belong to no other facet."""
-        face = self._require_facet(facet)
-        others = [g for g in self._facets if g != face]
-        return face - frozenset().union(frozenset(), *others)
 
     def is_connected(self) -> bool:
         """Connectivity of the 1-skeleton.
@@ -223,7 +189,7 @@ class SimplicialComplex:
         search is exhaustive over all 2^q - 1 facet subsets, by increasing
         size, so the witness has minimal size.  It runs once per instance:
         the answer is kept, and as the complex is immutable every writer
-        stores the same value.  ``remove_facet`` and ``induced`` return new
+        stores the same value.  ``induced`` and the constructor return new
         complexes, which decide afresh.
         """
         if self._forest is None:
@@ -232,16 +198,34 @@ class SimplicialComplex:
         return self._forest
 
     def _leafless_subcollection(self) -> tuple[Face, ...] | None:
-        # facets as bit masks; Python ints keep this exact for any vertex count
         q = len(self._facets)
-        index = {v: i for i, v in enumerate(self._vertices)}
-        masks = [sum(1 << index[v] for v in f) for f in self._facets]
-        inter = [[m & n for n in masks] for m in masks]
+        masks, inter = self._bitmasks()
         for size in range(1, q + 1):
             for combo in itertools.combinations(range(q), size):
-                if not _has_leaf(masks, inter, combo):
+                if _first_leaf(masks, inter, combo) is None:
                     return tuple(self._facets[i] for i in combo)
         return None
+
+    def _leaf_order(self) -> list[tuple[Face, Face | None]]:
+        # (leaf, joint) pairs pruning a forest down to nothing: each leaf is
+        # the first in facet order of the facets still left, and only the
+        # last, lone facet has no joint
+        masks, inter = self._bitmasks()
+        left = list(range(len(self._facets)))
+        order = []
+        while left:
+            leaf, joint = _first_leaf(masks, inter, left)
+            order.append((self._facets[leaf],
+                          None if joint is None else self._facets[joint]))
+            left.remove(leaf)
+        return order
+
+    def _bitmasks(self) -> tuple[list[int], list[list[int]]]:
+        # facets as bit masks, and their pairwise intersections; Python ints
+        # keep this exact for any vertex count
+        index = {v: i for i, v in enumerate(self._vertices)}
+        masks = [sum(1 << index[v] for v in f) for f in self._facets]
+        return masks, [[m & n for n in masks] for m in masks]
 
     def is_tree(self) -> bool:
         """Connected and a forest."""
@@ -262,10 +246,13 @@ class SimplicialComplex:
         return f"SimplicialComplex<{inside}>"
 
 
-def _has_leaf(masks, inter, combo) -> bool:
-    # leaf test on the subcollection `combo` (indices into masks)
+def _first_leaf(masks, inter, combo) -> tuple[int, int | None] | None:
+    # The first leaf of the subcollection `combo` (ascending indices into
+    # masks) and its first joint: a facet F is a leaf when F is alone, or
+    # when some other facet G, its joint, contains every intersection of F
+    # with the rest.  None when the subcollection is leafless.
     if len(combo) == 1:
-        return True
+        return combo[0], None
     for i in combo:
         row = inter[i]
         union = 0
@@ -274,5 +261,5 @@ def _has_leaf(masks, inter, combo) -> bool:
                 union |= row[h]
         for j in combo:
             if j != i and union & ~masks[j] == 0:
-                return True
-    return False
+                return i, j
+    return None

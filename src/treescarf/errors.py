@@ -19,10 +19,6 @@ class EmptyFaceError(TreescarfError):
     """A candidate facet was the empty set."""
 
 
-class NotAFacetError(TreescarfError):
-    """The given face is not a facet of the complex."""
-
-
 class NotAFaceError(TreescarfError):
     """The given set is not a face of the complex."""
 

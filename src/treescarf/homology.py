@@ -49,13 +49,15 @@ def _is_prime(p: int) -> bool:
 class FieldSpec(FrozenValue):
     """Coefficient field: characteristic 0 (rationals) or a prime p.
 
-    Primes are certified exactly, so p must lie below 3.3 * 10^24.
+    Primes are certified exactly, so p must lie below 3.3 * 10^24.  A
+    characteristic that ``operator.index`` refuses, such as a float,
+    raises TypeError.
     """
 
     __slots__ = ("characteristic",)
 
     def __init__(self, characteristic: int = 0):
-        c = characteristic
+        c = index(characteristic)
         if c >= _MR_LIMIT:
             raise ValueError(f"characteristic must be below {_MR_LIMIT}, got {c}")
         if c != 0 and not _is_prime(c):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Mapping
 
+from .complexes import vertex_key
 from .errors import EmptyListError, MonomialParseError
 
 
@@ -189,7 +190,7 @@ def format_monomial(m: Monomial, variables: Iterable[str] | None = None) -> str:
     order = []
     if variables is not None:
         order = [v for v in variables if v in present]
-    order += sorted(present - set(order), key=lambda v: (len(v), v))
+    order += sorted(present - set(order), key=vertex_key)
     parts = []
     for v in order:
         e = m.exponent(v)

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 
 from ._frozen import FrozenValue
-from .complexes import Face, SimplicialComplex, face_sorted
+from .complexes import Face, SimplicialComplex, face_sorted, vertex_key
 from .errors import NotAFaceError, NotAForestError
 from .homology import QQ, FieldSpec, is_acyclic, reduced_ranks_from_faces
 from .monomials import Monomial, MonomialIdeal, lcm
@@ -55,7 +55,7 @@ class LabeledComplex:
             seen = set()
             for m in self._labels.values():
                 seen.update(m.variables)
-            variables = sorted(seen, key=lambda v: (len(v), v))
+            variables = sorted(seen, key=vertex_key)
         self._variables = tuple(variables)
         self._ideal = MonomialIdeal(
             self._variables,
@@ -254,17 +254,14 @@ def betti_table(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTable:
             # would leave maximal empty), so no dual set is empty.
             maximal = [frozenset(j for j, a in enumerate(maximal) if i in a)
                        for i in range(len(below))]
-        ranks = reduced_ranks_from_faces(_nerve(maximal), field)
-        column = []
-        for i in range(len(ranks.ranks)):
-            r = ranks.rank(i - 1)
-            column.append(r)
+        column = reduced_ranks_from_faces(_nerve(maximal), field).ranks
+        for i, r in enumerate(column):
             if r:
                 while len(vector) <= i:
                     vector.append(0)
                 vector[i] += r
-        if any(column):
-            by_degree[m] = tuple(column)
+        if column:
+            by_degree[m] = column
     if not vector:
         vector = [t]  # only for the unit ideal, whose quotient is zero
     elif vector[0] != t:

@@ -37,6 +37,19 @@ def random_tree(rng: Random, max_facets: int = 8, max_vertices: int = 10) -> Sim
             return candidate
 
 
+def random_forest(rng: Random, parts: int, max_facets: int = 4,
+                  max_vertices: int = 8) -> SimplicialComplex:
+    """A disjoint union of ``parts`` random trees on at most max_vertices
+    vertices in all."""
+    facets, offset = [], 0
+    for _ in range(parts):
+        tree = random_tree(rng, max_facets=max_facets,
+                           max_vertices=max_vertices // parts)
+        facets.extend({str(int(v) + offset) for v in f} for f in tree.facets)
+        offset += len(tree.vertices)
+    return SimplicialComplex(facets)
+
+
 def random_complex(rng: Random, max_vertices: int = 5) -> SimplicialComplex:
     """A random complex on at most max_vertices vertices."""
     n = rng.randint(1, max_vertices)

@@ -18,7 +18,9 @@ division and the Lucas test (which certifies a prime from the factorisation
 of p - 1) are the references for the Miller-Rabin test behind ``FieldSpec``.
 The Scarf ideals built by monomial products, radicals and exact quotients
 are the references for ``treescarf.scarf_ideals``, which builds each
-squarefree generator as a set of faces.
+squarefree generator as a set of faces.  The frozenset leaf test, and the
+loop that prunes a forest with it one complex at a time, are the
+references for the bitmask leaf test and the leaf order of the forest code.
 """
 
 from fractions import Fraction
@@ -318,6 +320,49 @@ class FaceSet:
         maximal = [f for f in self.faces
                    if not any(f | {v} in self.faces for v in self.universe - f)]
         return SimplicialComplex._from_maximal(map(frozenset, maximal))
+
+
+def is_leaf(complex_: SimplicialComplex, facet) -> tuple[bool, Optional[Face]]:
+    """Whether a facet is a leaf, and a joint witnessing it.
+
+    A facet F is a leaf when it is the only facet, or when some other
+    facet G contains the whole intersection of F with the rest of the
+    complex.  The joint returned is the first eligible facet in the
+    canonical facet order (no joint for a lone facet).
+    """
+    face = frozenset(facet)
+    if face not in complex_.facets:
+        raise ValueError(f"{sorted(face)} is not a facet")
+    others = [g for g in complex_.facets if g != face]
+    if not others:
+        return True, None
+    boundary = frozenset().union(*(face & g for g in others))
+    for g in others:
+        if boundary <= g:
+            return True, g
+    return False, None
+
+
+def first_leaf(complex_: SimplicialComplex) -> Optional[tuple[Face, Optional[Face]]]:
+    """The first facet that ``is_leaf`` accepts, with its joint; None when
+    the complex is leafless."""
+    for f in complex_.facets:
+        leaf, joint = is_leaf(complex_, f)
+        if leaf:
+            return f, joint
+    return None
+
+
+def leaf_order(forest: SimplicialComplex) -> list[tuple[Face, Optional[Face]]]:
+    """Prune a forest: take its first leaf, record the joint, drop the leaf
+    and start again on the complex of the facets left."""
+    order = []
+    facets = list(forest.facets)
+    while facets:
+        leaf, joint = first_leaf(SimplicialComplex(facets))
+        order.append((leaf, joint))
+        facets.remove(leaf)
+    return order
 
 
 def greedy_collapse(complex_: SimplicialComplex) -> tuple[CollapseSequence, SimplicialComplex]:

@@ -567,13 +567,22 @@ PUBLIC_NAMES = [
     "tree_collapse_certificate", "verify_scarf", "verify_sequence", "vertex_key",
 ]
 
+COMPLEX_METHODS = [
+    "dimension", "empty", "euler_characteristic", "f_vector", "faces", "facets",
+    "has_face", "induced", "is_connected", "is_empty", "is_forest", "is_tree",
+    "vertices",
+]
+
 
 def test_public_names_are_pinned():
-    # a name added to or dropped from the package is a contract change
+    # a name added to or dropped from the package, or from the public
+    # methods of SimplicialComplex, is a contract change
     assert sorted(treescarf.__all__) == PUBLIC_NAMES
     namespace = {}
     exec("from treescarf import *", namespace)
     assert set(PUBLIC_NAMES) <= set(namespace)
+    assert sorted(name for name in dir(SimplicialComplex)
+                  if not name.startswith("_")) == COMPLEX_METHODS
 
 
 def test_cli_import_loads_neither_dataclasses_nor_fractions():

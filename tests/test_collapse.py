@@ -167,6 +167,22 @@ def test_edge_triangle_certificate():
     assert verify_sequence(EDGE_TRIANGLE, seq) == (True, None)
 
 
+def test_triangles_with_tail_certificate_is_pinned():
+    # leaf order: the tail {4,5} onto {4}, then {1,2,3} onto {2,3}, then the
+    # last triangle {2,3,4} onto its first vertex
+    c = SimplicialComplex([{"1", "2", "3"}, {"2", "3", "4"}, {"4", "5"}])
+    expected = [({"5"}, {"4", "5"}),
+                ({"1", "3"}, {"1", "2", "3"}),
+                ({"1"}, {"1", "2"}),
+                ({"3", "4"}, {"2", "3", "4"}),
+                ({"4"}, {"2", "4"}),
+                ({"3"}, {"2", "3"})]
+    seq = tree_collapse_certificate(c)
+    assert seq.steps == tuple(CollapseStep(frozenset(free), frozenset(coface))
+                              for free, coface in expected)
+    assert seq.terminal == SimplicialComplex([{"2"}])
+
+
 def test_non_trees_are_rejected_with_evidence():
     with pytest.raises(NotATreeError) as err:
         tree_collapse_certificate(TRIANGLE_BOUNDARY)

@@ -1,14 +1,21 @@
-"""Core complex behavior: construction, faces, leaves, trees, induced parts."""
+"""Core complex behavior: construction, faces, leaves, trees, induced parts.
+
+Leaves are checked against the frozenset leaf test in oracles.py.
+"""
 
 import itertools
 from random import Random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from treescarf import SimplicialComplex
-from treescarf.errors import EmptyFaceError, EmptyInputError, NotAFacetError
+from treescarf.complexes import _first_leaf
+from treescarf.errors import EmptyFaceError, EmptyInputError
 
-from generators import random_tree
+import oracles
+from generators import random_forest, random_tree
 
 EDGE_TRIANGLE = [{"1", "2"}, {"2", "3", "4"}]
 DIAMOND = [{"1", "2", "4"}, {"2", "3", "4"}]
@@ -90,28 +97,30 @@ def test_f_vector_totals_match_face_count():
         assert sum(c.f_vector()) == len(c.faces())
 
 
-# -- facet removal ------------------------------------------------------------
+# -- subcollections ------------------------------------------------------------
 
 def test_remove_facet():
+    # a subcollection is the constructor applied to the facets kept
     c = SimplicialComplex([{"1", "2"}, {"2", "3"}])
-    assert c.remove_facet({"1", "2"}) == SimplicialComplex([{"2", "3"}])
+    rest = SimplicialComplex([g for g in c.facets if g != {"1", "2"}])
+    assert rest == SimplicialComplex([{"2", "3"}])
 
 
 def test_remove_facet_tail():
     c = SimplicialComplex(TRIANGLES_WITH_TAIL)
-    assert c.remove_facet({"4", "5"}) == SimplicialComplex(
+    tail = frozenset({"4", "5"})
+    assert oracles.is_leaf(c, tail) == (True, frozenset({"2", "3", "4"}))
+    assert SimplicialComplex([g for g in c.facets if g != tail]) == SimplicialComplex(
         [{"1", "2", "3"}, {"2", "3", "4"}])
 
 
 def test_remove_last_facet_leaves_the_empty_complex():
+    # the constructor refuses no facets; the empty complex is a named value
     c = SimplicialComplex([{"1", "2"}])
-    assert c.remove_facet({"1", "2"}).is_empty()
-
-
-def test_remove_non_facet_rejected():
-    c = SimplicialComplex([{"1", "2"}])
-    with pytest.raises(NotAFacetError):
-        c.remove_facet({"1"})
+    with pytest.raises(EmptyInputError):
+        SimplicialComplex([g for g in c.facets if g != {"1", "2"}])
+    e = SimplicialComplex.empty()
+    assert e.is_forest() == (True, None) and e._leaf_order() == []
 
 
 # -- induced subcomplexes ----------------------------------------------------
@@ -148,17 +157,33 @@ def test_induced_ignores_unknown_names_and_is_idempotent():
     assert sub.induced(x) == sub
 
 
-# -- leaves and free vertices --------------------------------------------------
+# -- leaves: the oracle and the forest code's leaf order ------------------------
+
+def first_leaf_of(c, combo):
+    # the bitmask leaf test on a subcollection, as facets
+    masks, inter = c._bitmasks()
+    found = _first_leaf(masks, inter, combo)
+    if found is None:
+        return None
+    leaf, joint = found
+    return c.facets[leaf], None if joint is None else c.facets[joint]
+
 
 def test_lone_facet_is_a_leaf_without_joint():
     c = SimplicialComplex([{"1", "2"}])
-    assert c.is_leaf({"1", "2"}) == (True, None)
+    assert oracles.is_leaf(c, {"1", "2"}) == (True, None)
+    assert c._leaf_order() == [(frozenset({"1", "2"}), None)]
 
 
 def test_leaf_with_joint():
     c = SimplicialComplex(TRIANGLES_WITH_TAIL)
-    leaf, joint = c.is_leaf({"1", "2", "3"})
+    leaf, joint = oracles.is_leaf(c, {"1", "2", "3"})
     assert leaf and joint == frozenset({"2", "3", "4"})
+    # {4,5} comes first in facet order, so the leaf order prunes it first
+    assert c._leaf_order() == [
+        (frozenset({"4", "5"}), frozenset({"2", "3", "4"})),
+        (frozenset({"1", "2", "3"}), frozenset({"2", "3", "4"})),
+        (frozenset({"2", "3", "4"}), None)]
 
 
 def test_leaf_matches_direct_definition_on_random_trees():
@@ -171,44 +196,51 @@ def test_leaf_matches_direct_definition_on_random_trees():
             others = [g for g in c.facets if g != f]
             expected = not others or any(
                 all(f & h <= g for h in others) for g in others)
-            assert c.is_leaf(f)[0] == expected
+            assert oracles.is_leaf(c, f)[0] == expected
 
 
 def test_triangle_boundary_edge_is_not_a_leaf():
     c = SimplicialComplex(TRIANGLE_BOUNDARY)
-    assert c.is_leaf({"1", "2"}) == (False, None)
-
-
-def test_not_a_facet_rejected_by_leaf_and_free_vertices():
-    c = SimplicialComplex(TRIANGLES_WITH_TAIL)
-    with pytest.raises(NotAFacetError):
-        c.is_leaf({"2", "3"})
-    with pytest.raises(NotAFacetError):
-        c.free_vertices({"1"})
-
-
-def test_free_vertices():
-    c = SimplicialComplex(TRIANGLES_WITH_TAIL)
-    assert c.free_vertices({"1", "2", "3"}) == {"1"}
-    assert c.free_vertices({"2", "3", "4"}) == frozenset()
-    lone = SimplicialComplex([{"1", "2"}])
-    assert lone.free_vertices({"1", "2"}) == {"1", "2"}
+    assert oracles.is_leaf(c, {"1", "2"}) == (False, None)
+    assert first_leaf_of(c, (0, 1, 2)) is None
 
 
 def test_leaves_have_free_vertices_on_random_trees():
+    # the joint holds the leaf's boundary, so the rest of the leaf is free
     rng = Random(5)
     for _ in range(30):
         c = random_tree(rng, max_facets=6, max_vertices=9)
         for f in c.facets:
-            if c.is_leaf(f)[0]:
-                assert c.free_vertices(f)
+            if oracles.is_leaf(c, f)[0]:
+                assert f - frozenset().union(*(g for g in c.facets if g != f))
 
 
 def test_joint_tie_break_picks_first_facet():
     # both other facets contain the leaf's boundary {1,2}; the earlier wins
     c = SimplicialComplex([{"0", "1", "2"}, {"1", "2", "3"}, {"1", "2", "4"}])
-    leaf, joint = c.is_leaf({"0", "1", "2"})
+    leaf, joint = oracles.is_leaf(c, {"0", "1", "2"})
     assert leaf and joint == frozenset({"1", "2", "3"})
+    assert c._leaf_order()[0] == (frozenset({"0", "1", "2"}), joint)
+
+
+@settings(max_examples=200)
+@given(st.randoms(use_true_random=True), st.sampled_from((1, 1, 2, 3)))
+def test_leaf_order_matches_the_oracle_loop(rng, parts):
+    forest = random_forest(rng, parts, max_facets=6, max_vertices=12)
+    assert forest._leaf_order() == oracles.leaf_order(forest)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.sets(st.sampled_from("123456"), min_size=2, max_size=3),
+                min_size=3, max_size=7))
+def test_first_leaf_matches_the_oracle_scan_on_non_forests(candidates):
+    c = SimplicialComplex(candidates)
+    assume(not c.is_forest()[0])
+    q = len(c.facets)
+    for r in range(1, q + 1):
+        for combo in itertools.combinations(range(q), r):
+            sub = SimplicialComplex(c.facets[i] for i in combo)
+            assert first_leaf_of(c, combo) == oracles.first_leaf(sub)
 
 
 # -- connectivity, forests, trees -----------------------------------------------
@@ -230,7 +262,8 @@ def test_forest_answer_belongs_to_the_instance():
     cycle = SimplicialComplex(TRIANGLE_BOUNDARY)
     assert not cycle.is_forest()[0]
     for edge in TRIANGLE_BOUNDARY:
-        assert cycle.remove_facet(edge).is_forest() == (True, None)
+        path = SimplicialComplex([g for g in TRIANGLE_BOUNDARY if g != edge])
+        assert path.is_forest() == (True, None)
     assert cycle.is_forest() is cycle.is_forest()
     assert not cycle.is_forest()[0]
 
@@ -283,5 +316,6 @@ def test_removing_a_leaf_from_a_tree_leaves_a_forest():
         if len(c.facets) < 2:
             continue
         for f in c.facets:
-            if c.is_leaf(f)[0]:
-                assert c.remove_facet(f).is_forest()[0]
+            if oracles.is_leaf(c, f)[0]:
+                rest = SimplicialComplex([g for g in c.facets if g != f])
+                assert rest.is_forest()[0]

@@ -25,7 +25,7 @@ from treescarf.homology import QQ, FieldSpec
 from treescarf.monomials import UNIT, Monomial, minimalize
 
 import oracles
-from generators import RING_VARS, random_label_antichain, random_tree
+from generators import RING_VARS, random_forest, random_label_antichain, random_tree
 
 FIELDS = (QQ, FieldSpec(2), FieldSpec(3), FieldSpec(5))
 fields = st.sampled_from(FIELDS)
@@ -223,13 +223,7 @@ def labeled_forests(draw):
     labeled by a random antichain or by the generators of J' in a random
     order."""
     rng = draw(st.randoms(use_true_random=True))
-    k = draw(st.sampled_from((1, 1, 2, 3)))
-    facets, offset = [], 0
-    for _ in range(k):
-        tree = random_tree(rng, max_facets=4, max_vertices=8 // k)
-        facets.extend({str(int(v) + offset) for v in f} for f in tree.facets)
-        offset += len(tree.vertices)
-    forest = SimplicialComplex(facets)
+    forest = random_forest(rng, draw(st.sampled_from((1, 1, 2, 3))))
     vertices = forest.vertices
     if draw(st.booleans()):
         try:

@@ -40,6 +40,15 @@ def test_field_spec_accepts_zero_and_primes():
         FieldSpec(1)
 
 
+def test_field_spec_takes_ints_only():
+    # a float characteristic used to pass and then break rank mod p in pow
+    for bad in (2.0, 0.0, "2", None):
+        with pytest.raises(TypeError):
+            FieldSpec(bad)
+    assert FieldSpec(2).characteristic == 2
+    assert rank([[1, 1], [1, 1]], FieldSpec(2)) == 1
+
+
 CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341,
               41041, 46657, 52633, 62745, 63973, 75361, 101101, 115921,
               126217, 162401, 825265, 321197185)
