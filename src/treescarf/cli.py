@@ -19,8 +19,9 @@ from .complexes import face_sorted
 from .errors import ArityMismatchError, InputFileError, TreescarfError
 from .homology import FieldSpec
 from .monomials import format_monomial
-from .resolution import (LabeledComplex, betti_table, is_minimal, scarf_complex,
-                         supports_resolution, supports_resolution_tree)
+from .resolution import (LabeledComplex, _lattice_betti_table, betti_table,
+                         is_minimal, scarf_complex, supports_resolution,
+                         supports_resolution_tree)
 from .scarf_ideals import (build_intermediate, build_J, build_Jprime, random_h,
                            verify_scarf)
 
@@ -88,11 +89,16 @@ def cmd_supports(args) -> dict:
         supports, failing = supports_resolution(labeled, field)
         diagnostics.append("general criterion used (complex is not a forest)")
     minimal, _ = is_minimal(labeled)
+    betti = betti_table(ideal, field)
+    if args.verify:
+        if _lattice_betti_table(ideal, field) != betti:
+            raise AssertionError("Betti table disagrees with the lcm-lattice walk")
+        diagnostics.append("Betti table cross-checked against the lcm-lattice walk")
     result = {
         "supports": supports,
         "minimal": minimal,
         "failing_degree": None if failing is None else ideal.format(failing),
-        "betti": list(betti_table(ideal, field).vector),
+        "betti": list(betti.vector),
         "f_vector": list(complex_.f_vector()),
     }
     return {"inputs": {"complex": io.complex_to_data(complex_),
@@ -211,8 +217,10 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="coefficient field characteristic (0 or a prime)")
     supports.add_argument("--labels", default=None,
                           help="comma-separated vertex order for the generators")
-    supports.add_argument("--verify", action="store_true",
-                          help="cross-check the tree criterion against the general one")
+    supports.add_argument(
+        "--verify", action="store_true",
+        help="cross-check the tree criterion against the general one, and the "
+             "Betti table against the lcm-lattice walk")
 
     scarf = sub.add_parser("scarf", help="Scarf complex of an ideal")
     scarf.add_argument("ideal_file")

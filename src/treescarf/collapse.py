@@ -194,19 +194,40 @@ def tree_collapse_certificate(complex_: SimplicialComplex) -> CollapseSequence:
 def greedy_collapse(complex_: SimplicialComplex) -> tuple[CollapseSequence, SimplicialComplex]:
     """Apply the first free pair until none remain; heuristic only.
 
-    Steps are taken in lexicographic face order, so the residual is
-    reproducible.  A residual bigger than a point proves nothing about
-    non-collapsibility.
+    Steps are taken in lexicographic face order (``_step_key``), so the
+    residual is reproducible.  A residual bigger than a point proves
+    nothing about non-collapsibility.
+
+    The free pairs wait in a heap.  A step changes the coface sets only of
+    the codimension-1 faces of its two removed faces, so only those can
+    become free, and only they are pushed; a popped pair that is no longer
+    free never becomes free again (coface sets only shrink), so it is
+    dropped.  Cost: one scan and sort of the coface table, then per step at
+    most 2d heap pushes of O(d log d + log P) each, for facets of at most
+    d vertices and at most P pairs in the heap; the rescanning loop that
+    sorted the whole table per step is the reference in
+    ``tests/oracles.py``.
     """
+    from heapq import heappop, heappush  # only this heuristic needs a heap
+
     fs = _FaceSet(complex_)
+    cofaces = fs.cofaces
+    # free_pairs() comes sorted by _step_key, so this is already a heap
+    heap = [(_step_key(pair), pair) for pair in fs.free_pairs()]
     steps = []
-    while True:
-        pairs = fs.free_pairs()
-        if not pairs:
-            break
-        free, coface = pairs[0]
+    while heap:
+        free, coface = heappop(heap)[1]
+        if cofaces.get(free) != {coface}:
+            continue
         step = CollapseStep(free, coface)
         fs.apply(step)
         steps.append(step)
+        for face in (coface, free):
+            for v in face:
+                sub = face - {v}
+                up = cofaces.get(sub)
+                if sub and up is not None and len(up) == 1:
+                    pair = (sub, *up)
+                    heappush(heap, (_step_key(pair), pair))
     residual = fs.to_complex()
     return CollapseSequence(tuple(steps), residual), residual

@@ -9,18 +9,22 @@ acyclic, and the resolution is minimal exactly when no two nested faces
 share a label.  For forests, acyclicity degrades to connectivity, and only
 the lcms of vertex pairs need testing, which is the fast path.
 
-The multigraded Betti numbers are computed independently of any candidate
-complex, from the strict-divisor subcomplexes K_{<m} of the full simplex on
-the generators, one per element m of the lcm lattice; each K_{<m} is
-replaced by the nerve of its cover by maximal simplices, which has the same
+The multigraded Betti numbers of a strongly generic ideal, where no
+variable has the same nonzero exponent in two generators, are read off
+its Scarf complex, which supports a minimal resolution of every such
+ideal (Bayer-Peeva-Sturmfels, *Monomial resolutions*, 1998): one rank per
+face, at the face's label.  Every other ideal takes the lcm-lattice walk,
+which is independent of any candidate complex: it takes the
+strict-divisor subcomplexes K_{<m} of the full simplex on the
+generators, one per element m of the lcm lattice, and replaces each
+K_{<m} by the nerve of its cover by maximal simplices, which has the same
 reduced homology (nerve theorem), unless that cover has more sets than
-K_{<m} has vertices.  That table is what the support criterion's
-consequences are tested against.  The Scarf complex is grown
-level by level from its vertices, using that a subset's lcm is unique
-exactly when no outside generator divides it and no codimension-1 subset
-shares it.  Neither enumerates the 2^t generator subsets; the definitions
-that do live in ``tests/oracles.py`` as the reference both are tested
-against.
+K_{<m} has vertices.  The walk is what ``supports --verify`` checks the
+table against.  The Scarf complex is grown level by level from its
+vertices, using that a subset's lcm is unique exactly when no outside
+generator divides it and no codimension-1 subset shares it.  Neither
+enumerates the 2^t generator subsets; the definitions that do live in
+``tests/oracles.py`` as the reference both are tested against.
 """
 
 from __future__ import annotations
@@ -208,7 +212,7 @@ def _nerve(sets: list) -> list[Face]:
     return faces
 
 
-def betti_table(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTable:
+def _lattice_betti_table(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTable:
     """Multigraded Betti numbers, one lcm-lattice element at a time.
 
     The rank in homological position i at degree m is the reduced homology
@@ -231,7 +235,8 @@ def betti_table(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTable:
     alone can reach C(|G_m|, |G_m|/2) when there are more variables than
     generators).  Cost: L * (t*n + r*|G_m| + nerve size) plus the rank
     computations on the nerves.  The 2^t definition is kept as a test
-    oracle in ``tests/oracles.py``.
+    oracle in ``tests/oracles.py``.  Serves every ideal that is not
+    strongly generic, and checks the Scarf route under ``supports --verify``.
     """
     gens = ideal.generators
     variables = ideal.variables
@@ -269,6 +274,71 @@ def betti_table(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTable:
     return BettiTable(by_degree, tuple(vector))
 
 
+def _strongly_generic(gvecs: list) -> bool:
+    """No variable has the same nonzero exponent in two generators."""
+    for column in zip(*gvecs):
+        nonzero = [e for e in column if e]
+        if len(set(nonzero)) != len(nonzero):
+            return False
+    return True
+
+
+def betti_table(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTable:
+    """Multigraded Betti numbers of the quotient by the ideal.
+
+    ``by_degree`` lists its degrees in lexicographic order under the
+    ideal's variable order.  For t generators in n variables there are two
+    routes, chosen by an O(t*n) test:
+
+    - A strongly generic ideal other than the unit ideal: the Scarf
+      complex supports its minimal resolution over every field
+      (Bayer-Peeva-Sturmfels, *Monomial resolutions*, 1998),
+      so each face F of ``scarf_complex(ideal)`` gives one rank, in
+      homological position |F| - 1 at its label, and ``vector`` is the
+      f-vector.  Cost: that of ``scarf_complex``, O(t*n) per candidate
+      face, plus sorting the faces by label.
+    - Every other ideal: the lcm-lattice walk, one reduced homology rank
+      computation per lattice element (``_lattice_betti_table``).
+    """
+    gens = ideal.generators
+    gvecs = [g.exponent_vector(ideal.variables) for g in gens]
+    # by minimality, the unit ideal is the one whose first generator is 1
+    if gens[0].is_unit() or not _strongly_generic(gvecs):
+        return _lattice_betti_table(ideal, field)
+    faces = _scarf_faces(gvecs)
+    vector = [0] * max(map(len, faces))
+    by_degree = {}
+    # a face's lcm vector is its label's key under ideal.monomial_key
+    for face, vec in sorted(faces.items(), key=lambda item: item[1]):
+        vector[len(face) - 1] += 1
+        by_degree[Monomial(zip(ideal.variables, vec))] = (0,) * (len(face) - 1) + (1,)
+    return BettiTable(by_degree, tuple(vector))
+
+
+def _scarf_faces(gvecs: list) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Every face of the Scarf complex, as increasing generator positions,
+    mapped to its lcm exponent vector; grown level by level (see
+    ``scarf_complex``), so faces come in order of size."""
+    t = len(gvecs)
+    level = {(i,): g for i, g in enumerate(gvecs)}
+    faces = {}
+    while level:
+        faces.update(level)
+        grown = {}
+        for face, vec in level.items():
+            for w in range(face[-1] + 1, t):
+                cand = face + (w,)
+                if any(cand[:k] + cand[k + 1:] not in level
+                       for k in range(len(face))):
+                    continue
+                m = tuple(map(max, vec, gvecs[w]))
+                if not any(_divides(g, m) for u, g in enumerate(gvecs)
+                           if u not in cand):
+                    grown[cand] = m
+        level = grown
+    return faces
+
+
 def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
     """Faces of the full simplex on the generators whose label is unique.
 
@@ -285,27 +355,9 @@ def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
     in ``tests/oracles.py``.
     """
     gens = ideal.generators
-    t = len(gens)
-    names = [str(i + 1) for i in range(t)]
-    gvecs = [g.exponent_vector(ideal.variables) for g in gens]
-    level = {(i,): g for i, g in enumerate(gvecs)}
-    maximal = []
-    while level:
-        grown = {}
-        for face, vec in level.items():
-            for w in range(face[-1] + 1, t):
-                cand = face + (w,)
-                if any(cand[:k] + cand[k + 1:] not in level
-                       for k in range(len(face))):
-                    continue
-                m = tuple(map(max, vec, gvecs[w]))
-                if not any(_divides(g, m) for u, g in enumerate(gvecs)
-                           if u not in cand):
-                    grown[cand] = m
-        covered = {cand[:k] + cand[k + 1:] for cand in grown
-                   for k in range(len(cand))}
-        maximal.extend(frozenset(names[i] for i in face)
-                       for face in level if face not in covered)
-        level = grown
-    complex_ = SimplicialComplex._from_maximal(maximal)
+    names = [str(i + 1) for i in range(len(gens))]
+    faces = _scarf_faces([g.exponent_vector(ideal.variables) for g in gens])
+    covered = {face[:k] + face[k + 1:] for face in faces for k in range(len(face))}
+    complex_ = SimplicialComplex._from_maximal(
+        frozenset(names[i] for i in face) for face in faces if face not in covered)
     return LabeledComplex(complex_, dict(zip(names, gens)), ideal.variables)

@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treescarf
-from treescarf import (CollapseSequence, MonomialIdeal, SimplicialComplex,
-                       verify_sequence)
-from treescarf import collapse, errors
+from treescarf import (BettiTable, CollapseSequence, MonomialIdeal,
+                       SimplicialComplex, verify_sequence)
+from treescarf import cli, collapse, errors
 from treescarf.cli import main
 from treescarf.errors import InputFileError
 from treescarf.io import (complex_to_data, ideal_to_data, load_complex,
@@ -260,6 +260,42 @@ def test_supports_command(files, capsys):
         "betti": [4, 4, 1],
         "f_vector": [4, 5, 2],
     }
+
+
+def generic_cycle_files(tmp):
+    """The 3-cycle graph, not a forest, and a strongly generic ideal."""
+    cycle, ideal = tmp / "cycle.json", tmp / "generic.json"
+    cycle.write_text(json.dumps({"facets": [["1", "2"], ["2", "3"], ["1", "3"]]}))
+    ideal.write_text(json.dumps({"variables": ["x", "y", "z"],
+                                 "generators": ["x^2*y", "y^3*z", "x*z^2"]}))
+    return str(cycle), str(ideal)
+
+
+def test_supports_verify_rechecks_betti_on_a_non_forest(files, capsys, monkeypatch):
+    walked = []
+    walk = cli._lattice_betti_table
+
+    def spy(ideal, field):
+        walked.append(ideal)
+        return walk(ideal, field)
+
+    monkeypatch.setattr(cli, "_lattice_betti_table", spy)
+    argv = ("supports", *generic_cycle_files(files["tmp"]))
+    _, plain, _ = run(capsys, *argv)
+    assert walked == []
+    code, checked, _ = run(capsys, *argv, "--verify")
+    assert code == 0 and len(walked) == 1
+    assert json.loads(checked)["result"] == json.loads(plain)["result"]
+    assert json.loads(checked)["diagnostics"] == [
+        "general criterion used (complex is not a forest)",
+        "Betti table cross-checked against the lcm-lattice walk"]
+
+
+def test_supports_verify_raises_on_a_betti_mismatch(files, monkeypatch):
+    monkeypatch.setattr(cli, "_lattice_betti_table",
+                        lambda ideal, field: BettiTable({}, (3,)))
+    with pytest.raises(AssertionError, match="lcm-lattice walk"):
+        main(["supports", *generic_cycle_files(files["tmp"]), "--verify"])
 
 
 def test_supports_reports_failing_degree(files, capsys):

@@ -13,7 +13,7 @@ from treescarf import collapse
 from treescarf.errors import InvalidStepError, NotATreeError
 
 import oracles
-from generators import random_tree
+from generators import random_complex, random_tree
 
 EDGE_TRIANGLE = SimplicialComplex([{"1", "2"}, {"2", "3", "4"}])
 TRIANGLE_BOUNDARY = SimplicialComplex([{"1", "2"}, {"2", "3"}, {"1", "3"}])
@@ -233,6 +233,31 @@ def test_greedy_is_deterministic():
         first, _ = greedy_collapse(c)
         second, _ = greedy_collapse(c)
         assert first == second
+
+
+def facet_ring(k: int) -> SimplicialComplex:
+    """Three simplices on k vertices around a circle, neighbours sharing
+    two vertices; homotopy equivalent to a circle, so never collapsible."""
+    step = k - 2
+    return SimplicialComplex([{str((j * step + r) % (3 * step) + 1) for r in range(k)}
+                              for j in range(3)])
+
+
+@pytest.mark.parametrize(("k", "steps"), [(6, 86), (7, 182), (8, 374)])
+def test_greedy_heap_matches_the_rescanning_oracle_on_facet_rings(k, steps):
+    ring = facet_ring(k)
+    seq, residual = greedy_collapse(ring)
+    assert (seq, residual) == oracles.greedy_collapse(ring)
+    assert len(seq.steps) == steps
+    assert verify_sequence(ring, seq) == (True, None)
+    assert residual.f_vector()[0] > 1
+
+
+def test_greedy_heap_matches_the_rescanning_oracle_on_random_complexes():
+    rng = Random(89)
+    for _ in range(40):
+        c = random_complex(rng, max_vertices=8)
+        assert greedy_collapse(c) == oracles.greedy_collapse(c)
 
 
 # -- verification -----------------------------------------------------------------

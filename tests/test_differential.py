@@ -1,5 +1,6 @@
 """Scarf complexes and Betti tables against the 2^t definitions in oracles.py,
-and the pair-lcm tree criterion against the lcm-lattice loop.
+the two Betti routes against each other, and the pair-lcm tree criterion
+against the lcm-lattice loop.
 
 Facets, labels, Betti vectors and the multigraded columns (in order) must
 agree exactly, over the rationals and over GF(2), GF(3) and GF(5).
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from treescarf import (LabeledComplex, MonomialIdeal, ScarfComparison,
+from treescarf import (BettiTable, LabeledComplex, MonomialIdeal, ScarfComparison,
                        betti_table, build_intermediate, build_J, build_Jprime,
                        parse_monomial, random_h, scarf_complex,
                        supports_resolution, supports_resolution_tree,
@@ -36,9 +37,10 @@ def assert_matches_oracles(ideal, field):
     assert fast.complex.facets == ref.complex.facets
     assert fast.labels == ref.labels
     assert fast.variables == ref.variables
-    fast_table, ref_table = betti_table(ideal, field), oracles.betti_table(ideal, field)
-    assert fast_table.vector == ref_table.vector
-    assert list(fast_table.by_degree.items()) == list(ref_table.by_degree.items())
+    ref_table = oracles.betti_table(ideal, field)
+    for table in (betti_table(ideal, field), resolution._lattice_betti_table(ideal, field)):
+        assert table.vector == ref_table.vector
+        assert list(table.by_degree.items()) == list(ref_table.by_degree.items())
 
 
 @st.composite
@@ -206,13 +208,75 @@ def test_edge_cases_match_oracles(ideal, field):
 
 
 def test_edge_case_answers():
-    unit = betti_table(MonomialIdeal(("x",), [UNIT]))
-    assert unit.vector == (1,) and unit.by_degree == {}
+    for variables in ((), ("x",), ("x", "y")):
+        assert betti_table(MonomialIdeal(variables, [UNIT])) == BettiTable({}, (1,))
     single = parse_monomial("x*y^2")
     table = betti_table(MonomialIdeal(("x", "y"), [single]))
     assert table.vector == (1,) and table.by_degree == {single: (1,)}
     coprime = MonomialIdeal(("x", "y", "z", "u"), [parse_monomial(v) for v in "xyzu"])
     assert betti_table(coprime).vector == tuple(comb(4, i + 1) for i in range(4))
+
+
+# -- Betti routes: Scarf faces for strongly generic ideals, else the lattice ----
+
+def generic_ideal(rng: Random, t: int, variables=("x", "y", "z", "u")) -> MonomialIdeal:
+    """t minimal generators; each variable's exponents are a permutation of
+    1..t with about one in eight set to 0, so no two generators share a
+    nonzero exponent."""
+    while True:
+        columns = [[e if rng.random() > 0.125 else 0
+                    for e in rng.sample(range(1, t + 1), t)] for _ in variables]
+        gens = [Monomial(dict(zip(variables, row))) for row in zip(*columns)]
+        if len(minimalize(gens)) == t:
+            return MonomialIdeal(variables, gens)
+
+
+@pytest.fixture
+def lattice_spy(monkeypatch):
+    """Records each lcm-lattice build and nerve rank computation."""
+    calls = []
+    lattice, ranks = MonomialIdeal.lcm_lattice, resolution.reduced_ranks_from_faces
+
+    def spy_lattice(self):
+        calls.append("lcm_lattice")
+        return lattice(self)
+
+    def spy_ranks(faces, field=QQ):
+        calls.append("reduced_ranks_from_faces")
+        return ranks(faces, field)
+
+    monkeypatch.setattr(MonomialIdeal, "lcm_lattice", spy_lattice)
+    monkeypatch.setattr(resolution, "reduced_ranks_from_faces", spy_ranks)
+    return calls
+
+
+def test_strongly_generic_ideals_build_no_lattice(lattice_spy):
+    rng = Random(17)
+    for t in (2, 5, 9, 14):
+        for field in FIELDS:
+            table = betti_table(generic_ideal(rng, t), field)
+            assert table.vector[0] == t
+    assert lattice_spy == []
+
+
+def test_near_generic_ideal_takes_the_lattice_walk(lattice_spy):
+    # x has exponent 1 in two generators, so the ideal is not strongly
+    # generic, and its Scarf complex (one edge) supports no resolution
+    ideal = MonomialIdeal(("x", "y", "z"), [parse_monomial(s) for s in
+                                            ("x*y", "x*z", "y^2*z^2")])
+    table = betti_table(ideal)
+    assert "lcm_lattice" in lattice_spy and "reduced_ranks_from_faces" in lattice_spy
+    assert table.vector == (3, 2) != scarf_complex(ideal).complex.f_vector()
+    assert list(table.by_degree.items()) == list(oracles.betti_table(ideal).by_degree.items())
+
+
+@pytest.mark.parametrize("t", range(10, 15))
+def test_scarf_route_matches_the_lattice_walk_beyond_the_oracles_reach(t):
+    ideal = generic_ideal(Random(f"generic:{t}"), t)
+    for field in (QQ, FieldSpec(2)):
+        fast, walk = betti_table(ideal, field), resolution._lattice_betti_table(ideal, field)
+        assert fast.vector == walk.vector
+        assert list(fast.by_degree.items()) == list(walk.by_degree.items())
 
 
 # -- the tree criterion: pair lcms against the whole lcm lattice -----------------
