@@ -8,6 +8,10 @@ operation is a pure function.  The face list and the forest decision are
 computed once per instance and kept; the write is idempotent and stores
 an immutable value, so instances stay safe to share between threads.
 
+The forest decision is polynomial in the number of facets: good leaves
+are deleted until none is left, and a complex that does not empty out is
+shrunk to a simplicial cycle as its witness.
+
 The complex with no facets (the *empty complex*) is a legal value: it is
 produced by ``SimplicialComplex.empty()`` and by induced subcomplexes, and
 is connected and a forest by convention.  It is not a legal constructor
@@ -185,26 +189,44 @@ class SimplicialComplex:
     def is_forest(self) -> tuple[bool, tuple[Face, ...] | None]:
         """Whether every nonempty subcollection has a leaf.
 
-        Returns (True, None), or (False, a leafless subcollection).  The
-        search is exhaustive over all 2^q - 1 facet subsets, by increasing
-        size, so the witness has minimal size.  It runs once per instance:
-        the answer is kept, and as the complex is immutable every writer
-        stores the same value.  ``induced`` and the constructor return new
-        complexes, which decide afresh.
+        Returns (True, None), or (False, a simplicial cycle): a leafless
+        subcollection whose proper subcollections all have leaves, in
+        canonical facet order.  The witness is inclusion-minimal, not
+        always of minimum size.  Decided in polynomial time by good-leaf
+        elimination (see ``_simplicial_cycle``).  It runs once per
+        instance: the answer is kept, and as the complex is immutable every
+        writer stores the same value.  ``induced`` and the constructor
+        return new complexes, which decide afresh.
         """
         if self._forest is None:
-            witness = self._leafless_subcollection()
+            witness = self._simplicial_cycle()
             self._forest = (witness is None, witness)
         return self._forest
 
-    def _leafless_subcollection(self) -> tuple[Face, ...] | None:
-        q = len(self._facets)
-        masks, inter = self._bitmasks()
-        for size in range(1, q + 1):
-            for combo in itertools.combinations(range(q), size):
-                if _first_leaf(masks, inter, combo) is None:
-                    return tuple(self._facets[i] for i in combo)
-        return None
+    def _simplicial_cycle(self) -> tuple[Face, ...] | None:
+        # A good leaf is a leaf of every subcollection that holds it, and
+        # every forest has one (Herzog-Hibi-Trung-Zheng 2008), so the
+        # complex is a forest exactly when deleting good leaves empties it.
+        # Otherwise shrink the stuck core: drop each facet in turn and adopt
+        # the stuck core of the rest whenever one is left.  Every facet of
+        # the result was dropped once without success, so each proper
+        # subcollection is a forest while the whole is not: a simplicial
+        # cycle (Caboara-Faridi-Selinger 2007).
+        _, inter = self._bitmasks()
+        q = len(inter)
+        meets = [[j for j in range(q) if j != i and inter[i][j]]
+                 for i in range(q)]
+        core = _stuck_core(inter, meets, range(q), range(q))
+        if not core:
+            return None
+        for i in sorted(core):
+            if i in core:
+                rest = core - {i}
+                smaller = _stuck_core(inter, meets, rest,
+                                      [j for j in meets[i] if j in rest])
+                if smaller:
+                    core = smaller
+        return tuple(self._facets[i] for i in sorted(core))
 
     def _leaf_order(self) -> list[tuple[Face, Face | None]]:
         # (leaf, joint) pairs pruning a forest down to nothing: each leaf is
@@ -244,6 +266,34 @@ class SimplicialComplex:
     def __repr__(self) -> str:
         inside = ", ".join("{%s}" % ",".join(face_sorted(f)) for f in self._facets)
         return f"SimplicialComplex<{inside}>"
+
+
+def _good_leaf(row, others) -> bool:
+    # Facet i, with row = inter[i], is a good leaf among the facets
+    # `others` when its traces on them form a chain under inclusion
+    traces = sorted((row[j] for j in others), key=int.bit_count)
+    return all(a & ~b == 0 for a, b in zip(traces, traces[1:]))
+
+
+def _stuck_core(inter, meets, live, pending) -> set[int]:
+    # Delete good leaves from the facet indices `live` until none is left.
+    # Only the facets in `pending` can be good leaves at the start; after a
+    # deletion only the facets that met the deleted one can become good.
+    # A good leaf stays good when any facet is deleted, so the stuck core
+    # returned does not depend on the order of deletion.
+    live = set(live)
+    pending = sorted(pending, reverse=True)
+    queued = set(pending)
+    while pending:
+        i = pending.pop()
+        queued.discard(i)
+        if _good_leaf(inter[i], [j for j in meets[i] if j in live]):
+            live.discard(i)
+            for j in meets[i]:
+                if j in live and j not in queued:
+                    queued.add(j)
+                    pending.append(j)
+    return live
 
 
 def _first_leaf(masks, inter, combo) -> tuple[int, int | None] | None:

@@ -16,7 +16,8 @@ def random_tree(rng: Random, max_facets: int = 8, max_vertices: int = 10) -> Sim
 
     Each new facet takes a proper nonempty subset of one existing facet
     plus fresh vertices, which keeps the complex connected and an
-    antichain.  The tree property is confirmed by the exhaustive check; a
+    antichain.  The tree property is confirmed by ``is_tree``, whose forest
+    decision is checked against the exhaustive search in oracles.py; a
     failing candidate is resampled (attachment makes this rare).
     """
     while True:

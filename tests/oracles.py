@@ -21,8 +21,12 @@ are the references for ``treescarf.scarf_ideals``, which builds each
 squarefree generator as a set of faces.  The frozenset leaf test, and the
 loop that prunes a forest with it one complex at a time, are the
 references for the bitmask leaf test and the leaf order of the forest code.
+The search for a leafless subcollection over all 2^q - 1 facet subsets,
+by increasing size, is the reference for the library's polynomial forest
+decision.
 """
 
+import itertools
 from fractions import Fraction
 from random import Random
 from typing import Mapping, Optional
@@ -363,6 +367,20 @@ def leaf_order(forest: SimplicialComplex) -> list[tuple[Face, Optional[Face]]]:
         order.append((leaf, joint))
         facets.remove(leaf)
     return order
+
+
+def leafless_subcollection(complex_: SimplicialComplex) -> Optional[tuple[Face, ...]]:
+    """The first leafless subcollection by size, then by canonical facet
+    order, over all 2^q - 1 facet subsets: a witness of minimum size.  None
+    exactly when the complex is a forest."""
+    facets = complex_.facets
+    for size in range(1, len(facets) + 1):
+        for combo in itertools.combinations(facets, size):
+            # facets of a complex are an antichain, so every subset is the
+            # facet tuple of its own complex, in the same order
+            if first_leaf(SimplicialComplex(combo)) is None:
+                return combo
+    return None
 
 
 def greedy_collapse(complex_: SimplicialComplex) -> tuple[CollapseSequence, SimplicialComplex]:

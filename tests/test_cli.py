@@ -207,6 +207,20 @@ def test_check_reports_witness_for_cycles(files, capsys):
     assert len(result["witness"]) == 3
 
 
+def test_check_reports_an_inclusion_minimal_witness(files, capsys):
+    # two triangles on the edge {1,2}, with that edge present: the minimum
+    # leafless collection is a triangle, but dropping {1,2} first leaves the
+    # 4-cycle, whose proper subcollections all have leaves
+    p = files["tmp"] / "k4-minus-edge.json"
+    p.write_text(json.dumps({"facets": [["1", "2"], ["1", "3"], ["1", "4"],
+                                        ["2", "3"], ["2", "4"]]}))
+    code, out, _ = run(capsys, "check", str(p))
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert not result["forest"]
+    assert result["witness"] == [["1", "3"], ["1", "4"], ["2", "3"], ["2", "4"]]
+
+
 @pytest.mark.parametrize("argv", [
     ("check", "diamond"),
     ("collapse", "diamond"),
@@ -215,13 +229,13 @@ def test_check_reports_witness_for_cycles(files, capsys):
 ])
 def test_each_command_decides_forest_once(files, capsys, monkeypatch, argv):
     searched = []
-    search = SimplicialComplex._leafless_subcollection
+    search = SimplicialComplex._simplicial_cycle
 
     def spy(self):
         searched.append(self)
         return search(self)
 
-    monkeypatch.setattr(SimplicialComplex, "_leafless_subcollection", spy)
+    monkeypatch.setattr(SimplicialComplex, "_simplicial_cycle", spy)
     code, _, _ = run(capsys, *(files.get(a, a) for a in argv))
     assert code == 0
     assert searched == [load_complex(files["diamond"])]

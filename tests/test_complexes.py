@@ -1,6 +1,7 @@
 """Core complex behavior: construction, faces, leaves, trees, induced parts.
 
-Leaves are checked against the frozenset leaf test in oracles.py.
+Leaves are checked against the frozenset leaf test in oracles.py, and the
+forest decision against the exhaustive search over facet subsets there.
 """
 
 import itertools
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treescarf import SimplicialComplex
+from treescarf import complexes
 from treescarf.complexes import _first_leaf
 from treescarf.errors import EmptyFaceError, EmptyInputError
 
@@ -268,13 +270,80 @@ def test_forest_answer_belongs_to_the_instance():
     assert not cycle.is_forest()[0]
 
 
-def test_forest_witness_has_minimal_size():
+def test_forest_witness_is_inclusion_minimal():
     # triangle boundary plus a pendant edge: the only leafless collection
     # is still the 3-cycle
     c = SimplicialComplex(TRIANGLE_BOUNDARY + [{"3", "5"}])
     ok, witness = c.is_forest()
     assert not ok and len(witness) == 3
     assert set(witness) == set(map(frozenset, TRIANGLE_BOUNDARY))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sets(st.sampled_from("123456"), min_size=1, max_size=4),
+                min_size=1, max_size=8))
+def test_forest_decision_matches_the_exhaustive_oracle(candidates):
+    c = SimplicialComplex(candidates)
+    ok, witness = c.is_forest()
+    ref = oracles.leafless_subcollection(c)
+    assert ok == (ref is None)
+    if ok:
+        assert witness is None
+        return
+    # canonical order, leafless, and every proper subcollection has a leaf
+    assert list(witness) == sorted(witness, key=c.facets.index)
+    assert oracles.first_leaf(SimplicialComplex(witness)) is None
+    for f in witness:
+        rest = SimplicialComplex(g for g in witness if g != f)
+        assert oracles.leafless_subcollection(rest) is None
+    assert len(witness) >= len(ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 8), st.permutations(range(1, 11)),
+       st.lists(st.integers(0, 7), max_size=2))
+def test_graph_cycle_witness_equals_the_oracle(q, names, pendants):
+    # a graph cycle on shuffled names, with pendant edges to fresh vertices
+    ring = [names[i % q] for i in range(q + 1)]
+    edges = [{str(a), str(b)} for a, b in zip(ring, ring[1:])]
+    edges += [{str(names[at % q]), f"p{k}"} for k, at in enumerate(pendants)]
+    c = SimplicialComplex(edges)
+    assert c.is_forest() == (False, oracles.leafless_subcollection(c))
+
+
+def graph_cycle(q):
+    return SimplicialComplex([{str(i), str((i + 1) % q)} for i in range(q)])
+
+
+def triangle_path(q):
+    return SimplicialComplex([{str(i), str(i + 1), str(i + 2)} for i in range(q)])
+
+
+@pytest.fixture
+def good_leaf_tests(monkeypatch):
+    # counts the good-leaf tests of the forest decision
+    count = [0]
+    test = complexes._good_leaf
+
+    def spy(row, others):
+        count[0] += 1
+        return test(row, others)
+
+    monkeypatch.setattr(complexes, "_good_leaf", spy)
+    return count
+
+
+def test_ring_witness_takes_quadratic_work(good_leaf_tests):
+    q = 100
+    c = graph_cycle(q)
+    assert c.is_forest() == (False, c.facets)
+    assert 0 < good_leaf_tests[0] <= 2 * q * q
+
+
+def test_path_decision_takes_linear_work(good_leaf_tests):
+    q = 400
+    assert triangle_path(q).is_forest() == (True, None)
+    assert 0 < good_leaf_tests[0] <= 5 * q
 
 
 def test_tail_complex_is_a_forest_by_exhaustive_check():
