@@ -3,8 +3,11 @@
 Every command prints one report object with the keys "command", "inputs",
 "result" and "diagnostics", serialized with sorted keys so identical inputs
 and seeds give byte-identical output.  Exit code 0 means the computation
-ran (whatever the mathematical answer); nonzero means an operational error,
-reported as JSON on stderr.
+ran (whatever the mathematical answer).  A bad file, or a flag value that
+parses but is wrong (``--field 4``, a bad ``--labels``), exits 2 with a JSON
+error on stderr.  A command line that argparse rejects (an unknown command
+or flag, a missing argument, ``--field two``) exits 2 with argparse's usage
+text on stderr instead.
 """
 
 from __future__ import annotations
@@ -154,9 +157,7 @@ def cmd_betti(args) -> dict:
     ideal = io.load_ideal(args.ideal_file)
     field = _field(args)
     table = betti_table(ideal, field)
-    by_degree = {ideal.format(m): list(col)
-                 for m, col in sorted(table.by_degree.items(),
-                                      key=lambda kv: ideal.monomial_key(kv[0]))}
+    by_degree = {ideal.format(m): list(col) for m, col in table.by_degree.items()}
     return {"inputs": {"ideal": io.ideal_to_data(ideal), "field": args.field},
             "result": {"betti": list(table.vector), "by_degree": by_degree},
             "diagnostics": []}

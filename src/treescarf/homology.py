@@ -133,47 +133,34 @@ def _rank_mod_p(m: list[list[int]], p: int) -> int:
 
 # -- chain complexes ---------------------------------------------------------------
 
-class ChainComplex(FrozenValue):
-    """Bases (faces per dimension) and boundary matrices with +-1/0 entries.
+def chain_complex_from_faces(faces: Iterable[Face]) -> tuple[dict, dict]:
+    """Augmented chain complex of a downward-closed face set, as the pair
+    ``(bases, boundaries)``.
 
-    ``boundaries[d]`` maps dimension d to d-1, with rows indexed by
-    ``bases[d-1]`` and columns by ``bases[d]``.  Dimension -1 holds the
-    empty face when the complex is augmented.  The fields are stored as
-    given; ``chain_complex_from_faces`` builds maps whose consecutive
-    compositions vanish, which the test suite checks.
+    ``bases[d]`` lists the faces of dimension d in canonical order, and
+    ``boundaries[d]`` maps dimension d to d-1 with +-1/0 entries, rows
+    indexed by ``bases[d-1]`` and columns by ``bases[d]``.  Dimension -1
+    holds the empty face whenever any face is given, listed or not, so
+    every vertex maps to it with coefficient 1.  No faces at all give
+    ``({}, {})``.
     """
-
-    __slots__ = ("bases", "boundaries")
-
-    def __init__(self, bases: dict, boundaries: dict):
-        self._fill(bases, boundaries)
-
-
-def chain_complex_from_faces(faces: Iterable[Face]) -> ChainComplex:
-    """Augmented chain complex of a downward-closed set of nonempty faces.
-
-    Dimension -1 holds the empty face, and every vertex maps to it with
-    coefficient 1.  No faces at all give the zero complex.
-    """
-    by_dim: dict[int, list[Face]] = {}
-    for f in set(faces):
-        by_dim.setdefault(len(f) - 1, []).append(f)
+    by_dim: dict[int, set[Face]] = {}
+    for f in faces:
+        by_dim.setdefault(len(f) - 1, set()).add(f)
+    if by_dim:
+        by_dim[-1] = {frozenset()}
     bases = {d: tuple(sorted(fs, key=face_key)) for d, fs in by_dim.items()}
     index = {d: {f: i for i, f in enumerate(fs)} for d, fs in bases.items()}
     boundaries = {}
     for d in bases:
-        if d == 0:
+        if d == -1:
             continue
-        rows = len(bases[d - 1])
-        mat = [[0] * len(bases[d]) for _ in range(rows)]
+        mat = [[0] * len(bases[d]) for _ in bases[d - 1]]
         for col, face in enumerate(bases[d]):
             for k, v in enumerate(face_sorted(face)):
                 mat[index[d - 1][face - {v}]][col] = (-1) ** k
         boundaries[d] = tuple(map(tuple, mat))
-    if bases:
-        bases[-1] = (frozenset(),)
-        boundaries[0] = (tuple(1 for _ in bases[0]),)
-    return ChainComplex(bases, boundaries)
+    return bases, boundaries
 
 
 # -- homology ranks -----------------------------------------------------------------
@@ -210,24 +197,16 @@ def reduced_ranks_from_faces(faces: Iterable[Face], field: FieldSpec = QQ) -> Ho
     """Reduced homology ranks of an explicit face set.
 
     The face set may contain the empty face.  A set with no faces at all
-    (the void complex) has all ranks zero; the set containing only the
-    empty face has rank 1 in dimension -1.  Any nonempty face set is
-    implicitly augmented, which is what makes the answer reduced.
+    (the void complex) has all ranks zero; any other set is augmented,
+    which is what makes the answer reduced, so the set containing only the
+    empty face has rank 1 in dimension -1.
     """
-    face_set = set(faces)
-    nonempty = {f for f in face_set if f}
-    if not face_set:
+    bases, boundaries = chain_complex_from_faces(faces)
+    if not bases:
         return HomologyRanks(())
-    if not nonempty:
-        return HomologyRanks((1,))
-    cc = chain_complex_from_faces(nonempty)
-    top = max(cc.bases)
-    f_counts = {d: len(b) for d, b in cc.bases.items()}
-    b_ranks = {d: rank(mat, field) for d, mat in cc.boundaries.items()}
-    out = [1 - b_ranks.get(0, 0)]
-    for d in range(0, top + 1):
-        out.append(f_counts.get(d, 0) - b_ranks.get(d, 0) - b_ranks.get(d + 1, 0))
-    return HomologyRanks(tuple(out))
+    r = {d: rank(mat, field) for d, mat in boundaries.items()}
+    return HomologyRanks(tuple(len(bases[d]) - r.get(d, 0) - r.get(d + 1, 0)
+                               for d in range(-1, max(bases) + 1)))
 
 
 def reduced_homology_ranks(complex_: SimplicialComplex, field: FieldSpec = QQ) -> HomologyRanks:

@@ -109,26 +109,6 @@ def lcm(monomials: Iterable[Monomial]) -> Monomial:
     return out
 
 
-def minimalize(generators: Iterable[Monomial]) -> list[Monomial]:
-    """Drop generators divisible by another one; duplicates keep the first.
-
-    Order of survivors is stable.
-    """
-    gens = list(generators)
-    out = []
-    for i, g in enumerate(gens):
-        keep = True
-        for j, h in enumerate(gens):
-            if i == j:
-                continue
-            if h.divides(g) and (not g.divides(h) or j < i):
-                keep = False
-                break
-        if keep:
-            out.append(g)
-    return out
-
-
 # -- text format ---------------------------------------------------------------
 #
 # monomial = "1" | term ("*" term)*

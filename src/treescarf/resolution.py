@@ -101,13 +101,6 @@ class LabeledComplex:
         return f"LabeledComplex({pairs})"
 
 
-def taylor_complex(ideal: MonomialIdeal) -> LabeledComplex:
-    """The full simplex on the generators, labeled positionally 1..t."""
-    names = [str(i + 1) for i in range(len(ideal.generators))]
-    labels = dict(zip(names, ideal.generators))
-    return LabeledComplex(SimplicialComplex([names]), labels, ideal.variables)
-
-
 def supports_resolution(labeled: LabeledComplex,
                         field: FieldSpec = QQ) -> tuple[bool, Monomial | None]:
     """Whether the labeled complex supports a free resolution of its ideal.

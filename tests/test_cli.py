@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treescarf
-from treescarf import (BettiTable, CollapseSequence, MonomialIdeal,
-                       SimplicialComplex, verify_sequence)
+from treescarf import (BettiTable, CollapseSequence, LabeledComplex, Monomial,
+                       MonomialIdeal, SimplicialComplex, verify_sequence)
 from treescarf import cli, collapse, errors
 from treescarf.cli import main
 from treescarf.errors import InputFileError
@@ -513,6 +513,23 @@ def test_bad_field_flag(files, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["check"],                               # a missing argument
+    ["check", "tail", "--bogus"],            # an unknown flag
+    ["betti", "ideal", "--field", "two"],    # a flag value argparse cannot convert
+    ["bogus"],                               # an unknown command
+])
+def test_rejected_command_lines_print_usage_not_json(files, capsys, argv):
+    # argparse stops these before any command runs
+    with pytest.raises(SystemExit) as stop:
+        main([files.get(arg, arg) for arg in argv])
+    out, err = capsys.readouterr()
+    assert stop.value.code == 2 and out == ""
+    assert err.startswith("usage: treescarf")
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(err)
+
+
 def test_large_prime_field_answers(files, capsys):
     code, out, _ = run(capsys, "betti", files["ideal"], "--field", "1000000000000000003")
     assert code == 0
@@ -605,34 +622,44 @@ def test_every_command_reports_or_raises_a_typed_error(data, complex_data):
 
 
 PUBLIC_NAMES = [
-    "BettiTable", "ChainComplex", "CollapseSequence", "CollapseStep", "Face",
+    "BettiTable", "CollapseSequence", "CollapseStep", "Face",
     "FaceVariableRing", "FieldSpec", "HomologyRanks", "LabeledComplex", "Monomial",
     "MonomialIdeal", "QQ", "ScarfComparison", "SimplicialComplex", "UNIT",
     "betti_table", "build_J", "build_Jprime", "build_intermediate",
     "elementary_collapse", "face_key", "face_sorted", "face_variable_ring",
     "format_monomial", "free_pairs", "greedy_collapse", "is_acyclic",
-    "is_boundary_of_simplex", "is_minimal", "lcm", "m_double_prime", "minimalize",
+    "is_boundary_of_simplex", "is_minimal", "lcm", "m_double_prime",
     "parse_monomial", "random_h", "rank", "reduced_homology_ranks", "scarf_complex",
-    "supports_resolution", "supports_resolution_tree", "taylor_complex",
+    "supports_resolution", "supports_resolution_tree",
     "tree_collapse_certificate", "verify_scarf", "verify_sequence", "vertex_key",
 ]
 
-COMPLEX_METHODS = [
-    "dimension", "empty", "euler_characteristic", "f_vector", "faces", "facets",
-    "has_face", "induced", "is_connected", "is_empty", "is_forest", "is_tree",
-    "vertices",
-]
+PUBLIC_METHODS = {
+    SimplicialComplex: [
+        "dimension", "empty", "euler_characteristic", "f_vector", "faces",
+        "facets", "has_face", "induced", "is_connected", "is_empty", "is_forest",
+        "is_tree", "vertices"],
+    LabeledComplex: [
+        "complex", "divisor_subcomplex", "face_label", "ideal", "label", "labels",
+        "variables"],
+    Monomial: [
+        "divide_exact", "divides", "exponent", "exponent_vector", "is_unit", "lcm",
+        "radical", "variables"],
+    MonomialIdeal: [
+        "format", "generators", "lcm_lattice", "monomial_key", "variables"],
+}
 
 
 def test_public_names_are_pinned():
     # a name added to or dropped from the package, or from the public
-    # methods of SimplicialComplex, is a contract change
+    # methods of the classes above, is a contract change
     assert sorted(treescarf.__all__) == PUBLIC_NAMES
     namespace = {}
     exec("from treescarf import *", namespace)
     assert set(PUBLIC_NAMES) <= set(namespace)
-    assert sorted(name for name in dir(SimplicialComplex)
-                  if not name.startswith("_")) == COMPLEX_METHODS
+    for cls, methods in PUBLIC_METHODS.items():
+        assert sorted(name for name in dir(cls)
+                      if not name.startswith("_")) == methods, cls.__name__
 
 
 def test_cli_import_loads_neither_dataclasses_nor_fractions():

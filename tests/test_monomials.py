@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 from treescarf import (UNIT, Monomial, MonomialIdeal, format_monomial, lcm,
-                       minimalize, parse_monomial)
+                       parse_monomial)
 from treescarf.errors import EmptyListError, MonomialParseError
 
 from generators import random_monomial
@@ -88,36 +88,6 @@ def test_exact_division():
     assert parse_monomial("x*y^3*z").divide_exact(YZ) == XY2
     with pytest.raises(ValueError):
         XY2.divide_exact(YZ)
-
-
-# -- minimalize -----------------------------------------------------------------
-
-def test_minimalize_drops_multiples():
-    x = parse_monomial("x")
-    assert minimalize([x, parse_monomial("x*y")]) == [x]
-
-
-def test_minimalize_keeps_an_antichain():
-    gens = [parse_monomial(s) for s in
-            ("x_2*x_23*x_24*x_34*x_234", "x_1*x_34",
-             "x_1*x_2*x_12*x_24", "x_1*x_2*x_12*x_23")]
-    assert minimalize(gens) == gens
-
-
-def test_minimalize_empty_and_duplicates():
-    assert minimalize([]) == []
-    x = parse_monomial("x")
-    assert minimalize([x, x]) == [x]
-
-
-def test_minimalize_output_has_no_dividing_pair():
-    rng = Random(9)
-    variables = ("x", "y", "z")
-    for _ in range(50):
-        gens = [random_monomial(rng, variables) for _ in range(rng.randint(1, 8))]
-        out = minimalize(gens)
-        for a, b in itertools.permutations(out, 2):
-            assert not a.divides(b)
 
 
 # -- parsing and formatting ---------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from treescarf import (LabeledComplex, MonomialIdeal, SimplicialComplex,
                        betti_table, is_minimal, lcm, parse_monomial,
                        scarf_complex, supports_resolution,
-                       supports_resolution_tree, taylor_complex)
+                       supports_resolution_tree)
 from treescarf.errors import NotAFaceError, NotAForestError
 
 from generators import random_label_antichain, random_tree
@@ -29,6 +29,13 @@ def adversarial_labeled():
     return LabeledComplex(DIAMOND, labels, VARS)
 
 
+def taylor_simplex(ideal):
+    """The full simplex on the generators, labeled positionally 1..t."""
+    names = [str(i + 1) for i in range(len(ideal.generators))]
+    return LabeledComplex(SimplicialComplex([names]),
+                          dict(zip(names, ideal.generators)), ideal.variables)
+
+
 def random_labeled_tree(rng, max_facets=6, max_vertices=7):
     tree = random_tree(rng, max_facets=max_facets, max_vertices=max_vertices)
     labels = random_label_antichain(rng, len(tree.vertices))
@@ -40,7 +47,7 @@ def random_labeled_tree(rng, max_facets=6, max_vertices=7):
 def test_face_labels():
     lc = diamond_labeled()
     assert lc.face_label({"1"}) == GENS[0]
-    taylor = taylor_complex(SPREAD)
+    taylor = taylor_simplex(SPREAD)
     assert taylor.face_label({"1", "3"}) == parse_monomial("x*y^2*z^2")
     assert taylor.face_label(taylor.complex.vertices) == lcm(GENS)
 
@@ -85,7 +92,7 @@ def test_taylor_complex_always_supports():
         labels = random_label_antichain(rng, rng.randint(1, 5))
         variables = sorted({v for m in labels for v in m.variables})
         ideal = MonomialIdeal(variables, labels)
-        ok, failing = supports_resolution(taylor_complex(ideal))
+        ok, failing = supports_resolution(taylor_simplex(ideal))
         assert ok and failing is None
 
 
@@ -140,7 +147,7 @@ def test_tree_criterion_never_builds_the_lcm_lattice(monkeypatch):
 # -- minimality -----------------------------------------------------------------------
 
 def test_taylor_of_spread_ideal_is_not_minimal():
-    ok, pair = is_minimal(taylor_complex(SPREAD))
+    ok, pair = is_minimal(taylor_simplex(SPREAD))
     assert not ok
     face, sub = pair
     assert sub < face and len(sub) == len(face) - 1
