@@ -13,7 +13,6 @@ text on stderr instead.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import io
@@ -252,11 +251,11 @@ def main(argv=None) -> int:
     except (TreescarfError, ValueError) as exc:
         error = {"command": args.command, "error": type(exc).__name__,
                  "message": str(exc)}
-        print(json.dumps(error, indent=2, sort_keys=True), file=sys.stderr)
+        print(io.json_text(error), file=sys.stderr)
         return 2
     report = {"command": args.command, "inputs": report["inputs"],
               "result": report["result"], "diagnostics": report["diagnostics"]}
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(io.json_text(report))
     return 0
 
 

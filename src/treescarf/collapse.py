@@ -5,8 +5,10 @@ maximal proper face of it that lies in no other facet.  Collapsibility
 claims are never returned as bare booleans; they come as an ordered step
 sequence that ``verify_sequence`` can replay against the definition, so
 every certificate is independently checkable.  A replay looks each face
-up in one table of its codimension-1 cofaces, and a tree certificate is
-replayed once, against the whole complex.
+up in one table of its codimension-1 cofaces, keyed by vertex bitmasks
+(see ``treescarf.complexes``).  Steps keep their frozenset faces, which
+become masks as they enter the table and frozensets again as they leave
+it.  A tree certificate is replayed once, against the whole complex.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from ._frozen import FrozenValue
-from .complexes import Face, SimplicialComplex, face_key, vertex_key
+from .complexes import Face, SimplicialComplex, vertex_key
 from .errors import InvalidStepError, NotATreeError
 
 
@@ -36,28 +38,61 @@ class CollapseSequence(FrozenValue):
         self._fill(steps, terminal)
 
 
+def _bit_indices(mask: int) -> list[int]:
+    # the vertex indices of a face mask, ascending
+    indices = []
+    while mask:
+        low = mask & -mask
+        indices.append(low.bit_length() - 1)
+        mask ^= low
+    return indices
+
+
 def _step_key(pair):
-    free, coface = pair
-    return (face_key(free), face_key(coface))
+    # face_key order on (free, coface) mask pairs: each face by its size,
+    # then by its ascending vertex indices, which follow vertex_key order
+    free, coface = _bit_indices(pair[0]), _bit_indices(pair[1])
+    return (len(free), free, len(coface), coface)
 
 
 class _FaceSet:
     """Mutable face-set view of a complex while replaying collapses.
 
-    One table maps each present face, the empty face included, to the set
-    of its present codimension-1 cofaces.  A face is a facet when it has
-    none, and free when it has exactly one (downward closure makes it a facet).
+    One table maps the bitmask of each present face, the empty face (0)
+    included, to the set of masks of its present codimension-1 cofaces.
+    A face is a facet when it has none, and free when it has exactly one
+    (downward closure makes it a facet).  For N faces of at most d
+    vertices, building the table takes O(N d) set operations and
+    removing a face O(d); a step's frozenset faces become masks in O(d)
+    C-level steps.
     """
 
-    __slots__ = ("cofaces",)
+    __slots__ = ("cofaces", "bits", "vertices")
 
     def __init__(self, complex_: SimplicialComplex):
-        self.cofaces = {f: set() for f in complex_.faces()}
-        if self.cofaces:
-            self.cofaces[frozenset()] = set()
-        for f in self.cofaces:
-            for v in f:
-                self.cofaces[f - {v}].add(f)
+        self.vertices = complex_.vertices
+        self.bits = complex_._vertex_bits()
+        masks = complex_._face_masks()
+        cofaces = self.cofaces = {f: set() for f in masks}
+        if cofaces:
+            cofaces[0] = set()
+        for f in masks:
+            rest = f
+            while rest:
+                low = rest & -rest
+                cofaces[f ^ low].add(f)
+                rest ^= low
+
+    def mask(self, face: Face) -> int | None:
+        """The mask of a face; None when it names a vertex outside the
+        complex."""
+        try:
+            return sum(map(self.bits.__getitem__, face))
+        except KeyError:
+            return None
+
+    def face(self, mask: int) -> Face:
+        return frozenset(map(self.vertices.__getitem__, _bit_indices(mask)))
 
     def step_violation(self, step: CollapseStep) -> str | None:
         """None when the step is valid now, else the violated condition."""
@@ -66,35 +101,47 @@ class _FaceSet:
             return "free face must be nonempty"
         if not (free < coface and len(free) == len(coface) - 1):
             return "free face is not a maximal proper face of the coface"
-        if coface not in self.cofaces:
+        cofaces = self.cofaces
+        up = cofaces.get(self.mask(coface))
+        if up is None:
             return "coface is not a face of the complex"
-        if free not in self.cofaces:
+        down = cofaces.get(self.mask(free))
+        if down is None:
             return "free face is not a face of the complex"
-        if self.cofaces[coface]:
+        if up:
             return "coface is not a facet"
-        if len(self.cofaces[free]) > 1:
+        if len(down) > 1:
             return "free face lies in more than one facet"
         return None
 
     def apply(self, step: CollapseStep) -> None:
-        for face in (step.coface, step.free_face):
-            del self.cofaces[face]
-            for v in face:
-                self.cofaces[face - {v}].discard(face)
+        self.remove(self.mask(step.coface))
+        self.remove(self.mask(step.free_face))
 
-    def free_pairs(self) -> list[tuple[Face, Face]]:
+    def remove(self, face: int) -> None:
+        cofaces = self.cofaces
+        del cofaces[face]
+        rest = face
+        while rest:
+            low = rest & -rest
+            cofaces[face ^ low].discard(face)
+            rest ^= low
+
+    def free_pairs(self) -> list[tuple[int, int]]:
+        """The (free, coface) mask pairs eligible now, in ``_step_key`` order."""
         pairs = [(free, coface) for free, up in self.cofaces.items()
                  if free and len(up) == 1 for coface in up]
         return sorted(pairs, key=_step_key)
 
     def to_complex(self) -> SimplicialComplex:
         return SimplicialComplex._from_maximal(
-            f for f, up in self.cofaces.items() if not up)
+            self.face(f) for f, up in self.cofaces.items() if not up)
 
 
 def free_pairs(complex_: SimplicialComplex) -> list[tuple[Face, Face]]:
     """All pairs (free face, facet) eligible for an elementary collapse."""
-    return _FaceSet(complex_).free_pairs()
+    fs = _FaceSet(complex_)
+    return [(fs.face(free), fs.face(coface)) for free, coface in fs.free_pairs()]
 
 
 def elementary_collapse(complex_: SimplicialComplex, step: CollapseStep) -> SimplicialComplex:
@@ -114,6 +161,10 @@ def verify_sequence(complex_: SimplicialComplex,
     Returns (True, None) when every step is valid in order and the final
     complex equals ``sequence.terminal``; otherwise (False, i) where i is
     the first invalid step, or len(steps) when only the terminal differs.
+    Every step is checked against all six conditions of
+    ``_FaceSet.step_violation``.  Cost: O(N d) to build the mask-keyed
+    coface table of a complex with N faces of at most d vertices, then
+    O(d) per step; nothing is sorted.
     """
     fs = _FaceSet(complex_)
     for i, step in enumerate(sequence.steps):
@@ -214,20 +265,26 @@ def greedy_collapse(complex_: SimplicialComplex) -> tuple[CollapseSequence, Simp
     cofaces = fs.cofaces
     # free_pairs() comes sorted by _step_key, so this is already a heap
     heap = [(_step_key(pair), pair) for pair in fs.free_pairs()]
-    steps = []
+    taken = []
     while heap:
-        free, coface = heappop(heap)[1]
+        pair = heappop(heap)[1]
+        free, coface = pair
         if cofaces.get(free) != {coface}:
             continue
-        step = CollapseStep(free, coface)
-        fs.apply(step)
-        steps.append(step)
-        for face in (coface, free):
-            for v in face:
-                sub = face - {v}
+        fs.remove(coface)
+        fs.remove(free)
+        taken.append(pair)
+        for face in pair:
+            rest = face
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                sub = face ^ low
                 up = cofaces.get(sub)
                 if sub and up is not None and len(up) == 1:
-                    pair = (sub, *up)
-                    heappush(heap, (_step_key(pair), pair))
+                    freed = (sub, *up)
+                    heappush(heap, (_step_key(freed), freed))
+    steps = tuple(CollapseStep(fs.face(free), fs.face(coface))
+                  for free, coface in taken)
     residual = fs.to_complex()
-    return CollapseSequence(tuple(steps), residual), residual
+    return CollapseSequence(steps, residual), residual

@@ -4,9 +4,15 @@ A complex is stored by its facets (the maximal faces); a set is a face
 exactly when it is contained in some facet, so faces are only enumerated on
 demand.  Faces are frozensets of vertex-name strings and the empty face has
 dimension -1.  Every value is immutable after construction and every
-operation is a pure function.  The face list and the forest decision are
-computed once per instance and kept; the write is idempotent and stores
-an immutable value, so instances stay safe to share between threads.
+operation is a pure function.  The face list, the face masks and the forest
+decision are computed once per instance and kept; each write is idempotent
+and stores an immutable value, so instances stay safe to share between
+threads.
+
+Inside the library a face is also a vertex bitmask: bit i stands for the
+i-th vertex in canonical order, so ordering faces by (size, vertex
+indices) is the ``face_key`` order.  The forest decision, the face counts
+and the collapse replay work on masks and never sort by ``face_key``.
 
 The forest decision is polynomial in the number of facets: good leaves
 are deleted until none is left, and a complex that does not empty out is
@@ -20,8 +26,9 @@ input.
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from collections.abc import Iterable
+from itertools import combinations
 
 from .errors import EmptyFaceError, EmptyInputError
 
@@ -67,7 +74,7 @@ class SimplicialComplex:
     deterministic.
     """
 
-    __slots__ = ("_facets", "_vertices", "_faces", "_forest")
+    __slots__ = ("_facets", "_vertices", "_faces", "_masks", "_forest")
 
     def __init__(self, candidate_facets: Iterable[Iterable[Vertex]]):
         candidates = [_as_face(f) for f in candidate_facets]
@@ -82,10 +89,14 @@ class SimplicialComplex:
         self._init_canonical(facets)
 
     def _init_canonical(self, facets: Iterable[Face]) -> None:
-        self._facets = tuple(sorted(facets, key=face_key))
-        self._vertices = tuple(sorted(set().union(*self._facets), key=vertex_key)
-                               ) if self._facets else ()
+        # facets in face_key order: by size, then by sorted vertex indices
+        facets = list(facets)
+        self._vertices = tuple(sorted(set().union(*facets), key=vertex_key))
+        index = self._vertex_index()
+        self._facets = tuple(sorted(facets, key=lambda f: (
+            len(f), sorted(map(index.__getitem__, f)))))
         self._faces = None
+        self._masks = None
         self._forest = None
 
     @classmethod
@@ -129,24 +140,53 @@ class SimplicialComplex:
 
     def faces(self) -> list[Face]:
         """All nonempty faces in a deterministic order (dimension, then
-        vertex names)."""
+        vertex names).
+
+        Enumerates the 2^|F| - 1 subsets of each facet F as tuples of
+        vertex indices and sorts the N distinct ones by (length,
+        indices), which is the ``face_key`` order, in O(N log N) tuple
+        comparisons done in C; no per-face key runs in Python.  Built once
+        per instance.
+        """
         if self._faces is None:
+            index = self._vertex_index()
             found = set()
             for facet in self._facets:
-                names = face_sorted(facet)
-                for r in range(1, len(names) + 1):
-                    found.update(map(frozenset, itertools.combinations(names, r)))
-            self._faces = tuple(sorted(found, key=face_key))
+                indices = sorted(map(index.__getitem__, facet))
+                for r in range(1, len(indices) + 1):
+                    found.update(combinations(indices, r))
+            ordered = sorted(found)
+            ordered.sort(key=len)
+            names = self._vertices
+            self._faces = tuple(frozenset(map(names.__getitem__, t))
+                                for t in ordered)
         return list(self._faces)
 
     def f_vector(self) -> tuple[int, ...]:
-        """Face counts by dimension, (f_0, f_1, ...); () for the empty complex."""
-        counts: dict[int, int] = {}
-        for face in self.faces():
-            counts[len(face) - 1] = counts.get(len(face) - 1, 0) + 1
+        """Face counts by dimension, (f_0, f_1, ...); () for the empty complex.
+
+        Counts the popcounts of the N face masks (``_face_masks``) in
+        O(N), so it builds no face list and sorts nothing.
+        """
+        counts = Counter(map(int.bit_count, self._face_masks()))
         if not counts:
             return ()
-        return tuple(counts.get(d, 0) for d in range(max(counts) + 1))
+        return tuple(counts[size] for size in range(1, max(counts) + 1))
+
+    def _face_masks(self) -> frozenset[int]:
+        # the bitmasks of all nonempty faces, in no order, kept per
+        # instance; each is the sum of the vertex bits of a subset of a
+        # facet, so the 2^|F| - 1 subsets of each facet F cost no Python
+        # loop step each
+        if self._masks is None:
+            bits = self._vertex_bits()
+            found = set()
+            for facet in self._facets:
+                facet_bits = list(map(bits.__getitem__, facet))
+                for r in range(1, len(facet_bits) + 1):
+                    found.update(map(sum, combinations(facet_bits, r)))
+            self._masks = frozenset(found)
+        return self._masks
 
     def euler_characteristic(self) -> int:
         """Unreduced Euler characteristic, sum of (-1)^i f_i."""
@@ -242,11 +282,19 @@ class SimplicialComplex:
             left.remove(leaf)
         return order
 
+    def _vertex_index(self) -> dict[Vertex, int]:
+        # position of each vertex in canonical order
+        return {v: i for i, v in enumerate(self._vertices)}
+
+    def _vertex_bits(self) -> dict[Vertex, int]:
+        # the bit of each vertex in a face mask; Python ints keep masks
+        # exact for any vertex count
+        return {v: 1 << i for i, v in enumerate(self._vertices)}
+
     def _bitmasks(self) -> tuple[list[int], list[list[int]]]:
-        # facets as bit masks, and their pairwise intersections; Python ints
-        # keep this exact for any vertex count
-        index = {v: i for i, v in enumerate(self._vertices)}
-        masks = [sum(1 << index[v] for v in f) for f in self._facets]
+        # facets as bit masks, and their pairwise intersections
+        bits = self._vertex_bits()
+        masks = [sum(map(bits.__getitem__, f)) for f in self._facets]
         return masks, [[m & n for n in masks] for m in masks]
 
     def is_tree(self) -> bool:

@@ -8,15 +8,18 @@ Certificate file:  {"steps": [{"free": [...], "coface": [...]}, ...],
 Vertex-name order inside a facet is irrelevant; duplicate names in a facet
 or in a step's face, and duplicate facets, are rejected.  All emitters
 produce deterministic, canonically ordered JSON data that re-parses to an
-equal value.
+equal value.  One writer, ``json_text``, turns that data into text: the
+exact bytes of ``json.dumps(data, indent=2, sort_keys=True)``, built from
+leaves that json's C encoder quotes.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .collapse import CollapseSequence, CollapseStep
-from .complexes import SimplicialComplex, face_sorted
+from .complexes import SimplicialComplex, face_sorted, vertex_key
 from .errors import InputFileError, MonomialParseError
 from .monomials import _NAME_RE, MonomialIdeal, format_monomial, parse_monomial
 
@@ -120,9 +123,13 @@ def ideal_to_data(ideal: MonomialIdeal) -> dict:
 
 
 def sequence_to_data(sequence: CollapseSequence) -> dict:
-    return {"steps": [{"free": list(face_sorted(s.free_face)),
-                       "coface": list(face_sorted(s.coface))}
-                      for s in sequence.steps],
+    # one vertex_key sort of every name, then each face sorts by index
+    steps = sequence.steps
+    names = set().union(*(s.free_face for s in steps), *(s.coface for s in steps))
+    index = {v: i for i, v in enumerate(sorted(names, key=vertex_key))}.__getitem__
+    return {"steps": [{"free": sorted(s.free_face, key=index),
+                       "coface": sorted(s.coface, key=index)}
+                      for s in steps],
             "terminal": complex_to_data(sequence.terminal)["facets"]}
 
 
@@ -151,9 +158,75 @@ def load_sequence(path) -> CollapseSequence:
 
 
 def dump_json(data, path) -> None:
+    text = json_text(data) + "\n"
     try:
         with open(path, "w") as handle:
-            json.dump(data, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            handle.write(text)
     except OSError as exc:
         raise InputFileError(f"cannot write: {exc.strerror}", path=path) from None
+
+
+def json_text(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for a JSON value
+    (objects with str keys).
+
+    json encodes in C only without indentation, and its pure-Python
+    indenting encoder is slow.  This writer lays out the same text and
+    leaves strings to json's C quoting, which a list of strings gets in
+    one join.
+    """
+    parts: list[str] = []
+    _write(value, "\n", parts)
+    return "".join(parts)
+
+
+_NON_FINITE = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
+
+
+def _write(value, newline, parts) -> None:
+    # the value at the indentation that ``newline`` ends with; containers
+    # come first, as they are the common case
+    if isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        try:
+            parts.append("[" + inner + ("," + inner).join(map(_quote, value))
+                         + newline + "]")
+            return
+        except TypeError:
+            pass  # not all strings
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            _write(item, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            parts.append(sep + _quote(key) + ": ")
+            _write(item, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, str):
+        parts.append(_quote(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        parts.append("NaN" if value != value
+                     else _NON_FINITE.get(value) or float.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        "is not JSON serializable")

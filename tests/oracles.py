@@ -13,7 +13,12 @@ elimination over Fractions is the reference for the library's
 fraction-free rank, and Gauss-Jordan elimination mod p for its rank over
 GF(p).  The face set that answers every free-face question by
 scanning the vertex universe is the reference for the library's coface
-table, and its greedy loop the reference for ``greedy_collapse``.  Trial
+table, and its greedy loop the reference for ``greedy_collapse``.  The
+library enumerates faces as vertex-index tuples and bitmasks; the
+frozenset enumeration sorted by ``face_key`` is the reference for
+``faces`` and ``f_vector``, and the coface table keyed by frozensets,
+with its replay, the reference for the mask-keyed table behind
+``verify_sequence``.  Trial
 division and the Lucas test (which certifies a prime from the factorisation
 of p - 1) are the references for the Miller-Rabin test behind ``FieldSpec``.
 The Scarf ideals built by monomial products, radicals and exact quotients
@@ -32,7 +37,7 @@ from random import Random
 from typing import Mapping, Optional
 
 from treescarf.collapse import CollapseSequence, CollapseStep
-from treescarf.complexes import Face, SimplicialComplex, face_key
+from treescarf.complexes import Face, SimplicialComplex, face_key, face_sorted
 from treescarf.errors import (BadHError, BoundaryOfSimplexError,
                               DegenerateVertexFacetError)
 from treescarf.homology import QQ, FieldSpec, reduced_ranks_from_faces
@@ -274,6 +279,85 @@ def is_prime_lucas(p: int, factors_of_p_minus_1: dict) -> bool:
                for a in range(2, 200))
 
 
+def faces(complex_: SimplicialComplex) -> list[Face]:
+    """All nonempty faces: the frozenset subsets of each facet, sorted by
+    ``face_key``."""
+    found = set()
+    for facet in complex_.facets:
+        names = face_sorted(facet)
+        for r in range(1, len(names) + 1):
+            found.update(map(frozenset, itertools.combinations(names, r)))
+    return sorted(found, key=face_key)
+
+
+def f_vector(complex_: SimplicialComplex) -> tuple[int, ...]:
+    """Face counts by dimension, from ``faces``."""
+    counts: dict[int, int] = {}
+    for face in faces(complex_):
+        counts[len(face) - 1] = counts.get(len(face) - 1, 0) + 1
+    if not counts:
+        return ()
+    return tuple(counts.get(d, 0) for d in range(max(counts) + 1))
+
+
+class CofaceTable:
+    """Mutable face set of a complex: each present face, the empty face
+    included, maps to the frozensets of its present codimension-1 cofaces.
+
+    A face is a facet when it has none, and free when it has exactly one.
+    """
+
+    def __init__(self, complex_: SimplicialComplex):
+        self.cofaces = {f: set() for f in faces(complex_)}
+        if self.cofaces:
+            self.cofaces[frozenset()] = set()
+        for f in self.cofaces:
+            for v in f:
+                self.cofaces[f - {v}].add(f)
+
+    def step_violation(self, step: CollapseStep) -> Optional[str]:
+        """None when the step is valid now, else the violated condition."""
+        free, coface = step.free_face, step.coface
+        if not free:
+            return "free face must be nonempty"
+        if not (free < coface and len(free) == len(coface) - 1):
+            return "free face is not a maximal proper face of the coface"
+        if coface not in self.cofaces:
+            return "coface is not a face of the complex"
+        if free not in self.cofaces:
+            return "free face is not a face of the complex"
+        if self.cofaces[coface]:
+            return "coface is not a facet"
+        if len(self.cofaces[free]) > 1:
+            return "free face lies in more than one facet"
+        return None
+
+    def apply(self, step: CollapseStep) -> None:
+        for face in (step.coface, step.free_face):
+            del self.cofaces[face]
+            for v in face:
+                self.cofaces[face - {v}].discard(face)
+
+    def to_complex(self) -> SimplicialComplex:
+        return SimplicialComplex._from_maximal(
+            f for f, up in self.cofaces.items() if not up)
+
+
+def verify_sequence(complex_: SimplicialComplex,
+                    sequence: CollapseSequence) -> tuple[bool, Optional[int]]:
+    """Replay a certificate on the frozenset coface table: (True, None),
+    or (False, the first invalid step, or len(steps) for a wrong
+    terminal)."""
+    table = CofaceTable(complex_)
+    for i, step in enumerate(sequence.steps):
+        if table.step_violation(step) is not None:
+            return False, i
+        table.apply(step)
+    if table.to_complex() != sequence.terminal:
+        return False, len(sequence.steps)
+    return True, None
+
+
 class FaceSet:
     """Mutable face set of a complex; every question scans the vertex universe.
 
@@ -282,7 +366,7 @@ class FaceSet:
     """
 
     def __init__(self, complex_: SimplicialComplex):
-        self.faces = set(complex_.faces())
+        self.faces = set(faces(complex_))
         self.universe = set(complex_.vertices)
 
     def step_violation(self, step: CollapseStep) -> Optional[str]:

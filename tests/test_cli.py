@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import treescarf
 from treescarf import (BettiTable, CollapseSequence, LabeledComplex, Monomial,
                        MonomialIdeal, SimplicialComplex, verify_sequence)
-from treescarf import cli, collapse, errors
+from treescarf import cli, collapse, errors, io
 from treescarf.cli import main
 from treescarf.errors import InputFileError
 from treescarf.io import (complex_to_data, ideal_to_data, load_complex,
@@ -176,6 +176,46 @@ def test_ideal_loader_returns_an_ideal_or_a_typed_error(data):
     assert isinstance(ideal, MonomialIdeal)
 
 
+# -- the report writer against json's indented output ----------------------------
+
+json_strings = st.text(max_size=6) | st.sampled_from(
+    ["", '"', "\\", '\\"', "\x00", "\x1f\x7f", "\n\t", "é", "\u2028", "😀", "\udc80"])
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2**200, 2**200)
+    | st.floats() | json_strings,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(json_strings, max_size=4)
+    | st.dictionaries(json_strings, inner, max_size=4),
+    max_leaves=24)
+
+
+@settings(max_examples=500)
+@given(json_trees)
+def test_writer_is_byte_identical_to_json_indented_output(value):
+    assert io.json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [
+    [], {}, [[]], [{}], {"a": [], "b": {}, "c": [[], {}]},
+    [True, 1, False, 0, None], {"1": True, "10": 1, "9": False},
+    ["a", 1], ["a", ["b"], "c"], (("x", "y"), ()),
+    2**300, -2**300, "\x00\"\\\u00e9\ud83d\ude00",
+    [float("nan"), float("inf"), -float("inf"), 0.1, -0.0, 1e300],
+])
+def test_writer_edge_cases_and_file_output(value, tmp_path):
+    expected = json.dumps(value, indent=2, sort_keys=True)
+    assert io.json_text(value) == expected
+    io.dump_json(value, tmp_path / "out.json")
+    assert (tmp_path / "out.json").read_text() == expected + "\n"
+
+
+def test_writer_rejects_what_json_rejects():
+    for value in ({1, 2}, object(), b"x"):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            io.json_text(value)
+
+
 def test_json_error_reports_location(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text('{"facets": [["1",]}')
@@ -254,6 +294,27 @@ def test_tree_certificate_is_replayed_once(files, capsys, monkeypatch, command):
     code, _, _ = run(capsys, command, files["tail"])
     assert code == 0
     assert replayed == [load_complex(files["tail"])]
+
+
+@pytest.mark.parametrize("argv", [("check",), ("collapse", "--out", "cert.json")])
+def test_tree_commands_never_sort_by_face_key(files, capsys, monkeypatch, argv):
+    # the tree path orders faces by vertex index and bitmask, so the
+    # per-face key is never called, not even to build a complex
+    keyed = []
+    face_key = treescarf.face_key
+
+    def spy(face):
+        keyed.append(face)
+        return face_key(face)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("treescarf") and getattr(module, "face_key", None) is face_key:
+            monkeypatch.setattr(module, "face_key", spy)
+    monkeypatch.chdir(files["tmp"])
+    command, *options = argv
+    code, _, _ = run(capsys, command, files["tail"], *options)
+    assert code == 0
+    assert keyed == []
 
 
 def test_fvector_command(files, capsys):

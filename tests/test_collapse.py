@@ -10,6 +10,7 @@ from treescarf import (CollapseSequence, CollapseStep, SimplicialComplex,
                        elementary_collapse, free_pairs, greedy_collapse,
                        tree_collapse_certificate, verify_sequence)
 from treescarf import collapse
+from treescarf.complexes import face_key
 from treescarf.errors import InvalidStepError, NotATreeError
 
 import oracles
@@ -327,10 +328,130 @@ def test_coface_table_matches_scanning_oracle(complex_, rng):
     names = list(complex_.vertices) + ["0"]
     table, ref = collapse._FaceSet(complex_), oracles.FaceSet(complex_)
     for step in seq.steps + (None,):
-        assert table.free_pairs() == ref.free_pairs()
+        assert [(table.face(free), table.face(coface))
+                for free, coface in table.free_pairs()] == ref.free_pairs()
         assert table.to_complex() == ref.to_complex()
         for candidate in candidate_steps(rng, sorted(ref.faces, key=sorted), names):
             assert table.step_violation(candidate) == ref.step_violation(candidate)
         if step is not None:
             table.apply(step)
             ref.apply(step)
+
+
+# -- the mask-keyed table against the frozenset table ------------------------------
+
+MESSAGES = {
+    "empty free face": "free face must be nonempty",
+    "non-maximal free face": "free face is not a maximal proper face of the coface",
+    "coface not in the complex": "coface is not a face of the complex",
+    "unknown vertex": "coface is not a face of the complex",
+    "coface not a facet": "coface is not a facet",
+    "free face in two facets": "free face lies in more than one facet",
+}
+
+# "9" < "10" and "b" < "aa" in vertex_key order, unlike string order
+MIXED_NAMES = ("1", "2", "9", "10", "11", "a", "b", "z", "aa", "ab", "ba")
+
+
+def renamed_tree(rng, names):
+    tree = random_tree(rng, max_facets=6, max_vertices=9)
+    rename = dict(zip(tree.vertices, names))
+    return SimplicialComplex([{rename[v] for v in f} for f in tree.facets])
+
+
+def corrupt_steps(ref, step, vertices, rng):
+    """For each corruption kind, a step that the frozenset table ``ref``
+    rejects for that reason in its current state, where ``step`` is the
+    next valid step; kinds that the state cannot show are left out."""
+    free, coface = step.free_face, step.coface
+    present = sorted(ref.cofaces, key=face_key)
+    found = {
+        "empty free face": [CollapseStep(frozenset(), coface)],
+        "non-maximal free face": [CollapseStep(coface, coface)]
+        + [CollapseStep(free - {v}, coface) for v in sorted(free) if len(free) > 1],
+        "coface not in the complex": [
+            CollapseStep(f, f | {v}) for f in present if f
+            for v in vertices if f | {v} not in ref.cofaces],
+        "unknown vertex": [CollapseStep(coface, coface | {"zz"}),
+                           CollapseStep(free | {"zz"}, coface | {"zz"})],
+        "coface not a facet": [
+            CollapseStep(f - {v}, f) for f in present
+            if len(f) > 1 and ref.cofaces[f] for v in sorted(f)],
+        "free face in two facets": [
+            CollapseStep(f - {v}, f) for f in present
+            if f and not ref.cofaces[f] for v in sorted(f)
+            if len(f) > 1 and len(ref.cofaces[f - {v}]) > 1],
+    }
+    return {kind: rng.choice(steps) for kind, steps in found.items() if steps}
+
+
+def check_corruptions(complex_, rng) -> set[str]:
+    """Replay the tree certificate of ``complex_``; at each step, every
+    corruption kind the state can show must be rejected at that step, by
+    the library and the frozenset oracle alike, with the kind's message.
+    Returns the kinds that were shown."""
+    seq = tree_collapse_certificate(complex_)
+    assert (verify_sequence(complex_, seq) == oracles.verify_sequence(complex_, seq)
+            == (True, None))
+    shown = set()
+    ref, table = oracles.CofaceTable(complex_), collapse._FaceSet(complex_)
+    for i, step in enumerate(seq.steps):
+        for kind, bad in corrupt_steps(ref, step, complex_.vertices, rng).items():
+            assert ref.step_violation(bad) == table.step_violation(bad) == MESSAGES[kind]
+            steps = seq.steps[:i] + (bad,) + seq.steps[i + 1:]
+            corrupted = CollapseSequence(steps, seq.terminal)
+            assert (verify_sequence(complex_, corrupted)
+                    == oracles.verify_sequence(complex_, corrupted) == (False, i))
+            shown.add(kind)
+        ref.apply(step)
+        table.apply(step)
+    for terminal in (complex_, SimplicialComplex([{"zz"}]),
+                     SimplicialComplex([set(complex_.vertices[:2])])):
+        if terminal != seq.terminal:
+            wrong = CollapseSequence(seq.steps, terminal)
+            assert (verify_sequence(complex_, wrong)
+                    == oracles.verify_sequence(complex_, wrong) == (False, len(seq.steps)))
+            shown.add("wrong terminal")
+    return shown
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=True), st.permutations(MIXED_NAMES))
+def test_verify_matches_the_frozenset_replay_on_corrupted_certificates(rng, names):
+    check_corruptions(renamed_tree(rng, names), rng)
+
+
+def test_every_corruption_kind_is_exercised():
+    rng = Random(97)
+    shown = set()
+    for _ in range(30):
+        names = list(MIXED_NAMES)
+        rng.shuffle(names)
+        shown |= check_corruptions(renamed_tree(rng, names), rng)
+    assert shown == set(MESSAGES) | {"wrong terminal"}
+
+
+def test_elementary_collapse_keeps_its_six_messages():
+    cases = [
+        ((), {"1", "2"}, "free face must be nonempty"),
+        ({"2"}, {"2", "3", "4"}, "free face is not a maximal proper face of the coface"),
+        ({"1", "2"}, {"1", "2", "9"}, "coface is not a face of the complex"),
+        ({"2", "4"}, {"1", "2", "4"}, "coface is not a face of the complex"),
+        ({"2"}, {"2", "3"}, "coface is not a facet"),
+        ({"2"}, {"1", "2"}, "free face lies in more than one facet"),
+    ]
+    for free, coface, message in cases:
+        step = CollapseStep(frozenset(free), frozenset(coface))
+        assert oracles.CofaceTable(EDGE_TRIANGLE).step_violation(step) == message
+        with pytest.raises(InvalidStepError) as err:
+            elementary_collapse(EDGE_TRIANGLE, step)
+        assert str(err.value) == message
+    # Collapses keep the face set closed under subsets, so a free face of a
+    # present coface is always present; only a table with a face taken out
+    # by hand shows the sixth message.
+    step = CollapseStep(frozenset({"1"}), frozenset({"1", "2"}))
+    table, ref = collapse._FaceSet(EDGE_TRIANGLE), oracles.CofaceTable(EDGE_TRIANGLE)
+    table.remove(table.mask(step.free_face))
+    del ref.cofaces[step.free_face]
+    assert (table.step_violation(step) == ref.step_violation(step)
+            == "free face is not a face of the complex")

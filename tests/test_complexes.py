@@ -1,7 +1,9 @@
 """Core complex behavior: construction, faces, leaves, trees, induced parts.
 
-Leaves are checked against the frozenset leaf test in oracles.py, and the
-forest decision against the exhaustive search over facet subsets there.
+Leaves are checked against the frozenset leaf test in oracles.py, the
+forest decision against the exhaustive search over facet subsets there,
+and the index-tuple and bitmask face enumerations against the frozenset
+one.
 """
 
 import itertools
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from treescarf import SimplicialComplex
 from treescarf import complexes
-from treescarf.complexes import _first_leaf
+from treescarf.complexes import _first_leaf, face_key, vertex_key
 from treescarf.errors import EmptyFaceError, EmptyInputError
 
 import oracles
@@ -97,6 +99,32 @@ def test_f_vector_totals_match_face_count():
     for _ in range(20):
         c = random_tree(rng, max_facets=5, max_vertices=8)
         assert sum(c.f_vector()) == len(c.faces())
+
+
+# names whose vertex_key order is not their string order: "9" < "10" and
+# "b" < "aa" by length first
+MIXED_NAMES = ("1", "2", "9", "10", "11", "a", "b", "z", "aa", "ab", "ba")
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sets(st.sampled_from(MIXED_NAMES), min_size=1, max_size=6),
+                min_size=1, max_size=6))
+def test_faces_and_f_vector_match_the_frozenset_enumeration(candidates):
+    c = SimplicialComplex(candidates)
+    assert c.faces() == oracles.faces(c)
+    assert c.f_vector() == oracles.f_vector(c)
+    assert list(c.facets) == sorted(c.facets, key=face_key)
+    assert list(c.vertices) == sorted(c.vertices, key=vertex_key)
+
+
+def test_faces_follow_vertex_key_not_string_order():
+    c = SimplicialComplex([{"10", "9"}, {"aa", "b"}])
+    assert c.vertices == ("9", "b", "10", "aa")
+    assert c.faces() == [frozenset({"9"}), frozenset({"b"}), frozenset({"10"}),
+                         frozenset({"aa"}), frozenset({"9", "10"}),
+                         frozenset({"b", "aa"})]
+    assert c.facets == (frozenset({"9", "10"}), frozenset({"b", "aa"}))
+    assert c.f_vector() == (4, 2)
 
 
 # -- subcollections ------------------------------------------------------------
