@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from ._frozen import FrozenValue
-from .complexes import Face, SimplicialComplex, vertex_key
+from .complexes import Face, SimplicialComplex, _bit_indices, _mask_key, vertex_key
 from .errors import InvalidStepError, NotATreeError
 
 
@@ -38,21 +38,9 @@ class CollapseSequence(FrozenValue):
         self._fill(steps, terminal)
 
 
-def _bit_indices(mask: int) -> list[int]:
-    # the vertex indices of a face mask, ascending
-    indices = []
-    while mask:
-        low = mask & -mask
-        indices.append(low.bit_length() - 1)
-        mask ^= low
-    return indices
-
-
 def _step_key(pair):
-    # face_key order on (free, coface) mask pairs: each face by its size,
-    # then by its ascending vertex indices, which follow vertex_key order
-    free, coface = _bit_indices(pair[0]), _bit_indices(pair[1])
-    return (len(free), free, len(coface), coface)
+    # face_key order on (free, coface) mask pairs
+    return _mask_key(pair[0]) + _mask_key(pair[1])
 
 
 class _FaceSet:

@@ -2,17 +2,19 @@
 
 A complex is stored by its facets (the maximal faces); a set is a face
 exactly when it is contained in some facet, so faces are only enumerated on
-demand.  Faces are frozensets of vertex-name strings and the empty face has
-dimension -1.  Every value is immutable after construction and every
-operation is a pure function.  The face list, the face masks and the forest
-decision are computed once per instance and kept; each write is idempotent
-and stores an immutable value, so instances stay safe to share between
-threads.
+demand.  Public faces (``faces``, ``facets``, witnesses) are frozensets of
+vertex-name strings, and the empty face has dimension -1.  Every value is
+immutable after construction and every operation is a pure function.  The
+face masks and the forest decision are computed once per instance and
+kept; each write is idempotent and stores an immutable value, so instances
+stay safe to share between threads.
 
-Inside the library a face is also a vertex bitmask: bit i stands for the
-i-th vertex in canonical order, so ordering faces by (size, vertex
-indices) is the ``face_key`` order.  The forest decision, the face counts
-and the collapse replay work on masks and never sort by ``face_key``.
+Inside the library a face is a vertex bitmask: bit i stands for the i-th
+vertex in canonical order, and 0 is the empty face.  ``_face_masks`` is
+the one face enumeration, and ``_mask_key`` the one face order: size,
+then ascending vertex indices, which is the ``face_key`` order.  Forest
+decision, face counts, homology, minimality and collapse replay all work
+on masks.
 
 The forest decision is polynomial in the number of facets: good leaves
 are deleted until none is left, and a complex that does not empty out is
@@ -56,6 +58,23 @@ def face_key(face: Iterable[Vertex]):
     return (len(names), tuple(vertex_key(v) for v in names))
 
 
+def _bit_indices(mask: int) -> list[int]:
+    # the vertex indices of a face mask, ascending
+    indices = []
+    while mask:
+        low = mask & -mask
+        indices.append(low.bit_length() - 1)
+        mask ^= low
+    return indices
+
+
+def _mask_key(mask: int) -> tuple[int, list[int]]:
+    # face_key order on masks: size, then ascending vertex indices, which
+    # follow vertex_key order
+    indices = _bit_indices(mask)
+    return (len(indices), indices)
+
+
 def _as_face(vertices: Iterable[Vertex]) -> Face:
     face = frozenset(vertices)
     for v in face:
@@ -74,7 +93,7 @@ class SimplicialComplex:
     deterministic.
     """
 
-    __slots__ = ("_facets", "_vertices", "_faces", "_masks", "_forest")
+    __slots__ = ("_facets", "_vertices", "_masks", "_forest")
 
     def __init__(self, candidate_facets: Iterable[Iterable[Vertex]]):
         candidates = [_as_face(f) for f in candidate_facets]
@@ -95,7 +114,6 @@ class SimplicialComplex:
         index = self._vertex_index()
         self._facets = tuple(sorted(facets, key=lambda f: (
             len(f), sorted(map(index.__getitem__, f)))))
-        self._faces = None
         self._masks = None
         self._forest = None
 
@@ -142,25 +160,13 @@ class SimplicialComplex:
         """All nonempty faces in a deterministic order (dimension, then
         vertex names).
 
-        Enumerates the 2^|F| - 1 subsets of each facet F as tuples of
-        vertex indices and sorts the N distinct ones by (length,
-        indices), which is the ``face_key`` order, in O(N log N) tuple
-        comparisons done in C; no per-face key runs in Python.  Built once
-        per instance.
+        The N face masks (``_face_masks``) sorted by ``_mask_key``, which
+        is the ``face_key`` order, and named; O(N d log N) for faces of at
+        most d vertices.  Built afresh on every call.
         """
-        if self._faces is None:
-            index = self._vertex_index()
-            found = set()
-            for facet in self._facets:
-                indices = sorted(map(index.__getitem__, facet))
-                for r in range(1, len(indices) + 1):
-                    found.update(combinations(indices, r))
-            ordered = sorted(found)
-            ordered.sort(key=len)
-            names = self._vertices
-            self._faces = tuple(frozenset(map(names.__getitem__, t))
-                                for t in ordered)
-        return list(self._faces)
+        names = self._vertices
+        return [frozenset(map(names.__getitem__, indices))
+                for _, indices in sorted(map(_mask_key, self._face_masks()))]
 
     def f_vector(self) -> tuple[int, ...]:
         """Face counts by dimension, (f_0, f_1, ...); () for the empty complex.

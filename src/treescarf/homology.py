@@ -4,9 +4,9 @@ Everything here is exact: ranks over the rationals come from fraction-free
 integer elimination (Bareiss), ranks over GF(p) from modular elimination.
 No floating point is used anywhere.
 
-Chain complexes are built with the standard alternating-sign boundary over
-the canonical vertex order and augmented to dimension -1 (the empty face),
-which is what makes the homology reduced.
+Chain complexes are built on vertex-bitmask faces (``treescarf.complexes``)
+with the standard alternating-sign boundary over the bit order, and
+augmented to dimension -1 (the empty face 0), which makes homology reduced.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from collections.abc import Iterable
 from operator import index
 
 from ._frozen import FrozenValue
-from .complexes import Face, SimplicialComplex, face_key, face_sorted
+from .complexes import SimplicialComplex, _bit_indices, _mask_key
 
 # Miller-Rabin with the first 13 prime bases is exact below this bound
 # (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2015).
@@ -133,23 +133,24 @@ def _rank_mod_p(m: list[list[int]], p: int) -> int:
 
 # -- chain complexes ---------------------------------------------------------------
 
-def chain_complex_from_faces(faces: Iterable[Face]) -> tuple[dict, dict]:
-    """Augmented chain complex of a downward-closed face set, as the pair
-    ``(bases, boundaries)``.
+def chain_complex_from_faces(faces: Iterable[int]) -> tuple[dict, dict]:
+    """Augmented chain complex of a downward-closed set of face masks, as
+    the pair ``(bases, boundaries)``.
 
-    ``bases[d]`` lists the faces of dimension d in canonical order, and
-    ``boundaries[d]`` maps dimension d to d-1 with +-1/0 entries, rows
-    indexed by ``bases[d-1]`` and columns by ``bases[d]``.  Dimension -1
-    holds the empty face whenever any face is given, listed or not, so
-    every vertex maps to it with coefficient 1.  No faces at all give
-    ``({}, {})``.
+    ``bases[d]`` lists the masks of dimension d in ``_mask_key`` order
+    (size, then ascending bit indices), and ``boundaries[d]`` maps
+    dimension d to d-1 with +-1/0 entries, rows indexed by ``bases[d-1]``
+    and columns by ``bases[d]``; dropping the k-th lowest bit of a face
+    has sign (-1)^k.  Dimension -1 holds the empty face 0 whenever any
+    face is given, listed or not, so every vertex maps to it with
+    coefficient 1.  No faces at all give ``({}, {})``.
     """
-    by_dim: dict[int, set[Face]] = {}
+    by_dim: dict[int, set[int]] = {}
     for f in faces:
-        by_dim.setdefault(len(f) - 1, set()).add(f)
+        by_dim.setdefault(f.bit_count() - 1, set()).add(f)
     if by_dim:
-        by_dim[-1] = {frozenset()}
-    bases = {d: tuple(sorted(fs, key=face_key)) for d, fs in by_dim.items()}
+        by_dim[-1] = {0}
+    bases = {d: tuple(sorted(fs, key=_mask_key)) for d, fs in by_dim.items()}
     index = {d: {f: i for i, f in enumerate(fs)} for d, fs in bases.items()}
     boundaries = {}
     for d in bases:
@@ -157,8 +158,8 @@ def chain_complex_from_faces(faces: Iterable[Face]) -> tuple[dict, dict]:
             continue
         mat = [[0] * len(bases[d]) for _ in bases[d - 1]]
         for col, face in enumerate(bases[d]):
-            for k, v in enumerate(face_sorted(face)):
-                mat[index[d - 1][face - {v}]][col] = (-1) ** k
+            for k, i in enumerate(_bit_indices(face)):
+                mat[index[d - 1][face ^ 1 << i]][col] = (-1) ** k
         boundaries[d] = tuple(map(tuple, mat))
     return bases, boundaries
 
@@ -193,10 +194,10 @@ class HomologyRanks(FrozenValue):
         return not self.ranks
 
 
-def reduced_ranks_from_faces(faces: Iterable[Face], field: FieldSpec = QQ) -> HomologyRanks:
-    """Reduced homology ranks of an explicit face set.
+def reduced_ranks_from_faces(faces: Iterable[int], field: FieldSpec = QQ) -> HomologyRanks:
+    """Reduced homology ranks of an explicit set of face masks.
 
-    The face set may contain the empty face.  A set with no faces at all
+    The set may contain the empty face 0.  A set with no faces at all
     (the void complex) has all ranks zero; any other set is augmented,
     which is what makes the answer reduced, so the set containing only the
     empty face has rank 1 in dimension -1.
@@ -211,7 +212,7 @@ def reduced_ranks_from_faces(faces: Iterable[Face], field: FieldSpec = QQ) -> Ho
 
 def reduced_homology_ranks(complex_: SimplicialComplex, field: FieldSpec = QQ) -> HomologyRanks:
     """Reduced homology ranks of a complex; the empty complex is all zeros."""
-    return reduced_ranks_from_faces(complex_.faces(), field)
+    return reduced_ranks_from_faces(complex_._face_masks(), field)
 
 
 def is_acyclic(complex_: SimplicialComplex, field: FieldSpec = QQ) -> bool:

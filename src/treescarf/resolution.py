@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 
 from ._frozen import FrozenValue
-from .complexes import Face, SimplicialComplex, face_sorted, vertex_key
+from .complexes import Face, SimplicialComplex, _bit_indices, _mask_key, vertex_key
 from .errors import NotAFaceError, NotAForestError
 from .homology import QQ, FieldSpec, is_acyclic, reduced_ranks_from_faces
 from .monomials import Monomial, MonomialIdeal, lcm
@@ -148,23 +148,25 @@ def is_minimal(labeled: LabeledComplex) -> tuple[bool, tuple[Face, Face] | None]
     """No face shares its label with a maximal proper subface.
 
     Codimension-1 checking suffices: labels divide along inclusions, so an
-    equality across any chain forces one at an adjacent step.  Returns the
-    first violating (face, subface) pair in canonical face order.
+    equality across any chain forces one at an adjacent step.  Walks the
+    face masks in canonical face order, dropping one vertex bit at a time,
+    low to high, and returns the first violating (face, subface) pair.
     """
-    label: dict = {}
-    for face in labeled.complex.faces():
-        names = face_sorted(face)
-        if len(names) == 1:
-            label[face] = labeled.label(names[0])
-            continue
-        sub_labels = [(face - {v}, label[face - {v}]) for v in names]
-        mine = sub_labels[0][1]
-        for _, l in sub_labels[1:]:
-            mine = mine.lcm(l)
+    names = labeled.complex.vertices
+    label = {1 << i: labeled.label(v) for i, v in enumerate(names)}
+    for face in sorted(labeled.complex._face_masks(), key=_mask_key):
+        if face in label:
+            continue  # a vertex
+        subs = [face ^ 1 << i for i in _bit_indices(face)]
+        mine = label[subs[0]]
+        for sub in subs[1:]:
+            mine = mine.lcm(label[sub])
         label[face] = mine
-        for sub, l in sub_labels:
-            if l == mine:
-                return False, (face, sub)
+        for sub in subs:
+            if label[sub] == mine:
+                return False, tuple(
+                    frozenset(map(names.__getitem__, _bit_indices(m)))
+                    for m in (face, sub))
     return True, None
 
 
@@ -190,18 +192,18 @@ def _divides(a: tuple, b: tuple) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def _nerve(sets: list) -> list[Face]:
-    """Index sets of ``sets`` with a nonempty common intersection, plus the
-    empty face; grown depth-first, since the family is downward closed."""
-    faces: list[Face] = [frozenset()]
-    stack = [((j,), s) for j, s in enumerate(sets)]
+def _nerve(sets: list[int]) -> list[int]:
+    """Index masks of the ``sets`` (masks) with a nonempty common meet, plus
+    the empty face 0; grown depth-first, since the family is downward closed."""
+    faces = [0]
+    stack = [(1 << j, j, s) for j, s in enumerate(sets)]
     while stack:
-        idx, common = stack.pop()
-        faces.append(frozenset(map(str, idx)))
-        for k in range(idx[-1] + 1, len(sets)):
+        face, last, common = stack.pop()
+        faces.append(face)
+        for k in range(last + 1, len(sets)):
             meet = common & sets[k]
             if meet:
-                stack.append((idx + (k,), meet))
+                stack.append((face | 1 << k, k, meet))
     return faces
 
 
@@ -242,15 +244,16 @@ def _lattice_betti_table(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTa
         if not any(vec):
             continue  # only the unit ideal has this degree, and nothing below it
         below = [g for g in gvecs if _divides(g, vec)]
+        # each A_x as a mask over the positions in below
         covers = dict.fromkeys(
-            frozenset(i for i, g in enumerate(below) if g[x] < e)
+            sum(1 << i for i, g in enumerate(below) if g[x] < e)
             for x, e in enumerate(vec) if e)
-        covers.pop(frozenset(), None)
-        maximal = [a for a in covers if not any(a < b for b in covers)]
+        covers.pop(0, None)
+        maximal = [a for a in covers if not any(a != b and a & b == a for b in covers)]
         if len(maximal) > len(below):
             # Every g in below falls short of m in some variable (g = m
             # would leave maximal empty), so no dual set is empty.
-            maximal = [frozenset(j for j, a in enumerate(maximal) if i in a)
+            maximal = [sum(1 << j for j, a in enumerate(maximal) if a >> i & 1)
                        for i in range(len(below))]
         column = reduced_ranks_from_faces(_nerve(maximal), field).ranks
         for i, r in enumerate(column):

@@ -181,17 +181,18 @@ def verify_scarf(complex_: SimplicialComplex,
     Generators correspond to vertices positionally (generator i labels the
     i-th vertex in canonical order).  Returns EQUAL when the face sets
     coincide, CONTAINS when the Scarf complex strictly contains the input,
-    NEITHER otherwise, along with the computed Scarf complex.
+    NEITHER otherwise, along with the computed Scarf complex.  Compares
+    facets only, after renaming the Scarf facets to the input's vertices.
     """
     if len(ideal.generators) != len(complex_.vertices):
         raise ArityMismatchError(
             f"{len(ideal.generators)} generators for {len(complex_.vertices)} vertices")
     scarf = scarf_complex(ideal)
     rename = {str(i + 1): v for i, v in enumerate(complex_.vertices)}
-    scarf_faces = {frozenset(rename[n] for n in f) for f in scarf.complex.faces()}
-    own_faces = set(complex_.faces())
-    if scarf_faces == own_faces:
+    renamed = SimplicialComplex._from_maximal(
+        frozenset(rename[n] for n in f) for f in scarf.complex.facets)
+    if renamed == complex_:
         return ScarfComparison.EQUAL, scarf
-    if scarf_faces > own_faces:
+    if all(renamed.has_face(f) for f in complex_.facets):
         return ScarfComparison.CONTAINS, scarf
     return ScarfComparison.NEITHER, scarf

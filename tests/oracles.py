@@ -14,11 +14,10 @@ fraction-free rank, and Gauss-Jordan elimination mod p for its rank over
 GF(p).  The face set that answers every free-face question by
 scanning the vertex universe is the reference for the library's coface
 table, and its greedy loop the reference for ``greedy_collapse``.  The
-library enumerates faces as vertex-index tuples and bitmasks; the
-frozenset enumeration sorted by ``face_key`` is the reference for
-``faces`` and ``f_vector``, and the coface table keyed by frozensets,
-with its replay, the reference for the mask-keyed table behind
-``verify_sequence``.  Trial
+library enumerates faces as bitmasks; the frozenset enumeration sorted
+by ``face_key`` is the reference for ``faces`` and ``f_vector``, and the
+coface table keyed by frozensets, with its replay, the reference for
+the mask-keyed table behind ``verify_sequence``.  Trial
 division and the Lucas test (which certifies a prime from the factorisation
 of p - 1) are the references for the Miller-Rabin test behind ``FieldSpec``.
 The Scarf ideals built by monomial products, radicals and exact quotients
@@ -28,22 +27,98 @@ loop that prunes a forest with it one complex at a time, are the
 references for the bitmask leaf test and the leaf order of the forest code.
 The search for a leafless subcollection over all 2^q - 1 facet subsets,
 by increasing size, is the reference for the library's polynomial forest
-decision.
+decision.  The library builds chain complexes and checks minimality on
+vertex bitmasks in ``_mask_key`` order; the frozenset chain-complex
+builder sorted by ``face_key``, with its ranks, and the frozenset
+minimality walk over ``faces`` are their references, as the comparison
+of the two face sets is for ``verify_scarf``, and both Betti
+table oracles build their chain complexes with it, so they share no
+chain-complex code with the library.
 """
 
 import itertools
 from fractions import Fraction
 from random import Random
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from treescarf.collapse import CollapseSequence, CollapseStep
 from treescarf.complexes import Face, SimplicialComplex, face_key, face_sorted
 from treescarf.errors import (BadHError, BoundaryOfSimplexError,
                               DegenerateVertexFacetError)
-from treescarf.homology import QQ, FieldSpec, reduced_ranks_from_faces
+from treescarf.homology import QQ, FieldSpec, HomologyRanks, rank
 from treescarf.monomials import UNIT, Monomial, MonomialIdeal
 from treescarf.resolution import BettiTable, LabeledComplex
 from treescarf.scarf_ideals import face_variable_ring, is_boundary_of_simplex
+
+
+def chain_complex_from_faces(faces: Iterable[Face]) -> tuple[dict, dict]:
+    """Augmented chain complex of a downward-closed face set, as the pair
+    ``(bases, boundaries)``.
+
+    ``bases[d]`` lists the faces of dimension d in canonical order, and
+    ``boundaries[d]`` maps dimension d to d-1 with +-1/0 entries, rows
+    indexed by ``bases[d-1]`` and columns by ``bases[d]``.  Dimension -1
+    holds the empty face whenever any face is given, listed or not, so
+    every vertex maps to it with coefficient 1.  No faces at all give
+    ``({}, {})``.
+    """
+    by_dim: dict[int, set[Face]] = {}
+    for f in faces:
+        by_dim.setdefault(len(f) - 1, set()).add(f)
+    if by_dim:
+        by_dim[-1] = {frozenset()}
+    bases = {d: tuple(sorted(fs, key=face_key)) for d, fs in by_dim.items()}
+    index = {d: {f: i for i, f in enumerate(fs)} for d, fs in bases.items()}
+    boundaries = {}
+    for d in bases:
+        if d == -1:
+            continue
+        mat = [[0] * len(bases[d]) for _ in bases[d - 1]]
+        for col, face in enumerate(bases[d]):
+            for k, v in enumerate(face_sorted(face)):
+                mat[index[d - 1][face - {v}]][col] = (-1) ** k
+        boundaries[d] = tuple(map(tuple, mat))
+    return bases, boundaries
+
+
+def reduced_ranks_from_faces(faces: Iterable[Face], field: FieldSpec = QQ) -> HomologyRanks:
+    """Reduced homology ranks of an explicit face set.
+
+    The face set may contain the empty face.  A set with no faces at all
+    (the void complex) has all ranks zero; any other set is augmented,
+    which is what makes the answer reduced, so the set containing only the
+    empty face has rank 1 in dimension -1.
+    """
+    bases, boundaries = chain_complex_from_faces(faces)
+    if not bases:
+        return HomologyRanks(())
+    r = {d: rank(mat, field) for d, mat in boundaries.items()}
+    return HomologyRanks(tuple(len(bases[d]) - r.get(d, 0) - r.get(d + 1, 0)
+                               for d in range(-1, max(bases) + 1)))
+
+
+def is_minimal(labeled: LabeledComplex) -> tuple[bool, Optional[tuple[Face, Face]]]:
+    """No face shares its label with a maximal proper subface.
+
+    Codimension-1 checking suffices: labels divide along inclusions, so an
+    equality across any chain forces one at an adjacent step.  Returns the
+    first violating (face, subface) pair in canonical face order.
+    """
+    label: dict = {}
+    for face in faces(labeled.complex):
+        names = face_sorted(face)
+        if len(names) == 1:
+            label[face] = labeled.label(names[0])
+            continue
+        sub_labels = [(face - {v}, label[face - {v}]) for v in names]
+        mine = sub_labels[0][1]
+        for _, l in sub_labels[1:]:
+            mine = mine.lcm(l)
+        label[face] = mine
+        for sub, l in sub_labels:
+            if l == mine:
+                return False, (face, sub)
+    return True, None
 
 
 def betti_table(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTable:
@@ -189,6 +264,20 @@ def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
     maximal = [f for f in kept if not any(f < g for g in kept)]
     complex_ = SimplicialComplex._from_maximal(maximal)
     return LabeledComplex(complex_, dict(zip(names, gens)), ideal.variables)
+
+
+def verify_scarf(complex_: SimplicialComplex, ideal: MonomialIdeal) -> str:
+    """EQUAL, CONTAINS or NEITHER, from the two face sets: the Scarf faces
+    renamed positionally to the complex's vertices against its own."""
+    rename = {str(i + 1): v for i, v in enumerate(complex_.vertices)}
+    scarf_faces = {frozenset(rename[n] for n in f)
+                   for f in faces(scarf_complex(ideal).complex)}
+    own_faces = set(faces(complex_))
+    if scarf_faces == own_faces:
+        return "EQUAL"
+    if scarf_faces > own_faces:
+        return "CONTAINS"
+    return "NEITHER"
 
 
 def supports_resolution_tree(labeled: LabeledComplex) -> tuple[bool, Optional[Monomial]]:

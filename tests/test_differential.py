@@ -6,6 +6,7 @@ Facets, labels, Betti vectors and the multigraded columns (in order) must
 agree exactly, over the rationals and over GF(2), GF(3) and GF(5).
 """
 
+import sys
 from itertools import combinations
 from math import comb
 from random import Random
@@ -16,17 +17,19 @@ from hypothesis import strategies as st
 
 from treescarf import (BettiTable, LabeledComplex, MonomialIdeal, ScarfComparison,
                        betti_table, build_intermediate, build_J, build_Jprime,
+                       face_variable_ring, is_acyclic, is_minimal,
                        parse_monomial, random_h, scarf_complex,
                        supports_resolution, supports_resolution_tree,
                        verify_scarf)
-from treescarf import resolution
+from treescarf import complexes, resolution
 from treescarf.complexes import SimplicialComplex
 from treescarf.errors import BoundaryOfSimplexError, DegenerateVertexFacetError
 from treescarf.homology import QQ, FieldSpec
 from treescarf.monomials import UNIT, Monomial
 
 import oracles
-from generators import RING_VARS, random_forest, random_label_antichain, random_tree
+from generators import (RING_VARS, random_complex, random_forest,
+                        random_label_antichain, random_tree)
 
 FIELDS = (QQ, FieldSpec(2), FieldSpec(3), FieldSpec(5))
 fields = st.sampled_from(FIELDS)
@@ -321,3 +324,98 @@ def test_tree_criterion_matches_the_lattice_loop_and_the_general_criterion():
     check()
     # both answers on trees; a disconnected forest never supports
     assert seen == {(True, True), (True, False), (False, False)}
+
+
+# -- mask-based minimality and Scarf verification against the frozenset walks ----
+
+@st.composite
+def labeled_complexes(draw):
+    """A random tree (up to vertex "11"), random complex or full simplex,
+    labeled by a random antichain; the simplex and the higher-dimensional
+    facets give minimality violations."""
+    rng = draw(st.randoms(use_true_random=True))
+    kind = draw(st.sampled_from(("tree", "complex", "simplex")))
+    if kind == "tree":
+        complex_ = random_tree(rng, max_facets=5, max_vertices=11)
+    elif kind == "complex":
+        complex_ = random_complex(rng, max_vertices=6)
+    else:
+        complex_ = SimplicialComplex([[str(i) for i in range(1, rng.randint(2, 6) + 1)]])
+    labels = random_label_antichain(rng, len(complex_.vertices))
+    return LabeledComplex(complex_, dict(zip(complex_.vertices, labels)))
+
+
+def test_mask_minimality_matches_the_frozenset_walk():
+    seen = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(labeled_complexes())
+    def check(labeled):
+        answer = is_minimal(labeled)
+        assert answer == oracles.is_minimal(labeled)
+        seen.add(answer[0])
+
+    check()
+    assert seen == {True, False}
+
+
+def test_facet_comparison_matches_the_face_set_comparison():
+    seen = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=True), st.booleans())
+    def check(rng, tree):
+        # a tree with an intermediate Scarf ideal gives EQUAL or CONTAINS,
+        # a random complex with random labels mostly NEITHER
+        if tree:
+            complex_ = random_tree(rng, max_facets=4, max_vertices=8)
+            try:
+                ideal = build_intermediate(complex_, random_h(complex_, rng))
+            except (BoundaryOfSimplexError, DegenerateVertexFacetError):
+                return
+        else:
+            complex_ = random_complex(rng, max_vertices=6)
+            ideal = MonomialIdeal(RING_VARS, random_label_antichain(
+                rng, len(complex_.vertices)))
+        status, _ = verify_scarf(complex_, ideal)
+        assert status == oracles.verify_scarf(complex_, ideal)
+        seen.add(status)
+
+    check()
+    assert seen == {ScarfComparison.EQUAL, ScarfComparison.CONTAINS,
+                    ScarfComparison.NEITHER}
+
+
+def test_homology_minimality_and_scarf_checks_never_name_faces(monkeypatch):
+    # inside the library faces are masks: these checks neither list
+    # faces() nor sort or spell faces by face_key or face_sorted
+    tree = SimplicialComplex([{"1", "2", "3"}, {"2", "3", "4"}, {"4", "5"}])
+    circle = SimplicialComplex([{"1", "2"}, {"2", "3"}, {"1", "3"}])
+    ideal = build_J(tree)
+    triangle = LabeledComplex(SimplicialComplex([{"1", "2", "3"}]), {
+        "1": parse_monomial("x*y"), "2": parse_monomial("y*z"),
+        "3": parse_monomial("x*z")})
+    calls = []
+
+    def spy(name, function):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        return wrapped
+
+    for name in ("face_key", "face_sorted"):
+        original = getattr(complexes, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("treescarf") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, spy(name, original))
+    monkeypatch.setattr(SimplicialComplex, "faces", spy("faces", SimplicialComplex.faces))
+    assert is_acyclic(tree) and not is_acyclic(circle)
+    assert resolution._lattice_betti_table(ideal).vector == tree.f_vector()
+    assert is_minimal(LabeledComplex(tree, dict(zip(tree.vertices, ideal.generators)),
+                                     ideal.variables)) == (True, None)
+    assert not is_minimal(triangle)[0]
+    assert verify_scarf(tree, ideal)[0] == ScarfComparison.EQUAL
+    assert verify_scarf(SimplicialComplex([tree.vertices]), ideal)[0] == ScarfComparison.NEITHER
+    assert calls == []
+    face_variable_ring(tree)  # the spies sit where the library looks
+    assert {"faces", "face_sorted"} <= set(calls)

@@ -16,9 +16,12 @@ from treescarf import (QQ, BettiTable, CollapseSequence, CollapseStep,
 from treescarf.homology import (_is_prime, chain_complex_from_faces,
                                 reduced_ranks_from_faces)
 
+import oracles
 from generators import random_complex, random_tree
 from oracles import (is_prime_lucas, is_prime_trial_division, rank_fraction_gauss,
                      rank_mod_p_gauss)
+from treescarf.complexes import _bit_indices
+from treescarf.resolution import _nerve
 
 POINT = SimplicialComplex([{"1"}])
 CIRCLE = SimplicialComplex([{"1", "2"}, {"2", "3"}, {"1", "3"}])
@@ -110,7 +113,7 @@ def test_rank_identity_and_zero():
 
 
 def test_rank_of_circle_boundary():
-    _, boundaries = chain_complex_from_faces(CIRCLE.faces())
+    _, boundaries = chain_complex_from_faces(CIRCLE._face_masks())
     assert rank(boundaries[1]) == 2
 
 
@@ -161,7 +164,7 @@ def test_mod_p_rank_can_differ_from_rational_rank():
 # -- chain complexes ---------------------------------------------------------------
 
 def test_edge_boundary_column():
-    _, boundaries = chain_complex_from_faces(SimplicialComplex([{"1", "2"}]).faces())
+    _, boundaries = chain_complex_from_faces(SimplicialComplex([{"1", "2"}])._face_masks())
     col = [row[0] for row in boundaries[1]]
     assert sorted(col) == [-1, 1]
 
@@ -173,7 +176,7 @@ def test_builder_boundaries_compose_to_zero(rng, tree):
         complex_ = random_tree(rng, max_facets=5, max_vertices=8)
     else:
         complex_ = random_complex(rng, max_vertices=6)
-    bases, boundaries = chain_complex_from_faces(complex_.faces())
+    bases, boundaries = chain_complex_from_faces(complex_._face_masks())
     assert set(boundaries) == {d for d in bases if d - 1 in bases}
     for d, mat in boundaries.items():
         assert len(mat) == len(bases[d - 1])
@@ -184,21 +187,21 @@ def test_builder_boundaries_compose_to_zero(rng, tree):
 
 
 def test_chain_complex_of_empty_complex_is_zero():
-    bases, boundaries = chain_complex_from_faces(SimplicialComplex.empty().faces())
+    bases, boundaries = chain_complex_from_faces(SimplicialComplex.empty()._face_masks())
     assert bases == {} and boundaries == {}
 
 
 def test_builder_accepts_the_empty_face():
-    # dimension -1 holds the empty face whether or not it is listed
+    # dimension -1 holds the empty face 0 whether or not it is listed
     for c in (POINT, CIRCLE, SPHERE, TWO_POINTS):
-        faces = c.faces()
-        assert (chain_complex_from_faces(faces + [frozenset()])
+        faces = [*c._face_masks()]
+        assert (chain_complex_from_faces(faces + [0])
                 == chain_complex_from_faces(faces))
-    assert chain_complex_from_faces([frozenset()]) == ({-1: (frozenset(),)}, {})
+    assert chain_complex_from_faces([0]) == ({-1: (0,)}, {})
     assert reduced_ranks_from_faces([]).nonzero() == {}
-    assert reduced_ranks_from_faces([frozenset()]).nonzero() == {-1: 1}
+    assert reduced_ranks_from_faces([0]).nonzero() == {-1: 1}
     for c, nonzero in ((CIRCLE, {1: 1}), (SPHERE, {2: 1}), (TWO_POINTS, {0: 1})):
-        for faces in (c.faces(), c.faces() + [frozenset()]):
+        for faces in (c._face_masks(), [*c._face_masks(), 0]):
             assert reduced_ranks_from_faces(faces).nonzero() == nonzero
 
 
@@ -206,12 +209,65 @@ def test_rank_nullity_bookkeeping():
     rng = Random(29)
     for _ in range(10):
         c = random_tree(rng, max_facets=4, max_vertices=7)
-        bases, boundaries = chain_complex_from_faces(c.faces())
+        bases, boundaries = chain_complex_from_faces(c._face_masks())
         for d, mat in boundaries.items():
             cols = len(bases[d])
             r = rank(mat)
             kernel = cols - r
             assert r + kernel == cols
+
+
+def assert_builders_agree(masks, names):
+    # the mask builder against the frozenset oracle on the same faces, bit
+    # i of a mask standing for names[i]
+    def named(mask):
+        return frozenset(names[i] for i in _bit_indices(mask))
+
+    faces = list(map(named, masks))
+    bases, boundaries = chain_complex_from_faces(masks)
+    ref_bases, ref_boundaries = oracles.chain_complex_from_faces(faces)
+    assert {d: tuple(map(named, fs)) for d, fs in bases.items()} == ref_bases
+    assert boundaries == ref_boundaries
+    for field in (QQ, FieldSpec(2), FieldSpec(3), FieldSpec(5)):
+        assert (reduced_ranks_from_faces(masks, field)
+                == oracles.reduced_ranks_from_faces(faces, field))
+
+
+@settings(max_examples=200)
+@given(st.randoms(use_true_random=True), st.booleans(), st.booleans())
+def test_mask_builder_matches_the_frozenset_oracle(rng, tree, empty):
+    # trees reach vertex "10", which vertex_key puts after "9"
+    if tree:
+        complex_ = random_tree(rng, max_facets=6, max_vertices=11)
+    else:
+        complex_ = random_complex(rng, max_vertices=6)
+    masks = [*complex_._face_masks(), 0] if empty else complex_._face_masks()
+    assert_builders_agree(masks, complex_.vertices)
+
+
+@st.composite
+def nerve_covers(draw):
+    """11 to 14 sets of one or two points each, as masks, with no point in
+    more than four sets, so that the nerve stays small."""
+    rng = draw(st.randoms(use_true_random=True))
+    points = draw(st.integers(8, 14))
+    load = [0] * points
+    sets = []
+    for _ in range(draw(st.integers(11, 14))):
+        free = [p for p in range(points) if load[p] < 4]
+        picked = rng.sample(free, min(len(free), rng.randint(1, 2)))
+        for p in picked:
+            load[p] += 1
+        sets.append(sum(1 << p for p in picked))
+    return sets
+
+
+@settings(max_examples=100)
+@given(nerve_covers())
+def test_mask_builder_matches_the_oracle_on_nerves_with_two_digit_names(sets):
+    # the nerve's vertices are cover positions; the oracle names them "0",
+    # "1", ..., "13", so "10" and up must sort after "9" by vertex_key
+    assert_builders_agree(_nerve(sets), [str(j) for j in range(len(sets))])
 
 
 # -- reduced homology ---------------------------------------------------------------
@@ -234,7 +290,7 @@ def test_two_points_have_one_extra_component():
 
 def test_void_and_empty_face_conventions():
     assert reduced_ranks_from_faces([]).is_zero()
-    assert reduced_ranks_from_faces([frozenset()]).nonzero() == {-1: 1}
+    assert reduced_ranks_from_faces([0]).nonzero() == {-1: 1}
 
 
 def test_ranks_invariant_under_vertex_relabeling():
@@ -300,7 +356,7 @@ def test_acyclicity_over_prime_fields():
 
 
 def test_faces_level_chain_complex_consistency():
-    faces = SimplicialComplex([{"1", "2", "3"}]).faces()
+    faces = SimplicialComplex([{"1", "2", "3"}])._face_masks()
     bases, _ = chain_complex_from_faces(faces)
     assert len(bases[-1]) == 1
     assert len(bases[0]) == 3
