@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from . import io
-from .collapse import greedy_collapse, tree_collapse_certificate
+from .collapse import _first_violation, _tree_steps, greedy_collapse
 from .complexes import face_sorted
 from .errors import ArityMismatchError, InputFileError, TreescarfError
 from .homology import FieldSpec
@@ -49,9 +49,9 @@ def cmd_check(args) -> dict:
     }
     diagnostics = []
     if result["tree"]:
-        cert = tree_collapse_certificate(complex_)
-        result["collapse"] = {"steps": len(cert.steps),
-                              "terminal": io.complex_to_data(cert.terminal)["facets"]}
+        pairs, point = _tree_steps(complex_)
+        result["collapse"] = {"steps": len(pairs),
+                              "terminal": [[complex_.vertices[point.bit_length() - 1]]]}
         diagnostics.append("collapse certificate verified")
     return {"inputs": {"complex": io.complex_to_data(complex_)}, "result": result,
             "diagnostics": diagnostics}
@@ -166,24 +166,40 @@ def cmd_collapse(args) -> dict:
     complex_ = io.load_complex(args.complex_file)
     diagnostics = []
     if complex_.is_tree():
-        sequence = tree_collapse_certificate(complex_)
+        # names straight from the verified masks; no CollapseStep is built
+        pairs, point = _tree_steps(complex_)
+        certificate = io._mask_steps_to_data(complex_.vertices, pairs, [point])
         diagnostics.append("tree certificate (verified, ends at a point)")
     else:
         sequence, _ = greedy_collapse(complex_)
+        certificate = io.sequence_to_data(sequence)
         diagnostics.append("greedy collapse; a large residual proves nothing")
-    certificate = io.sequence_to_data(sequence)
+    terminal = certificate["terminal"]
+    # laid out once, for the report and the --out file
+    laid = io._Laid(io.json_text(certificate))
     result = {
-        "steps": len(sequence.steps),
-        "terminal": certificate["terminal"],
-        "collapsed_to_point": (len(sequence.terminal.facets) == 1
-                               and len(sequence.terminal.facets[0]) == 1),
-        "certificate": certificate,
+        "steps": len(certificate["steps"]),
+        "terminal": terminal,
+        "collapsed_to_point": len(terminal) == 1 and len(terminal[0]) == 1,
+        "certificate": laid,
     }
     if args.out:
-        io.dump_json(certificate, args.out)
+        io.dump_json(laid, args.out)
         diagnostics.append(f"certificate written to {args.out}")
     return {"inputs": {"complex": io.complex_to_data(complex_)}, "result": result,
             "diagnostics": diagnostics}
+
+
+def cmd_verify_collapse(args) -> dict:
+    complex_ = io.load_complex(args.complex_file)
+    sequence = io.load_sequence(args.certificate_file)
+    bad = _first_violation(complex_, sequence)
+    result = {"valid": bad is None,
+              "first_bad_step": None if bad is None else bad[0],
+              "violation": None if bad is None else bad[1]}
+    return {"inputs": {"complex": io.complex_to_data(complex_),
+                       "certificate": io.sequence_to_data(sequence)},
+            "result": result, "diagnostics": []}
 
 
 _COMMANDS = {
@@ -194,6 +210,7 @@ _COMMANDS = {
     "build-scarf": cmd_build_scarf,
     "betti": cmd_betti,
     "collapse": cmd_collapse,
+    "verify-collapse": cmd_verify_collapse,
 }
 
 
@@ -240,6 +257,11 @@ def _build_parser() -> argparse.ArgumentParser:
     collapse = sub.add_parser("collapse", help="collapse certificate")
     collapse.add_argument("complex_file")
     collapse.add_argument("--out", default=None, help="write the certificate here")
+
+    verify = sub.add_parser("verify-collapse",
+                            help="replay a collapse certificate against a complex")
+    verify.add_argument("complex_file")
+    verify.add_argument("certificate_file")
 
     return parser
 

@@ -4,11 +4,17 @@ An elementary collapse removes a *free pair*: a facet together with a
 maximal proper face of it that lies in no other facet.  Collapsibility
 claims are never returned as bare booleans; they come as an ordered step
 sequence that ``verify_sequence`` can replay against the definition, so
-every certificate is independently checkable.  A replay looks each face
-up in one table of its codimension-1 cofaces, keyed by vertex bitmasks
-(see ``treescarf.complexes``).  Steps keep their frozenset faces, which
-become masks as they enter the table and frozensets again as they leave
-it.  A tree certificate is replayed once, against the whole complex.
+every certificate is independently checkable.
+
+Faces here are vertex bitmasks (see ``treescarf.complexes``).  Every
+replay, of a tree certificate, of a certificate read back from a file or
+of one elementary collapse, is the one routine ``_replay``: it checks each
+(free, coface) mask pair against a table from each present face to the
+number of its present codimension-1 cofaces.  A tree certificate is
+scheduled as mask pairs and replayed once, against the whole complex;
+frozenset faces are built only for a public ``CollapseStep``.
+``greedy_collapse`` and ``free_pairs`` need to know which coface a free
+face has, so they keep the sets of cofaces instead (``_FaceSet``).
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from ._frozen import FrozenValue
-from .complexes import Face, SimplicialComplex, _bit_indices, _mask_key, vertex_key
+from .complexes import Face, SimplicialComplex, _bit_indices, _mask_key
 from .errors import InvalidStepError, NotATreeError
 
 
@@ -43,23 +49,104 @@ def _step_key(pair):
     return _mask_key(pair[0]) + _mask_key(pair[1])
 
 
+def _face(vertices: tuple[str, ...], mask: int) -> Face:
+    # the named face of a mask over a complex's vertices
+    return frozenset(map(vertices.__getitem__, _bit_indices(mask)))
+
+
+class _NameBits(dict):
+    """Vertex name -> bit.  A name outside the complex gets the next bit
+    above the complex's, so no present face holds it."""
+
+    def __missing__(self, name):
+        bit = self[name] = 1 << len(self)
+        return bit
+
+
+def _mask_pairs(complex_: SimplicialComplex, steps) -> tuple[list[tuple[int, int]], _NameBits]:
+    # the (free, coface) mask pairs of CollapseSteps, and the name bits used
+    bits = _NameBits(complex_._vertex_bits())
+    bit = bits.__getitem__
+    return [(sum(map(bit, s.free_face)), sum(map(bit, s.coface))) for s in steps], bits
+
+
+def _coface_counts(complex_: SimplicialComplex) -> dict[int, int]:
+    # the mask of each present face, the empty face (0) included, to the
+    # number of its present codimension-1 cofaces: a face is a facet when
+    # its count is 0, and free when it is 1 (downward closure then makes
+    # its one coface a facet); O(N d) for N faces of at most d vertices
+    masks = complex_._face_masks()
+    counts = dict.fromkeys(masks, 0)
+    if counts:
+        counts[0] = 0
+    for f in masks:
+        rest = f
+        while rest:
+            low = rest & -rest
+            counts[f ^ low] += 1
+            rest ^= low
+    return counts
+
+
+def _replay(counts: dict[int, int], pairs: list[tuple[int, int]],
+            terminal: set[int] | None = None) -> tuple[int, str] | None:
+    """Apply (free, coface) mask pairs to a coface-count table, in order.
+
+    Every step is checked against six conditions, in this order: the free
+    face is nonempty, it is a maximal proper face of the coface, the
+    coface is present, the free face is present, the coface is a facet,
+    and the free face lies in no other facet.  A valid step removes both
+    faces in O(d): the faces that lose a coface are the free face's, and
+    the coface's other codimension-1 faces, one per vertex of the free
+    face.  Returns None when every step is valid and, when
+    ``terminal`` (a set of facet masks) is given, the facets left are
+    exactly those; else (i, violation) for the first invalid step i, or
+    (len(pairs), violation) when only the terminal differs.  ``counts``
+    is left in the state the replay reached.
+    """
+    get = counts.get
+    for i, (free, coface) in enumerate(pairs):
+        if not free:
+            return i, "free face must be nonempty"
+        if free & ~coface or (coface ^ free).bit_count() != 1:
+            return i, "free face is not a maximal proper face of the coface"
+        up = get(coface)
+        if up is None:
+            return i, "coface is not a face of the complex"
+        down = get(free)
+        if down is None:
+            return i, "free face is not a face of the complex"
+        if up:
+            return i, "coface is not a facet"
+        if down > 1:
+            return i, "free face lies in more than one facet"
+        del counts[coface], counts[free]
+        rest = free
+        while rest:
+            low = rest & -rest
+            counts[coface ^ low] -= 1
+            counts[free ^ low] -= 1
+            rest ^= low
+    if terminal is not None and {f for f, up in counts.items() if not up} != terminal:
+        return len(pairs), "the faces left are not the terminal complex"
+    return None
+
+
 class _FaceSet:
-    """Mutable face-set view of a complex while replaying collapses.
+    """Mutable face-set view of a complex for the greedy collapse.
 
     One table maps the bitmask of each present face, the empty face (0)
     included, to the set of masks of its present codimension-1 cofaces.
     A face is a facet when it has none, and free when it has exactly one
     (downward closure makes it a facet).  For N faces of at most d
     vertices, building the table takes O(N d) set operations and
-    removing a face O(d); a step's frozenset faces become masks in O(d)
-    C-level steps.
+    removing a face O(d).
     """
 
-    __slots__ = ("cofaces", "bits", "vertices")
+    __slots__ = ("cofaces", "vertices")
 
     def __init__(self, complex_: SimplicialComplex):
         self.vertices = complex_.vertices
-        self.bits = complex_._vertex_bits()
         masks = complex_._face_masks()
         cofaces = self.cofaces = {f: set() for f in masks}
         if cofaces:
@@ -71,40 +158,8 @@ class _FaceSet:
                 cofaces[f ^ low].add(f)
                 rest ^= low
 
-    def mask(self, face: Face) -> int | None:
-        """The mask of a face; None when it names a vertex outside the
-        complex."""
-        try:
-            return sum(map(self.bits.__getitem__, face))
-        except KeyError:
-            return None
-
     def face(self, mask: int) -> Face:
-        return frozenset(map(self.vertices.__getitem__, _bit_indices(mask)))
-
-    def step_violation(self, step: CollapseStep) -> str | None:
-        """None when the step is valid now, else the violated condition."""
-        free, coface = step.free_face, step.coface
-        if not free:
-            return "free face must be nonempty"
-        if not (free < coface and len(free) == len(coface) - 1):
-            return "free face is not a maximal proper face of the coface"
-        cofaces = self.cofaces
-        up = cofaces.get(self.mask(coface))
-        if up is None:
-            return "coface is not a face of the complex"
-        down = cofaces.get(self.mask(free))
-        if down is None:
-            return "free face is not a face of the complex"
-        if up:
-            return "coface is not a facet"
-        if len(down) > 1:
-            return "free face lies in more than one facet"
-        return None
-
-    def apply(self, step: CollapseStep) -> None:
-        self.remove(self.mask(step.coface))
-        self.remove(self.mask(step.free_face))
+        return _face(self.vertices, mask)
 
     def remove(self, face: int) -> None:
         cofaces = self.cofaces
@@ -134,12 +189,23 @@ def free_pairs(complex_: SimplicialComplex) -> list[tuple[Face, Face]]:
 
 def elementary_collapse(complex_: SimplicialComplex, step: CollapseStep) -> SimplicialComplex:
     """Remove the step's two faces; raises InvalidStepError when not free."""
-    fs = _FaceSet(complex_)
-    violation = fs.step_violation(step)
-    if violation is not None:
-        raise InvalidStepError(violation)
-    fs.apply(step)
-    return fs.to_complex()
+    pairs, _ = _mask_pairs(complex_, (step,))
+    counts = _coface_counts(complex_)
+    bad = _replay(counts, pairs)
+    if bad is not None:
+        raise InvalidStepError(bad[1])
+    vertices = complex_.vertices
+    return SimplicialComplex._from_maximal(
+        _face(vertices, f) for f, up in counts.items() if not up)
+
+
+def _first_violation(complex_: SimplicialComplex,
+                     sequence: CollapseSequence) -> tuple[int, str] | None:
+    # the replay of a named certificate: None, or (first bad step, violation)
+    pairs, bits = _mask_pairs(complex_, sequence.steps)
+    bit = bits.__getitem__
+    terminal = {sum(map(bit, f)) for f in sequence.terminal.facets}
+    return _replay(_coface_counts(complex_), pairs, terminal)
 
 
 def verify_sequence(complex_: SimplicialComplex,
@@ -149,52 +215,56 @@ def verify_sequence(complex_: SimplicialComplex,
     Returns (True, None) when every step is valid in order and the final
     complex equals ``sequence.terminal``; otherwise (False, i) where i is
     the first invalid step, or len(steps) when only the terminal differs.
-    Every step is checked against all six conditions of
-    ``_FaceSet.step_violation``.  Cost: O(N d) to build the mask-keyed
-    coface table of a complex with N faces of at most d vertices, then
-    O(d) per step; nothing is sorted.
+    Every step is checked against all six conditions of ``_replay``; the
+    steps' names become vertex bitmasks first, and a name outside the
+    complex gets a bit of its own above the complex's.  Cost: O(N d) to
+    build the coface-count table of a complex with N faces of at most d
+    vertices, then O(d) per step; nothing is sorted.
     """
-    fs = _FaceSet(complex_)
-    for i, step in enumerate(sequence.steps):
-        if fs.step_violation(step) is not None:
-            return False, i
-        fs.apply(step)
-    if fs.to_complex() != sequence.terminal:
-        return False, len(sequence.steps)
-    return True, None
+    bad = _first_violation(complex_, sequence)
+    return (True, None) if bad is None else (False, bad[0])
 
 
-def _simplex_steps(start: Face, goal: Face) -> Iterator[CollapseStep]:
-    """Collapse the full simplex on ``start`` down to the simplex on the
-    nonempty proper face ``goal``.
+def _simplex_steps(start: int, goal: int) -> Iterator[tuple[int, int]]:
+    """(free, coface) mask pairs collapsing the full simplex on ``start``
+    down to the simplex on its nonempty face ``goal``.
 
     Follows the inductive schedule: with the simplex's vertices ordered
-    x_1..x_n so that x_n avoids the goal, first collapse away the maximal
-    face missing x_1, then eliminate each remaining maximal face F_i
-    (i = 2..n-1) through the cascade of its intersections with earlier
-    maximal faces, always paired against the same intersection extended by
-    x_1; what is left is the simplex without x_n, and the construction
-    recurses.  Each round halves toward the goal, removing exactly two
-    faces per step.
+    x_1..x_n by bit, except that x_n, the top bit outside the goal, goes
+    last, first collapse away the maximal face missing x_1, then eliminate
+    each remaining maximal face F_i (i = 2..n-1), the one missing x_i,
+    through the cascade of its intersections with earlier maximal faces,
+    always paired against the same intersection extended by x_1; what is
+    left is the simplex without x_n, and the construction recurses.  The
+    vertices dropped besides x_i run through the subsets of x_2..x_{i-1}
+    as submasks in increasing order, ``s = (s - span) & span``, which is
+    binary counting.  Each step removes exactly two faces.
     """
-    cur = set(start)
+    cur = start
     while cur != goal:
-        x_last = max(cur - goal, key=vertex_key)
-        x = sorted(cur - {x_last}, key=vertex_key) + [x_last]
-        n = len(x)
-        yield CollapseStep(frozenset(cur - {x[0]}), frozenset(cur))
-        for i in range(2, n):
-            # subsets of {x_2..x_{i-1}} in binary-counting order
-            for code in range(1 << (i - 2)):
-                dropped = {x[i - 1]}
-                dropped.update(x[b + 1] for b in range(i - 2) if code >> b & 1)
-                coface = frozenset(cur - dropped)
-                yield CollapseStep(coface - {x[0]}, coface)
-        cur.discard(x_last)
+        rest = cur ^ (1 << ((cur & ~goal).bit_length() - 1))  # drop x_n
+        first = rest & -rest
+        yield cur ^ first, cur
+        middle = rest ^ first
+        span = 0
+        while middle:
+            low = middle & -middle  # x_i
+            middle ^= low
+            top = cur ^ low
+            s = 0
+            while True:
+                coface = top ^ s
+                yield coface ^ first, coface
+                s = (s - span) & span
+                if not s:
+                    break
+            span |= low
+        cur = rest
 
 
-def tree_collapse_certificate(complex_: SimplicialComplex) -> CollapseSequence:
-    """A verified collapse of a simplicial tree down to a single point.
+def _tree_steps(complex_: SimplicialComplex) -> tuple[list[tuple[int, int]], int]:
+    """The verified (free, coface) mask pairs that collapse a simplicial
+    tree to a point, and the mask of that point.
 
     Prunes the tree leaf by leaf, in the order the forest code gives:
     each leaf F is the first in facet order of the facets still left, and
@@ -202,7 +272,8 @@ def tree_collapse_certificate(complex_: SimplicialComplex) -> CollapseSequence:
     on F onto F & G (valid in the whole complex: each face it removes
     sticks out of every other facet left), then collapses the last facet
     to its first vertex.  The joined schedules are replayed once, against
-    the whole complex.  The sequence length is (#faces - 1) / 2.
+    the whole complex, terminal included.  There are (#faces - 1) / 2
+    pairs.
 
     Raises NotATreeError with the evidence when the input is empty,
     disconnected, or has a leafless subcollection.
@@ -216,18 +287,35 @@ def tree_collapse_certificate(complex_: SimplicialComplex) -> CollapseSequence:
     if not forest:
         raise NotATreeError("complex has a leafless subcollection",
                             witness=witness)
-    steps: list[CollapseStep] = []
+    bit = complex_._vertex_bits().__getitem__
+    pairs: list[tuple[int, int]] = []
     *pruned, (last, _) = complex_._leaf_order()
     for leaf, joint in pruned:
-        steps.extend(_simplex_steps(leaf, leaf & joint))
-    point = min(last, key=vertex_key)
-    if len(last) > 1:
-        steps.extend(_simplex_steps(last, frozenset({point})))
-    sequence = CollapseSequence(tuple(steps), SimplicialComplex([{point}]))
-    ok, bad = verify_sequence(complex_, sequence)
-    if not ok:
-        raise AssertionError(f"tree collapse certificate failed at step {bad}")
-    return sequence
+        leaf = sum(map(bit, leaf))
+        pairs.extend(_simplex_steps(leaf, leaf & sum(map(bit, joint))))
+    last = sum(map(bit, last))
+    point = last & -last
+    pairs.extend(_simplex_steps(last, point))
+    bad = _replay(_coface_counts(complex_), pairs, {point})
+    if bad is not None:
+        raise AssertionError(f"tree collapse certificate failed at step {bad[0]}")
+    return pairs, point
+
+
+def tree_collapse_certificate(complex_: SimplicialComplex) -> CollapseSequence:
+    """A verified collapse of a simplicial tree down to a single point.
+
+    The steps of ``_tree_steps``, which schedules them leaf by leaf and
+    replays them once against the whole complex, named.  Raises
+    NotATreeError with the evidence when the input is empty, disconnected,
+    or has a leafless subcollection.
+    """
+    pairs, point = _tree_steps(complex_)
+    vertices = complex_.vertices
+    steps = tuple(CollapseStep(_face(vertices, free), _face(vertices, coface))
+                  for free, coface in pairs)
+    return CollapseSequence(
+        steps, SimplicialComplex._from_maximal([_face(vertices, point)]))
 
 
 def greedy_collapse(complex_: SimplicialComplex) -> tuple[CollapseSequence, SimplicialComplex]:

@@ -133,6 +133,25 @@ def sequence_to_data(sequence: CollapseSequence) -> dict:
             "terminal": complex_to_data(sequence.terminal)["facets"]}
 
 
+def _mask_steps_to_data(vertices, pairs, terminal) -> dict:
+    # the certificate data of (free, coface) vertex-mask pairs and terminal
+    # facet masks over a complex's vertices; bit order is vertex_key order,
+    # so each face's names come out sorted.  A face's names are those of
+    # the face without its top vertex, kept, plus that vertex's name.
+    known = {0: []}
+
+    def names(mask):
+        found = known.get(mask)
+        if found is None:
+            top = mask.bit_length() - 1
+            found = known[mask] = names(mask ^ (1 << top)) + [vertices[top]]
+        return found
+
+    return {"steps": [{"free": names(free), "coface": names(coface)}
+                      for free, coface in pairs],
+            "terminal": list(map(names, terminal))}
+
+
 def parse_sequence_data(data, path=None) -> CollapseSequence:
     if not isinstance(data, dict) or "steps" not in data or "terminal" not in data:
         raise InputFileError('expected an object with "steps" and "terminal"', path=path)
@@ -173,14 +192,42 @@ def json_text(value) -> str:
     json encodes in C only without indentation, and its pure-Python
     indenting encoder is slow.  This writer lays out the same text and
     leaves strings to json's C quoting, which a list of strings gets in
-    one join.
+    one join.  A ``_Laid`` value, text this writer laid out before, is
+    placed as it is, at its depth.
     """
     parts: list[str] = []
     _write(value, "\n", parts)
     return "".join(parts)
 
 
+class _Laid:
+    """JSON text that ``json_text`` laid out at the top level, to be placed
+    inside another value without laying it out again.  JSON text holds no
+    raw newline inside a string, so moving it to a deeper indentation only
+    adds that indentation after each newline."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
 _NON_FINITE = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
+
+# newline + indentation -> the strings a container at that indentation
+# uses: its items' newline, the separator before each later item, and the
+# opening, separator and closing of a string list held under a key
+_LAYOUTS: dict[str, tuple[str, str, str, str, str]] = {}
+
+
+def _layout(newline: str) -> tuple[str, str, str, str, str]:
+    layout = _LAYOUTS.get(newline)
+    if layout is None:
+        inner = newline + "  "
+        deeper = "," + inner + "  "
+        layout = _LAYOUTS[newline] = (inner, "," + inner, ": [" + deeper[1:],
+                                      deeper, inner + "]")
+    return layout
 
 
 def _write(value, newline, parts) -> None:
@@ -190,9 +237,9 @@ def _write(value, newline, parts) -> None:
         if not value:
             parts.append("[]")
             return
-        inner = newline + "  "
+        inner, comma = _layout(newline)[:2]
         try:
-            parts.append("[" + inner + ("," + inner).join(map(_quote, value))
+            parts.append("[" + inner + comma.join(map(_quote, value))
                          + newline + "]")
             return
         except TypeError:
@@ -201,18 +248,27 @@ def _write(value, newline, parts) -> None:
         for item in value:
             parts.append(sep)
             _write(item, inner, parts)
-            sep = "," + inner
+            sep = comma
         parts.append(newline + "]")
     elif isinstance(value, dict):
         if not value:
             parts.append("{}")
             return
-        inner = newline + "  "
+        inner, comma, opening, deeper, closing = _layout(newline)
         sep = "{" + inner
         for key, item in sorted(value.items()):
+            if item and isinstance(item, (list, tuple)):
+                # a nonempty list of strings is one join, with no call
+                try:
+                    parts += (sep, _quote(key), opening,
+                              deeper.join(map(_quote, item)), closing)
+                    sep = comma
+                    continue
+                except TypeError:
+                    pass  # not all strings
             parts.append(sep + _quote(key) + ": ")
             _write(item, inner, parts)
-            sep = "," + inner
+            sep = comma
         parts.append(newline + "}")
     elif isinstance(value, str):
         parts.append(_quote(value))
@@ -227,6 +283,8 @@ def _write(value, newline, parts) -> None:
     elif isinstance(value, float):
         parts.append("NaN" if value != value
                      else _NON_FINITE.get(value) or float.__repr__(value))
+    elif isinstance(value, _Laid):
+        parts.append(value.text.replace("\n", newline))
     else:
         raise TypeError(f"Object of type {type(value).__name__} "
                         "is not JSON serializable")

@@ -17,7 +17,9 @@ table, and its greedy loop the reference for ``greedy_collapse``.  The
 library enumerates faces as bitmasks; the frozenset enumeration sorted
 by ``face_key`` is the reference for ``faces`` and ``f_vector``, and the
 coface table keyed by frozensets, with its replay, the reference for
-the mask-keyed table behind ``verify_sequence``.  Trial
+the coface-count replay on masks behind ``verify_sequence``, and the
+frozenset simplex schedule, joined along the frozenset leaf order, the
+reference for the mask schedule of tree certificates.  Trial
 division and the Lucas test (which certifies a prime from the factorisation
 of p - 1) are the references for the Miller-Rabin test behind ``FieldSpec``.
 The Scarf ideals built by monomial products, radicals and exact quotients
@@ -39,10 +41,10 @@ chain-complex code with the library.
 import itertools
 from fractions import Fraction
 from random import Random
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from treescarf.collapse import CollapseSequence, CollapseStep
-from treescarf.complexes import Face, SimplicialComplex, face_key, face_sorted
+from treescarf.complexes import Face, SimplicialComplex, face_key, face_sorted, vertex_key
 from treescarf.errors import (BadHError, BoundaryOfSimplexError,
                               DegenerateVertexFacetError)
 from treescarf.homology import QQ, FieldSpec, HomologyRanks, rank
@@ -447,6 +449,35 @@ def verify_sequence(complex_: SimplicialComplex,
     return True, None
 
 
+def simplex_steps(start: Face, goal: Face) -> Iterator[CollapseStep]:
+    """Collapse the full simplex on ``start`` down to the simplex on the
+    nonempty proper face ``goal``, on frozenset faces.
+
+    Follows the inductive schedule: with the simplex's vertices ordered
+    x_1..x_n so that x_n avoids the goal, first collapse away the maximal
+    face missing x_1, then eliminate each remaining maximal face F_i
+    (i = 2..n-1) through the cascade of its intersections with earlier
+    maximal faces, always paired against the same intersection extended by
+    x_1; what is left is the simplex without x_n, and the construction
+    recurses.  Each round halves toward the goal, removing exactly two
+    faces per step.
+    """
+    cur = set(start)
+    while cur != goal:
+        x_last = max(cur - goal, key=vertex_key)
+        x = sorted(cur - {x_last}, key=vertex_key) + [x_last]
+        n = len(x)
+        yield CollapseStep(frozenset(cur - {x[0]}), frozenset(cur))
+        for i in range(2, n):
+            # subsets of {x_2..x_{i-1}} in binary-counting order
+            for code in range(1 << (i - 2)):
+                dropped = {x[i - 1]}
+                dropped.update(x[b + 1] for b in range(i - 2) if code >> b & 1)
+                coface = frozenset(cur - dropped)
+                yield CollapseStep(coface - {x[0]}, coface)
+        cur.discard(x_last)
+
+
 class FaceSet:
     """Mutable face set of a complex; every question scans the vertex universe.
 
@@ -540,6 +571,17 @@ def leaf_order(forest: SimplicialComplex) -> list[tuple[Face, Optional[Face]]]:
         order.append((leaf, joint))
         facets.remove(leaf)
     return order
+
+
+def tree_collapse_certificate(tree: SimplicialComplex) -> CollapseSequence:
+    """The tree certificate from ``leaf_order`` and ``simplex_steps``: each
+    leaf's simplex onto its intersection with its joint, then the last
+    facet onto its first vertex; not replayed."""
+    *pruned, (last, _) = leaf_order(tree)
+    steps = [s for leaf, joint in pruned for s in simplex_steps(leaf, leaf & joint)]
+    point = frozenset({min(last, key=vertex_key)})
+    steps.extend(simplex_steps(last, point))
+    return CollapseSequence(tuple(steps), SimplicialComplex([point]))
 
 
 def leafless_subcollection(complex_: SimplicialComplex) -> Optional[tuple[Face, ...]]:

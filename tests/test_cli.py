@@ -15,13 +15,16 @@ from hypothesis import strategies as st
 
 import treescarf
 from treescarf import (BettiTable, CollapseSequence, LabeledComplex, Monomial,
-                       MonomialIdeal, SimplicialComplex, verify_sequence)
+                       MonomialIdeal, SimplicialComplex, tree_collapse_certificate,
+                       verify_sequence)
 from treescarf import cli, collapse, errors, io
 from treescarf.cli import main
 from treescarf.errors import InputFileError
 from treescarf.io import (complex_to_data, ideal_to_data, load_complex,
                           load_ideal, load_sequence, parse_complex_data,
                           parse_ideal_data, parse_sequence_data)
+
+import oracles
 
 TAIL_FACETS = {"facets": [["1", "2", "3"], ["2", "3", "4"], ["4", "5"]]}
 DIAMOND_FACETS = {"facets": [["1", "2", "4"], ["2", "3", "4"]]}
@@ -194,12 +197,26 @@ def test_writer_is_byte_identical_to_json_indented_output(value):
     assert io.json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
+@settings(max_examples=300)
+@given(json_trees)
+def test_laid_out_text_is_placed_at_any_depth(value):
+    # text laid out once at the top level, placed inside other values,
+    # reads as the value laid out there
+    laid = io._Laid(io.json_text(value))
+    for outer, expected in (([laid], [value]), ({"a": {"b": laid}}, {"a": {"b": value}}),
+                            ([["x"], {"k": [laid, "y"]}], [["x"], {"k": [value, "y"]}])):
+        assert io.json_text(outer) == json.dumps(expected, indent=2, sort_keys=True)
+    assert io.json_text(laid) == json.dumps(value, indent=2, sort_keys=True)
+
+
 @pytest.mark.parametrize("value", [
     [], {}, [[]], [{}], {"a": [], "b": {}, "c": [[], {}]},
     [True, 1, False, 0, None], {"1": True, "10": 1, "9": False},
     ["a", 1], ["a", ["b"], "c"], (("x", "y"), ()),
     2**300, -2**300, "\x00\"\\\u00e9\ud83d\ude00",
     [float("nan"), float("inf"), -float("inf"), 0.1, -0.0, 1e300],
+    {"a": [], "b": ["x", "y"], "c": ["z"], "d": ("u",), "e": [1, "x"],
+     "f": {"g": ["h"], "i": []}, "j": [["k"]]},
 ])
 def test_writer_edge_cases_and_file_output(value, tmp_path):
     expected = json.dumps(value, indent=2, sort_keys=True)
@@ -283,17 +300,52 @@ def test_each_command_decides_forest_once(files, capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("command", ["check", "collapse"])
 def test_tree_certificate_is_replayed_once(files, capsys, monkeypatch, command):
+    # the one replay runs once, on the coface counts of the whole complex
     replayed = []
-    replay = collapse.verify_sequence
+    replay = collapse._replay
 
-    def spy(complex_, sequence):
-        replayed.append(complex_)
-        return replay(complex_, sequence)
+    def spy(counts, pairs, terminal=None):
+        replayed.append(dict(counts))
+        return replay(counts, pairs, terminal)
 
-    monkeypatch.setattr(collapse, "verify_sequence", spy)
+    monkeypatch.setattr(collapse, "_replay", spy)
     code, _, _ = run(capsys, command, files["tail"])
     assert code == 0
-    assert replayed == [load_complex(files["tail"])]
+    assert replayed == [collapse._coface_counts(load_complex(files["tail"]))]
+
+
+@pytest.mark.parametrize("argv", [("check",), ("collapse", "--out", "cert.json")])
+def test_tree_commands_name_faces_only_for_output(files, capsys, monkeypatch, argv):
+    # check and collapse work on masks from schedule to output: no
+    # CollapseStep is built and the frozenset writer is never called
+    built, written = [], []
+    init = collapse.CollapseStep.__init__
+
+    def spy_step(self, free_face, coface):
+        built.append((free_face, coface))
+        init(self, free_face, coface)
+
+    def spy_data(sequence):
+        written.append(sequence)
+        raise AssertionError("sequence_to_data called")
+
+    monkeypatch.setattr(collapse.CollapseStep, "__init__", spy_step)
+    monkeypatch.setattr(io, "sequence_to_data", spy_data)
+    monkeypatch.chdir(files["tmp"])
+    command, *options = argv
+    code, out, _ = run(capsys, command, files["tail"], *options)
+    assert code == 0
+    assert built == [] and written == []
+    complex_ = load_complex(files["tail"])
+    # the public certificate is still the frozenset schedule's, and the
+    # report carries its length and terminal
+    expected = oracles.tree_collapse_certificate(complex_)
+    assert tree_collapse_certificate(complex_) == expected
+    result = json.loads(out)["result"]
+    if command == "check":
+        result = result["collapse"]
+    assert result["steps"] == len(expected.steps)
+    assert result["terminal"] == complex_to_data(expected.terminal)["facets"]
 
 
 @pytest.mark.parametrize("argv", [("check",), ("collapse", "--out", "cert.json")])
@@ -524,6 +576,47 @@ def test_collapse_command_writes_verifiable_certificate(files, capsys):
     assert verify_sequence(complex_, sequence) == (True, None)
 
 
+def test_verify_collapse_replays_a_written_certificate(files, capsys):
+    out_path = files["tmp"] / "cert.json"
+    assert run(capsys, "collapse", files["tail"], "--out", str(out_path))[0] == 0
+    code, out, _ = run(capsys, "verify-collapse", files["tail"], str(out_path))
+    assert code == 0
+    report = json.loads(out)
+    assert report["command"] == "verify-collapse"
+    assert report["result"] == {"valid": True, "first_bad_step": None,
+                                "violation": None}
+    assert report["inputs"]["certificate"] == json.loads(out_path.read_text())
+    # swapping the free face and the coface of step 2 breaks it there
+    certificate = json.loads(out_path.read_text())
+    step = certificate["steps"][2]
+    step["free"], step["coface"] = step["coface"], step["free"]
+    out_path.write_text(json.dumps(certificate))
+    code, out, _ = run(capsys, "verify-collapse", files["tail"], str(out_path))
+    assert code == 0
+    assert json.loads(out)["result"] == {
+        "valid": False, "first_bad_step": 2,
+        "violation": "free face is not a maximal proper face of the coface"}
+    # a certificate of another complex fails at its first step, and a wrong
+    # terminal after the last
+    code, out, _ = run(capsys, "verify-collapse", files["diamond"], str(out_path))
+    assert json.loads(out)["result"]["first_bad_step"] == 0
+    certificate["steps"] = []
+    out_path.write_text(json.dumps(certificate))
+    code, out, _ = run(capsys, "verify-collapse", files["tail"], str(out_path))
+    assert json.loads(out)["result"] == {
+        "valid": False, "first_bad_step": 0,
+        "violation": "the faces left are not the terminal complex"}
+
+
+def test_verify_collapse_rejects_a_malformed_certificate(files, capsys):
+    p = files["tmp"] / "cert.json"
+    for content in ('{"steps": [{"free": ["1"]}], "terminal": [["1"]]}', "{nope"):
+        p.write_text(content)
+        code, out, err = run(capsys, "verify-collapse", files["tail"], str(p))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "InputFileError"
+
+
 def test_collapse_command_on_a_point(files, capsys):
     p = files["tmp"] / "point.json"
     p.write_text(json.dumps({"facets": [["1"]]}))
@@ -640,6 +733,7 @@ def command_lines(draw, complex_file, ideal_file, vertices, out):
     yield ["check", complex_file]
     yield ["fvector", complex_file]
     yield ["collapse", complex_file, "--out", out]
+    yield ["verify-collapse", complex_file, out]
     for extra in ([], ["--verify"], ["--labels", ",".join(labels)],
                   ["--labels", ",".join(labels), "--verify"]):
         yield ["supports", complex_file, ideal_file, "--field", field, *extra]

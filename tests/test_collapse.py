@@ -110,7 +110,7 @@ def simplex_schedule(facet, target):
     """The schedule that tree certificates use for one leaf, replayed on the
     simplex ``facet`` and checked to end at the simplex ``target``."""
     start, goal = frozenset(facet), frozenset(target)
-    seq = CollapseSequence(tuple(collapse._simplex_steps(start, goal)),
+    seq = CollapseSequence(tuple(oracles.simplex_steps(start, goal)),
                            SimplicialComplex([goal]))
     assert verify_sequence(SimplicialComplex([start]), seq) == (True, None)
     return seq
@@ -327,14 +327,21 @@ def test_coface_table_matches_scanning_oracle(complex_, rng):
     # an outside name makes cofaces that are no face
     names = list(complex_.vertices) + ["0"]
     table, ref = collapse._FaceSet(complex_), oracles.FaceSet(complex_)
+    counts = collapse._coface_counts(complex_)
     for step in seq.steps + (None,):
         assert [(table.face(free), table.face(coface))
                 for free, coface in table.free_pairs()] == ref.free_pairs()
         assert table.to_complex() == ref.to_complex()
         for candidate in candidate_steps(rng, sorted(ref.faces, key=sorted), names):
-            assert table.step_violation(candidate) == ref.step_violation(candidate)
+            # the count-table replay of the candidate alone, from this state
+            pairs, _ = collapse._mask_pairs(complex_, (candidate,))
+            bad = collapse._replay(dict(counts), pairs)
+            assert (None if bad is None else bad[1]) == ref.step_violation(candidate)
         if step is not None:
-            table.apply(step)
+            (pair,), _ = collapse._mask_pairs(complex_, (step,))
+            assert collapse._replay(counts, [pair]) is None
+            table.remove(pair[1])
+            table.remove(pair[0])
             ref.apply(step)
 
 
@@ -394,17 +401,18 @@ def check_corruptions(complex_, rng) -> set[str]:
     assert (verify_sequence(complex_, seq) == oracles.verify_sequence(complex_, seq)
             == (True, None))
     shown = set()
-    ref, table = oracles.CofaceTable(complex_), collapse._FaceSet(complex_)
+    ref = oracles.CofaceTable(complex_)
     for i, step in enumerate(seq.steps):
         for kind, bad in corrupt_steps(ref, step, complex_.vertices, rng).items():
-            assert ref.step_violation(bad) == table.step_violation(bad) == MESSAGES[kind]
             steps = seq.steps[:i] + (bad,) + seq.steps[i + 1:]
             corrupted = CollapseSequence(steps, seq.terminal)
+            # the count-table replay names the same step and message
+            assert ref.step_violation(bad) == MESSAGES[kind]
+            assert collapse._first_violation(complex_, corrupted) == (i, MESSAGES[kind])
             assert (verify_sequence(complex_, corrupted)
                     == oracles.verify_sequence(complex_, corrupted) == (False, i))
             shown.add(kind)
         ref.apply(step)
-        table.apply(step)
     for terminal in (complex_, SimplicialComplex([{"zz"}]),
                      SimplicialComplex([set(complex_.vertices[:2])])):
         if terminal != seq.terminal:
@@ -450,8 +458,36 @@ def test_elementary_collapse_keeps_its_six_messages():
     # present coface is always present; only a table with a face taken out
     # by hand shows the sixth message.
     step = CollapseStep(frozenset({"1"}), frozenset({"1", "2"}))
-    table, ref = collapse._FaceSet(EDGE_TRIANGLE), oracles.CofaceTable(EDGE_TRIANGLE)
-    table.remove(table.mask(step.free_face))
+    counts, ref = collapse._coface_counts(EDGE_TRIANGLE), oracles.CofaceTable(EDGE_TRIANGLE)
+    pairs, _ = collapse._mask_pairs(EDGE_TRIANGLE, (step,))
+    # the vertex {1} goes, and with it a coface of the empty face
+    del counts[pairs[0][0]]
+    counts[0] -= 1
     del ref.cofaces[step.free_face]
-    assert (table.step_violation(step) == ref.step_violation(step)
+    ref.cofaces[frozenset()].discard(step.free_face)
+    assert (collapse._replay(counts, pairs)[1] == ref.step_violation(step)
             == "free face is not a face of the complex")
+
+
+# -- the mask schedule and certificate against the frozenset schedule -----------
+
+@settings(max_examples=40)
+@given(st.permutations(MIXED_NAMES))
+def test_mask_schedule_matches_the_frozenset_schedule(names):
+    # every nonempty proper goal face of the simplices on 1..7 of the names
+    for n in range(1, 8):
+        simplex = SimplicialComplex([names[:n]])
+        vertices, full = simplex.vertices, (1 << n) - 1
+        for goal in range(1, full):
+            got = [(collapse._face(vertices, free), collapse._face(vertices, coface))
+                   for free, coface in collapse._simplex_steps(full, goal)]
+            expected = [(s.free_face, s.coface) for s in oracles.simplex_steps(
+                frozenset(names[:n]), collapse._face(vertices, goal))]
+            assert got == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=True), st.permutations(MIXED_NAMES))
+def test_tree_certificate_equals_the_frozenset_schedule(rng, names):
+    tree = renamed_tree(rng, names)
+    assert tree_collapse_certificate(tree) == oracles.tree_collapse_certificate(tree)
