@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from . import io
-from .collapse import _first_violation, _tree_steps, greedy_collapse
+from .collapse import _first_violation, _greedy_steps, _tree_steps
 from .complexes import face_sorted
 from .errors import ArityMismatchError, InputFileError, TreescarfError
 from .homology import FieldSpec
@@ -166,14 +166,15 @@ def cmd_collapse(args) -> dict:
     complex_ = io.load_complex(args.complex_file)
     diagnostics = []
     if complex_.is_tree():
-        # names straight from the verified masks; no CollapseStep is built
         pairs, point = _tree_steps(complex_)
-        certificate = io._mask_steps_to_data(complex_.vertices, pairs, [point])
+        left = [point]
         diagnostics.append("tree certificate (verified, ends at a point)")
     else:
-        sequence, _ = greedy_collapse(complex_)
-        certificate = io.sequence_to_data(sequence)
+        pairs, left = _greedy_steps(complex_)
         diagnostics.append("greedy collapse; a large residual proves nothing")
+    # names straight from the masks of the steps and the facets left; no
+    # CollapseStep is built
+    certificate = io._mask_steps_to_data(complex_.vertices, pairs, left)
     terminal = certificate["terminal"]
     # laid out once, for the report and the --out file
     laid = io._Laid(io.json_text(certificate))

@@ -6,15 +6,16 @@ claims are never returned as bare booleans; they come as an ordered step
 sequence that ``verify_sequence`` can replay against the definition, so
 every certificate is independently checkable.
 
-Faces here are vertex bitmasks (see ``treescarf.complexes``).  Every
-replay, of a tree certificate, of a certificate read back from a file or
-of one elementary collapse, is the one routine ``_replay``: it checks each
-(free, coface) mask pair against a table from each present face to the
-number of its present codimension-1 cofaces.  A tree certificate is
-scheduled as mask pairs and replayed once, against the whole complex;
-frozenset faces are built only for a public ``CollapseStep``.
-``greedy_collapse`` and ``free_pairs`` need to know which coface a free
-face has, so they keep the sets of cofaces instead (``_FaceSet``).
+Faces here are vertex bitmasks (see ``treescarf.complexes``).  One table
+answers every "is this face free?" question: it maps each present face to
+the OR of the vertex bits that extend it to a present face, so an entry of
+0 marks a facet and an entry of one bit b a free face whose coface is
+face | b.  Every replay, of a tree certificate, of a certificate read back
+from a file, of one elementary collapse or of each greedy step, is the one
+routine ``_replay`` on that table.  A tree certificate is scheduled as
+mask pairs and replayed once, against the whole complex; the greedy
+collapse applies its pairs one at a time as a heap hands them out.
+Frozenset faces are built only for the public results.
 """
 
 from __future__ import annotations
@@ -54,6 +55,16 @@ def _face(vertices: tuple[str, ...], mask: int) -> Face:
     return frozenset(map(vertices.__getitem__, _bit_indices(mask)))
 
 
+def _named(vertices: tuple[str, ...], pairs: list[tuple[int, int]],
+           left: list[int]) -> CollapseSequence:
+    # the sequence of (free, coface) mask pairs that leaves the facet masks
+    # ``left``, named over a complex's vertices
+    steps = tuple(CollapseStep(_face(vertices, free), _face(vertices, coface))
+                  for free, coface in pairs)
+    return CollapseSequence(
+        steps, SimplicialComplex._from_maximal(_face(vertices, f) for f in left))
+
+
 class _NameBits(dict):
     """Vertex name -> bit.  A name outside the complex gets the next bit
     above the complex's, so no present face holds it."""
@@ -70,27 +81,29 @@ def _mask_pairs(complex_: SimplicialComplex, steps) -> tuple[list[tuple[int, int
     return [(sum(map(bit, s.free_face)), sum(map(bit, s.coface))) for s in steps], bits
 
 
-def _coface_counts(complex_: SimplicialComplex) -> dict[int, int]:
+def _coface_bits(complex_: SimplicialComplex) -> dict[int, int]:
     # the mask of each present face, the empty face (0) included, to the
-    # number of its present codimension-1 cofaces: a face is a facet when
-    # its count is 0, and free when it is 1 (downward closure then makes
-    # its one coface a facet); O(N d) for N faces of at most d vertices
+    # OR of the vertex bits v that extend it to a present face: a face is
+    # a facet when its entry is 0, and free when the entry is one bit b
+    # (downward closure then makes its one coface, face | b, a facet); the
+    # popcount is the number of cofaces; O(N d) for N faces of at most d
+    # vertices
     masks = complex_._face_masks()
-    counts = dict.fromkeys(masks, 0)
-    if counts:
-        counts[0] = 0
+    table = dict.fromkeys(masks, 0)
+    if table:
+        table[0] = 0
     for f in masks:
         rest = f
         while rest:
             low = rest & -rest
-            counts[f ^ low] += 1
+            table[f ^ low] |= low
             rest ^= low
-    return counts
+    return table
 
 
-def _replay(counts: dict[int, int], pairs: list[tuple[int, int]],
+def _replay(table: dict[int, int], pairs: list[tuple[int, int]],
             terminal: set[int] | None = None) -> tuple[int, str] | None:
-    """Apply (free, coface) mask pairs to a coface-count table, in order.
+    """Apply (free, coface) mask pairs to a coface-bit table, in order.
 
     Every step is checked against six conditions, in this order: the free
     face is nonempty, it is a maximal proper face of the coface, the
@@ -98,13 +111,14 @@ def _replay(counts: dict[int, int], pairs: list[tuple[int, int]],
     and the free face lies in no other facet.  A valid step removes both
     faces in O(d): the faces that lose a coface are the free face's, and
     the coface's other codimension-1 faces, one per vertex of the free
-    face.  Returns None when every step is valid and, when
-    ``terminal`` (a set of facet masks) is given, the facets left are
-    exactly those; else (i, violation) for the first invalid step i, or
-    (len(pairs), violation) when only the terminal differs.  ``counts``
-    is left in the state the replay reached.
+    face, and each loses the bit of that vertex.  Returns None when every
+    step is valid and, when ``terminal`` (a set of facet masks) is given,
+    the facets left are exactly those; else (i, violation) for the first
+    invalid step i, or (len(pairs), violation) when only the terminal
+    differs.  An invalid step leaves the table as it was before that
+    step; otherwise ``table`` is left in the state the replay reached.
     """
-    get = counts.get
+    get = table.get
     for i, (free, coface) in enumerate(pairs):
         if not free:
             return i, "free face must be nonempty"
@@ -118,85 +132,44 @@ def _replay(counts: dict[int, int], pairs: list[tuple[int, int]],
             return i, "free face is not a face of the complex"
         if up:
             return i, "coface is not a facet"
-        if down > 1:
+        if down & (down - 1):
             return i, "free face lies in more than one facet"
-        del counts[coface], counts[free]
+        del table[coface], table[free]
         rest = free
         while rest:
             low = rest & -rest
-            counts[coface ^ low] -= 1
-            counts[free ^ low] -= 1
+            table[coface ^ low] ^= low
+            table[free ^ low] ^= low
             rest ^= low
-    if terminal is not None and {f for f, up in counts.items() if not up} != terminal:
+    if terminal is not None and {f for f, up in table.items() if not up} != terminal:
         return len(pairs), "the faces left are not the terminal complex"
     return None
 
 
-class _FaceSet:
-    """Mutable face-set view of a complex for the greedy collapse.
-
-    One table maps the bitmask of each present face, the empty face (0)
-    included, to the set of masks of its present codimension-1 cofaces.
-    A face is a facet when it has none, and free when it has exactly one
-    (downward closure makes it a facet).  For N faces of at most d
-    vertices, building the table takes O(N d) set operations and
-    removing a face O(d).
-    """
-
-    __slots__ = ("cofaces", "vertices")
-
-    def __init__(self, complex_: SimplicialComplex):
-        self.vertices = complex_.vertices
-        masks = complex_._face_masks()
-        cofaces = self.cofaces = {f: set() for f in masks}
-        if cofaces:
-            cofaces[0] = set()
-        for f in masks:
-            rest = f
-            while rest:
-                low = rest & -rest
-                cofaces[f ^ low].add(f)
-                rest ^= low
-
-    def face(self, mask: int) -> Face:
-        return _face(self.vertices, mask)
-
-    def remove(self, face: int) -> None:
-        cofaces = self.cofaces
-        del cofaces[face]
-        rest = face
-        while rest:
-            low = rest & -rest
-            cofaces[face ^ low].discard(face)
-            rest ^= low
-
-    def free_pairs(self) -> list[tuple[int, int]]:
-        """The (free, coface) mask pairs eligible now, in ``_step_key`` order."""
-        pairs = [(free, coface) for free, up in self.cofaces.items()
-                 if free and len(up) == 1 for coface in up]
-        return sorted(pairs, key=_step_key)
-
-    def to_complex(self) -> SimplicialComplex:
-        return SimplicialComplex._from_maximal(
-            self.face(f) for f, up in self.cofaces.items() if not up)
+def _free_pairs(table: dict[int, int]) -> list[tuple[int, int]]:
+    # the (free, coface) mask pairs eligible now, in _step_key order
+    pairs = [(free, free | up) for free, up in table.items()
+             if free and up and not up & (up - 1)]
+    return sorted(pairs, key=_step_key)
 
 
 def free_pairs(complex_: SimplicialComplex) -> list[tuple[Face, Face]]:
     """All pairs (free face, facet) eligible for an elementary collapse."""
-    fs = _FaceSet(complex_)
-    return [(fs.face(free), fs.face(coface)) for free, coface in fs.free_pairs()]
+    vertices = complex_.vertices
+    return [(_face(vertices, free), _face(vertices, coface))
+            for free, coface in _free_pairs(_coface_bits(complex_))]
 
 
 def elementary_collapse(complex_: SimplicialComplex, step: CollapseStep) -> SimplicialComplex:
     """Remove the step's two faces; raises InvalidStepError when not free."""
     pairs, _ = _mask_pairs(complex_, (step,))
-    counts = _coface_counts(complex_)
-    bad = _replay(counts, pairs)
+    table = _coface_bits(complex_)
+    bad = _replay(table, pairs)
     if bad is not None:
         raise InvalidStepError(bad[1])
     vertices = complex_.vertices
     return SimplicialComplex._from_maximal(
-        _face(vertices, f) for f, up in counts.items() if not up)
+        _face(vertices, f) for f, up in table.items() if not up)
 
 
 def _first_violation(complex_: SimplicialComplex,
@@ -205,7 +178,7 @@ def _first_violation(complex_: SimplicialComplex,
     pairs, bits = _mask_pairs(complex_, sequence.steps)
     bit = bits.__getitem__
     terminal = {sum(map(bit, f)) for f in sequence.terminal.facets}
-    return _replay(_coface_counts(complex_), pairs, terminal)
+    return _replay(_coface_bits(complex_), pairs, terminal)
 
 
 def verify_sequence(complex_: SimplicialComplex,
@@ -218,7 +191,7 @@ def verify_sequence(complex_: SimplicialComplex,
     Every step is checked against all six conditions of ``_replay``; the
     steps' names become vertex bitmasks first, and a name outside the
     complex gets a bit of its own above the complex's.  Cost: O(N d) to
-    build the coface-count table of a complex with N faces of at most d
+    build the coface-bit table of a complex with N faces of at most d
     vertices, then O(d) per step; nothing is sorted.
     """
     bad = _first_violation(complex_, sequence)
@@ -287,16 +260,13 @@ def _tree_steps(complex_: SimplicialComplex) -> tuple[list[tuple[int, int]], int
     if not forest:
         raise NotATreeError("complex has a leafless subcollection",
                             witness=witness)
-    bit = complex_._vertex_bits().__getitem__
     pairs: list[tuple[int, int]] = []
     *pruned, (last, _) = complex_._leaf_order()
     for leaf, joint in pruned:
-        leaf = sum(map(bit, leaf))
-        pairs.extend(_simplex_steps(leaf, leaf & sum(map(bit, joint))))
-    last = sum(map(bit, last))
+        pairs.extend(_simplex_steps(leaf, leaf & joint))
     point = last & -last
     pairs.extend(_simplex_steps(last, point))
-    bad = _replay(_coface_counts(complex_), pairs, {point})
+    bad = _replay(_coface_bits(complex_), pairs, {point})
     if bad is not None:
         raise AssertionError(f"tree collapse certificate failed at step {bad[0]}")
     return pairs, point
@@ -311,44 +281,36 @@ def tree_collapse_certificate(complex_: SimplicialComplex) -> CollapseSequence:
     or has a leafless subcollection.
     """
     pairs, point = _tree_steps(complex_)
-    vertices = complex_.vertices
-    steps = tuple(CollapseStep(_face(vertices, free), _face(vertices, coface))
-                  for free, coface in pairs)
-    return CollapseSequence(
-        steps, SimplicialComplex._from_maximal([_face(vertices, point)]))
+    return _named(complex_.vertices, pairs, [point])
 
 
-def greedy_collapse(complex_: SimplicialComplex) -> tuple[CollapseSequence, SimplicialComplex]:
-    """Apply the first free pair until none remain; heuristic only.
+def _greedy_steps(complex_: SimplicialComplex) -> tuple[list[tuple[int, int]], list[int]]:
+    """The (free, coface) mask pairs of the greedy collapse, and the masks
+    of the facets left, in ``_mask_key`` order.
 
-    Steps are taken in lexicographic face order (``_step_key``), so the
-    residual is reproducible.  A residual bigger than a point proves
-    nothing about non-collapsibility.
-
-    The free pairs wait in a heap.  A step changes the coface sets only of
-    the codimension-1 faces of its two removed faces, so only those can
-    become free, and only they are pushed; a popped pair that is no longer
-    free never becomes free again (coface sets only shrink), so it is
-    dropped.  Cost: one scan and sort of the coface table, then per step at
-    most 2d heap pushes of O(d log d + log P) each, for facets of at most
-    d vertices and at most P pairs in the heap; the rescanning loop that
-    sorted the whole table per step is the reference in
-    ``tests/oracles.py``.
+    The free pairs wait in a heap, keyed by ``_step_key``.  A step changes
+    the coface bits only of the codimension-1 faces of its two removed
+    faces, so only those can become free, and only they are pushed.  Each
+    popped pair is applied with ``_replay``, which refuses it exactly when
+    it went stale: a face with one coface makes that coface a facet, so
+    the six checks pass just when the free face still has the one coface
+    it was pushed with.  A refused pair never becomes free again (faces
+    only go), so it is dropped.  Cost: O(N d) to build the table of N
+    faces of at most d vertices, one scan and sort of it, then per step
+    O(d) to apply it and at most 2d heap pushes of O(d log d + log P)
+    each, for at most P pairs in the heap.
     """
     from heapq import heappop, heappush  # only this heuristic needs a heap
 
-    fs = _FaceSet(complex_)
-    cofaces = fs.cofaces
-    # free_pairs() comes sorted by _step_key, so this is already a heap
-    heap = [(_step_key(pair), pair) for pair in fs.free_pairs()]
+    table = _coface_bits(complex_)
+    get = table.get
+    # _free_pairs comes sorted by _step_key, so this is already a heap
+    heap = [(_step_key(pair), pair) for pair in _free_pairs(table)]
     taken = []
     while heap:
         pair = heappop(heap)[1]
-        free, coface = pair
-        if cofaces.get(free) != {coface}:
+        if _replay(table, [pair]) is not None:
             continue
-        fs.remove(coface)
-        fs.remove(free)
         taken.append(pair)
         for face in pair:
             rest = face
@@ -356,11 +318,24 @@ def greedy_collapse(complex_: SimplicialComplex) -> tuple[CollapseSequence, Simp
                 low = rest & -rest
                 rest ^= low
                 sub = face ^ low
-                up = cofaces.get(sub)
-                if sub and up is not None and len(up) == 1:
-                    freed = (sub, *up)
+                up = get(sub)
+                if sub and up and not up & (up - 1):
+                    freed = (sub, sub | up)
                     heappush(heap, (_step_key(freed), freed))
-    steps = tuple(CollapseStep(fs.face(free), fs.face(coface))
-                  for free, coface in taken)
-    residual = fs.to_complex()
-    return CollapseSequence(steps, residual), residual
+    return taken, sorted((f for f, up in table.items() if not up), key=_mask_key)
+
+
+def greedy_collapse(complex_: SimplicialComplex) -> tuple[CollapseSequence, SimplicialComplex]:
+    """Apply the first free pair until none remain; heuristic only.
+
+    Steps are taken in lexicographic face order (``_step_key``), so the
+    residual is reproducible.  A residual bigger than a point proves
+    nothing about non-collapsibility.  The steps and residual of
+    ``_greedy_steps``, named; the rescanning loop that sorted the whole
+    face set per step is the reference in ``tests/oracles.py``.  Cost:
+    that of ``_greedy_steps`` (O(N d) for the table of N faces of at most
+    d vertices, then per step O(d) and at most 2d heap pushes), plus O(d)
+    per step to name it.
+    """
+    sequence = _named(complex_.vertices, *_greedy_steps(complex_))
+    return sequence, sequence.terminal

@@ -274,17 +274,16 @@ class SimplicialComplex:
                     core = smaller
         return tuple(self._facets[i] for i in sorted(core))
 
-    def _leaf_order(self) -> list[tuple[Face, Face | None]]:
-        # (leaf, joint) pairs pruning a forest down to nothing: each leaf is
-        # the first in facet order of the facets still left, and only the
-        # last, lone facet has no joint
+    def _leaf_order(self) -> list[tuple[int, int | None]]:
+        # (leaf, joint) facet masks pruning a forest down to nothing: each
+        # leaf is the first in facet order of the facets still left, and
+        # only the last, lone facet has no joint
         masks, inter = self._bitmasks()
         left = list(range(len(self._facets)))
         order = []
         while left:
             leaf, joint = _first_leaf(masks, inter, left)
-            order.append((self._facets[leaf],
-                          None if joint is None else self._facets[joint]))
+            order.append((masks[leaf], None if joint is None else masks[joint]))
             left.remove(leaf)
         return order
 

@@ -17,7 +17,7 @@ table, and its greedy loop the reference for ``greedy_collapse``.  The
 library enumerates faces as bitmasks; the frozenset enumeration sorted
 by ``face_key`` is the reference for ``faces`` and ``f_vector``, and the
 coface table keyed by frozensets, with its replay, the reference for
-the coface-count replay on masks behind ``verify_sequence``, and the
+the coface-bit replay on masks behind ``verify_sequence``, and the
 frozenset simplex schedule, joined along the frozenset leaf order, the
 reference for the mask schedule of tree certificates.  Trial
 division and the Lucas test (which certifies a prime from the factorisation

@@ -10,7 +10,7 @@ from io import StringIO
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import treescarf
@@ -300,18 +300,18 @@ def test_each_command_decides_forest_once(files, capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("command", ["check", "collapse"])
 def test_tree_certificate_is_replayed_once(files, capsys, monkeypatch, command):
-    # the one replay runs once, on the coface counts of the whole complex
+    # the one replay runs once, on the coface bits of the whole complex
     replayed = []
     replay = collapse._replay
 
-    def spy(counts, pairs, terminal=None):
-        replayed.append(dict(counts))
-        return replay(counts, pairs, terminal)
+    def spy(table, pairs, terminal=None):
+        replayed.append(dict(table))
+        return replay(table, pairs, terminal)
 
     monkeypatch.setattr(collapse, "_replay", spy)
     code, _, _ = run(capsys, command, files["tail"])
     assert code == 0
-    assert replayed == [collapse._coface_counts(load_complex(files["tail"]))]
+    assert replayed == [collapse._coface_bits(load_complex(files["tail"]))]
 
 
 @pytest.mark.parametrize("argv", [("check",), ("collapse", "--out", "cert.json")])
@@ -346,6 +346,77 @@ def test_tree_commands_name_faces_only_for_output(files, capsys, monkeypatch, ar
         result = result["collapse"]
     assert result["steps"] == len(expected.steps)
     assert result["terminal"] == complex_to_data(expected.terminal)["facets"]
+
+
+# a triangle boundary with a tail and a filled triangle on it: greedy
+# collapses the tail and the filled triangle and leaves the circle
+NON_TREE_FACETS = {"facets": [["1", "2"], ["2", "3"], ["1", "3"], ["3", "4", "5"]]}
+
+
+@pytest.mark.parametrize("options", [(), ("--out", "cert.json")])
+def test_greedy_collapse_command_names_faces_only_for_output(files, capsys, monkeypatch,
+                                                             options):
+    # collapse on a non-tree works on masks from the greedy steps to the
+    # output too: no CollapseStep is built and the frozenset writer is
+    # never called
+    path = files["tmp"] / "non_tree.json"
+    path.write_text(json.dumps(NON_TREE_FACETS))
+    complex_ = load_complex(str(path))
+    assert not complex_.is_tree()
+    expected = io.sequence_to_data(oracles.greedy_collapse(complex_)[0])
+    built, written = [], []
+    init = collapse.CollapseStep.__init__
+
+    def spy_step(self, free_face, coface):
+        built.append((free_face, coface))
+        init(self, free_face, coface)
+
+    def spy_data(sequence):
+        written.append(sequence)
+        raise AssertionError("sequence_to_data called")
+
+    monkeypatch.setattr(collapse.CollapseStep, "__init__", spy_step)
+    monkeypatch.setattr(io, "sequence_to_data", spy_data)
+    monkeypatch.chdir(files["tmp"])
+    code, out, _ = run(capsys, "collapse", str(path), *options)
+    assert code == 0
+    assert built == [] and written == []
+    result = json.loads(out)["result"]
+    assert result["certificate"] == expected
+    assert result["terminal"] == [["1", "2"], ["1", "3"], ["2", "3"]]
+
+
+MIXED_NAMES = ("1", "2", "9", "10", "11", "a", "b", "aa")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sets(st.sampled_from(MIXED_NAMES), min_size=1, max_size=4),
+                min_size=1, max_size=6))
+@example([{"2", "10"}, {"10", "9"}, {"2", "9"}])
+@example([{"1", "2", "10"}, {"1", "2", "9"}, {"1", "10", "9"}, {"2", "10", "9"}])
+@example([{"2", "10"}, {"9", "11"}, {"a"}])
+def test_greedy_collapse_report_matches_the_frozenset_greedy(facets):
+    # the mask path's certificate, in the report and in the --out file, is
+    # the frozenset writer's text of the rescanning greedy's steps
+    complex_ = SimplicialComplex(facets)
+    assume(not complex_.is_tree())
+    expected = io.sequence_to_data(oracles.greedy_collapse(complex_)[0])
+    with tempfile.TemporaryDirectory() as tmp:
+        complex_file = os.path.join(tmp, "complex.json")
+        out = os.path.join(tmp, "cert.json")
+        with open(complex_file, "w") as handle:
+            json.dump(complex_to_data(complex_), handle)
+        stdout = StringIO()
+        with redirect_stdout(stdout):
+            code = main(["collapse", complex_file, "--out", out])
+        with open(out) as handle:
+            written = handle.read()
+    assert code == 0
+    result = json.loads(stdout.getvalue())["result"]
+    assert result["certificate"] == expected
+    assert result["terminal"] == expected["terminal"]
+    assert result["steps"] == len(expected["steps"])
+    assert written == io.json_text(expected) + "\n"
 
 
 @pytest.mark.parametrize("argv", [("check",), ("collapse", "--out", "cert.json")])

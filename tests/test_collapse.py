@@ -10,7 +10,7 @@ from treescarf import (CollapseSequence, CollapseStep, SimplicialComplex,
                        elementary_collapse, free_pairs, greedy_collapse,
                        tree_collapse_certificate, verify_sequence)
 from treescarf import collapse
-from treescarf.complexes import face_key
+from treescarf.complexes import _bit_indices, _mask_key, face_key
 from treescarf.errors import InvalidStepError, NotATreeError
 
 import oracles
@@ -317,6 +317,12 @@ def candidate_steps(rng, faces, names):
             yield CollapseStep(rng.choice(faces), c)
 
 
+def facets_left(complex_, table):
+    # the complex of the facets of a coface-bit table, named
+    return SimplicialComplex._from_maximal(
+        collapse._face(complex_.vertices, f) for f, up in table.items() if not up)
+
+
 @settings(max_examples=300)
 @given(small_complexes(), st.randoms(use_true_random=True))
 def test_coface_table_matches_scanning_oracle(complex_, rng):
@@ -326,23 +332,48 @@ def test_coface_table_matches_scanning_oracle(complex_, rng):
     assert free_pairs(complex_) == oracles.FaceSet(complex_).free_pairs()
     # an outside name makes cofaces that are no face
     names = list(complex_.vertices) + ["0"]
-    table, ref = collapse._FaceSet(complex_), oracles.FaceSet(complex_)
-    counts = collapse._coface_counts(complex_)
+    table, ref = collapse._coface_bits(complex_), oracles.FaceSet(complex_)
+    vertices = complex_.vertices
     for step in seq.steps + (None,):
-        assert [(table.face(free), table.face(coface))
-                for free, coface in table.free_pairs()] == ref.free_pairs()
-        assert table.to_complex() == ref.to_complex()
+        assert [(collapse._face(vertices, free), collapse._face(vertices, coface))
+                for free, coface in collapse._free_pairs(table)] == ref.free_pairs()
+        assert facets_left(complex_, table) == ref.to_complex()
         for candidate in candidate_steps(rng, sorted(ref.faces, key=sorted), names):
-            # the count-table replay of the candidate alone, from this state
+            # the replay of the candidate alone, from this state
             pairs, _ = collapse._mask_pairs(complex_, (candidate,))
-            bad = collapse._replay(dict(counts), pairs)
+            bad = collapse._replay(dict(table), pairs)
             assert (None if bad is None else bad[1]) == ref.step_violation(candidate)
         if step is not None:
             (pair,), _ = collapse._mask_pairs(complex_, (step,))
-            assert collapse._replay(counts, [pair]) is None
-            table.remove(pair[1])
-            table.remove(pair[0])
+            assert collapse._replay(table, [pair]) is None
             ref.apply(step)
+
+
+def assert_encodes(complex_, table, ref):
+    # the faces f | b for the bits b of each entry are the oracle's cofaces
+    vertices = complex_.vertices
+
+    def name(mask):
+        return collapse._face(vertices, mask)
+
+    assert {name(f): {name(f | 1 << i) for i in _bit_indices(up)}
+            for f, up in table.items()} == ref.cofaces
+
+
+@settings(max_examples=300)
+@given(small_complexes())
+def test_coface_bits_encode_the_oracle_cofaces_through_greedy(complex_):
+    table, ref = collapse._coface_bits(complex_), oracles.CofaceTable(complex_)
+    pairs, residual = collapse._greedy_steps(complex_)
+    assert_encodes(complex_, table, ref)
+    for free, coface in pairs:
+        assert collapse._replay(table, [(free, coface)]) is None
+        ref.apply(CollapseStep(collapse._face(complex_.vertices, free),
+                               collapse._face(complex_.vertices, coface)))
+        assert_encodes(complex_, table, ref)
+    assert residual == sorted((f for f, up in table.items() if not up),
+                              key=_mask_key)
+    assert facets_left(complex_, table) == ref.to_complex()
 
 
 # -- the mask-keyed table against the frozenset table ------------------------------
@@ -458,14 +489,15 @@ def test_elementary_collapse_keeps_its_six_messages():
     # present coface is always present; only a table with a face taken out
     # by hand shows the sixth message.
     step = CollapseStep(frozenset({"1"}), frozenset({"1", "2"}))
-    counts, ref = collapse._coface_counts(EDGE_TRIANGLE), oracles.CofaceTable(EDGE_TRIANGLE)
+    table, ref = collapse._coface_bits(EDGE_TRIANGLE), oracles.CofaceTable(EDGE_TRIANGLE)
     pairs, _ = collapse._mask_pairs(EDGE_TRIANGLE, (step,))
     # the vertex {1} goes, and with it a coface of the empty face
-    del counts[pairs[0][0]]
-    counts[0] -= 1
+    free = pairs[0][0]
+    del table[free]
+    table[0] ^= free
     del ref.cofaces[step.free_face]
     ref.cofaces[frozenset()].discard(step.free_face)
-    assert (collapse._replay(counts, pairs)[1] == ref.step_violation(step)
+    assert (collapse._replay(table, pairs)[1] == ref.step_violation(step)
             == "free face is not a face of the complex")
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from treescarf import SimplicialComplex
 from treescarf import complexes
-from treescarf.complexes import _first_leaf, face_key, vertex_key
+from treescarf.complexes import _bit_indices, _first_leaf, face_key, vertex_key
 from treescarf.errors import EmptyFaceError, EmptyInputError
 
 import oracles
@@ -150,7 +150,7 @@ def test_remove_last_facet_leaves_the_empty_complex():
     with pytest.raises(EmptyInputError):
         SimplicialComplex([g for g in c.facets if g != {"1", "2"}])
     e = SimplicialComplex.empty()
-    assert e.is_forest() == (True, None) and e._leaf_order() == []
+    assert e.is_forest() == (True, None) and named_leaf_order(e) == []
 
 
 # -- induced subcomplexes ----------------------------------------------------
@@ -189,6 +189,15 @@ def test_induced_ignores_unknown_names_and_is_idempotent():
 
 # -- leaves: the oracle and the forest code's leaf order ------------------------
 
+def named_leaf_order(c):
+    # the forest code's (leaf, joint) facet masks, as named faces
+    def name(mask):
+        return None if mask is None else frozenset(
+            c.vertices[i] for i in _bit_indices(mask))
+
+    return [(name(leaf), name(joint)) for leaf, joint in c._leaf_order()]
+
+
 def first_leaf_of(c, combo):
     # the bitmask leaf test on a subcollection, as facets
     masks, inter = c._bitmasks()
@@ -202,7 +211,7 @@ def first_leaf_of(c, combo):
 def test_lone_facet_is_a_leaf_without_joint():
     c = SimplicialComplex([{"1", "2"}])
     assert oracles.is_leaf(c, {"1", "2"}) == (True, None)
-    assert c._leaf_order() == [(frozenset({"1", "2"}), None)]
+    assert named_leaf_order(c) == [(frozenset({"1", "2"}), None)]
 
 
 def test_leaf_with_joint():
@@ -210,7 +219,7 @@ def test_leaf_with_joint():
     leaf, joint = oracles.is_leaf(c, {"1", "2", "3"})
     assert leaf and joint == frozenset({"2", "3", "4"})
     # {4,5} comes first in facet order, so the leaf order prunes it first
-    assert c._leaf_order() == [
+    assert named_leaf_order(c) == [
         (frozenset({"4", "5"}), frozenset({"2", "3", "4"})),
         (frozenset({"1", "2", "3"}), frozenset({"2", "3", "4"})),
         (frozenset({"2", "3", "4"}), None)]
@@ -250,14 +259,14 @@ def test_joint_tie_break_picks_first_facet():
     c = SimplicialComplex([{"0", "1", "2"}, {"1", "2", "3"}, {"1", "2", "4"}])
     leaf, joint = oracles.is_leaf(c, {"0", "1", "2"})
     assert leaf and joint == frozenset({"1", "2", "3"})
-    assert c._leaf_order()[0] == (frozenset({"0", "1", "2"}), joint)
+    assert named_leaf_order(c)[0] == (frozenset({"0", "1", "2"}), joint)
 
 
 @settings(max_examples=200)
 @given(st.randoms(use_true_random=True), st.sampled_from((1, 1, 2, 3)))
 def test_leaf_order_matches_the_oracle_loop(rng, parts):
     forest = random_forest(rng, parts, max_facets=6, max_vertices=12)
-    assert forest._leaf_order() == oracles.leaf_order(forest)
+    assert named_leaf_order(forest) == oracles.leaf_order(forest)
 
 
 @settings(max_examples=200)
