@@ -5,11 +5,19 @@ unit monomial is the empty map); exponents are plain Python ints, so nothing
 overflows.  Ideals carry an explicit ordered variable list, which fixes the
 lexicographic order used for deterministic serialization and for reporting
 failing degrees.
+
+Inside the library an ideal also encodes monomials as private int masks.
+Each variable gets one bit per level, a distinct nonzero exponent among the
+generators, with the first variable in the highest bits, and an exponent
+reaching k levels sets the low k bits of its span.  On generators and their
+lcms, divisibility is ``a & ~b == 0``, lcm is ``a | b`` and int order is
+lexicographic; a mask has at most t*n bits, however large the exponents.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from collections.abc import Iterable, Mapping
 
 from .complexes import vertex_key
@@ -186,25 +194,33 @@ class MonomialIdeal:
     variable list.
     """
 
-    __slots__ = ("_variables", "_generators")
+    __slots__ = ("_variables", "_generators", "_spans", "_starts", "_masks")
 
     def __init__(self, variables: Iterable[str], generators: Iterable[Monomial]):
         self._variables = tuple(variables)
         if len(set(self._variables)) != len(self._variables):
             raise ValueError("duplicate variable names")
-        self._generators = tuple(generators)
-        if not self._generators:
+        self._generators = gens = tuple(generators)
+        if not gens:
             raise ValueError("an ideal needs at least one generator")
         known = set(self._variables)
-        for g in self._generators:
+        for g in gens:
             missing = set(g.variables) - known
             if missing:
                 raise ValueError(f"generator {g} uses undeclared variables {sorted(missing)}")
-        for i, g in enumerate(self._generators):
-            for j, h in enumerate(self._generators):
-                if i != j and h.divides(g):
-                    raise ValueError(
-                        f"not a minimal generating set: {h} divides {g}")
+        # (variable, levels, shift) per variable, the last in the lowest bits
+        spans, shift = [], 0
+        for x in reversed(self._variables):
+            levels = sorted({g.exponent(x) for g in gens} - {0})
+            spans.append((x, levels, shift))
+            shift += len(levels)
+        self._spans = spans
+        self._starts = sum(1 << s for _, levels, s in spans if levels)
+        self._masks = tuple(map(self._encode, gens))
+        for i, g in enumerate(self._masks):
+            for j, h in enumerate(self._masks):
+                if i != j and not h & ~g:
+                    raise ValueError(f"not a minimal generating set: {gens[j]} divides {gens[i]}")
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -222,15 +238,34 @@ class MonomialIdeal:
         return format_monomial(m, self._variables)
 
     def lcm_lattice(self) -> tuple[Monomial, ...]:
-        """Distinct lcms of nonempty generator subsets, in lexicographic order.
+        """Distinct lcms of nonempty generator subsets, in lexicographic order."""
+        return tuple(map(self._decode, self._lattice()))
 
-        Built by incremental closure: folding generators in one at a time
-        reaches the lcm of every nonempty subset.
-        """
-        values: set[Monomial] = set()
-        for g in self._generators:
-            values |= {g} | {g.lcm(v) for v in values}
-        return tuple(sorted(values, key=self.monomial_key))
+    def _encode(self, m: Monomial) -> int:
+        """Mask of m, exact for divisibility by generators: exponents clip to levels."""
+        mask = 0
+        for x, levels, shift in self._spans:
+            mask |= (1 << bisect_right(levels, m.exponent(x))) - 1 << shift
+        return mask
+
+    def _decode(self, mask: int) -> Monomial:
+        """The monomial of an lcm of generator masks."""
+        exps = {}
+        for x, levels, shift in self._spans:
+            if k := (mask >> shift & (1 << len(levels)) - 1).bit_length():
+                exps[x] = levels[k - 1]
+        return Monomial(exps)
+
+    def _tops(self, mask: int) -> int:
+        """The highest set bit of each variable's span in the mask."""
+        return mask & ~(mask >> 1 & ~(self._starts >> 1))
+
+    def _lattice(self) -> list[int]:
+        """Sorted masks of every nonempty generator subset's lcm, by closure."""
+        values: set[int] = set()
+        for g in self._masks:
+            values |= {g} | {g | v for v in values}
+        return sorted(values)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MonomialIdeal):

@@ -24,7 +24,9 @@ table against.  The Scarf complex is grown level by level from its
 vertices, using that a subset's lcm is unique exactly when no outside
 generator divides it and no codimension-1 subset shares it.  Neither
 enumerates the 2^t generator subsets; the definitions that do live in
-``tests/oracles.py`` as the reference both are tested against.
+``tests/oracles.py`` as the reference both are tested against.  Every
+loop runs on the ideal's generator masks (see ``MonomialIdeal``); Monomials
+are built only for failing degrees, ``by_degree`` keys and labels.
 """
 
 from __future__ import annotations
@@ -93,8 +95,12 @@ class LabeledComplex:
 
     def divisor_subcomplex(self, m: Monomial) -> SimplicialComplex:
         """Subcomplex induced on the vertices whose labels divide m."""
+        return self._divisor_subcomplex(self._ideal._encode(m))
+
+    def _divisor_subcomplex(self, m: int) -> SimplicialComplex:
+        # induced on the vertices whose label masks divide the mask m
         return self._complex.induced(
-            v for v in self._complex.vertices if self._labels[v].divides(m))
+            v for v, g in zip(self._complex.vertices, self._ideal._masks) if not g & ~m)
 
     def __repr__(self) -> str:
         pairs = ", ".join(f"{v}:{self._labels[v]}" for v in self._complex.vertices)
@@ -112,9 +118,10 @@ def supports_resolution(labeled: LabeledComplex,
     failing degree under the ideal's variable order.  Cost: one acyclicity
     test per element of ``labeled.ideal().lcm_lattice()``.
     """
-    for m in labeled.ideal().lcm_lattice():
-        if not is_acyclic(labeled.divisor_subcomplex(m), field):
-            return False, m
+    ideal = labeled.ideal()
+    for m in ideal._lattice():
+        if not is_acyclic(labeled._divisor_subcomplex(m), field):
+            return False, ideal._decode(m)
     return True, None
 
 
@@ -136,11 +143,10 @@ def supports_resolution_tree(labeled: LabeledComplex) -> tuple[bool, Monomial | 
     if not forest:
         raise NotAForestError("tree criterion needs a forest", witness=witness)
     ideal = labeled.ideal()
-    gens = ideal.generators
-    pairs = {g.lcm(h) for i, g in enumerate(gens) for h in gens[i + 1:]}
-    for m in sorted(pairs, key=ideal.monomial_key):
-        if not labeled.divisor_subcomplex(m).is_connected():
-            return False, m
+    masks = ideal._masks
+    for m in sorted({g | h for i, g in enumerate(masks) for h in masks[i + 1:]}):
+        if not labeled._divisor_subcomplex(m).is_connected():
+            return False, ideal._decode(m)
     return True, None
 
 
@@ -153,15 +159,13 @@ def is_minimal(labeled: LabeledComplex) -> tuple[bool, tuple[Face, Face] | None]
     low to high, and returns the first violating (face, subface) pair.
     """
     names = labeled.complex.vertices
-    label = {1 << i: labeled.label(v) for i, v in enumerate(names)}
+    label = {1 << i: g for i, g in enumerate(labeled.ideal()._masks)}
     for face in sorted(labeled.complex._face_masks(), key=_mask_key):
         if face in label:
             continue  # a vertex
         subs = [face ^ 1 << i for i in _bit_indices(face)]
-        mine = label[subs[0]]
-        for sub in subs[1:]:
-            mine = mine.lcm(label[sub])
-        label[face] = mine
+        # the lcm of a face: that of its first subface and its lowest vertex
+        label[face] = mine = label[subs[0]] | label[face ^ subs[0]]
         for sub in subs:
             if label[sub] == mine:
                 return False, tuple(
@@ -186,10 +190,6 @@ class BettiTable(FrozenValue):
     def rank(self, i: int, m: Monomial) -> int:
         col = self.by_degree.get(m, ())
         return col[i] if i < len(col) else 0
-
-
-def _divides(a: tuple, b: tuple) -> bool:
-    return all(x <= y for x, y in zip(a, b))
 
 
 def _nerve(sets: list[int]) -> list[int]:
@@ -228,26 +228,22 @@ def _lattice_betti_table(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTa
     fewer sets.  With r distinct maximal A_x and |G_m| generators
     dividing m, the nerve then has at most 2^min(r, |G_m|) faces (r
     alone can reach C(|G_m|, |G_m|/2) when there are more variables than
-    generators).  Cost: L * (t*n + r*|G_m| + nerve size) plus the rank
-    computations on the nerves.  The 2^t definition is kept as a test
-    oracle in ``tests/oracles.py``.  Serves every ideal that is not
+    generators).  Cost: L * (t + n*|G_m| + nerve size) mask operations plus
+    the rank computations on the nerves.  The 2^t definition is kept as a
+    test oracle in ``tests/oracles.py``.  Serves every ideal that is not
     strongly generic, and checks the Scarf route under ``supports --verify``.
     """
-    gens = ideal.generators
-    variables = ideal.variables
-    t = len(gens)
-    gvecs = [g.exponent_vector(variables) for g in gens]
+    t = len(ideal._masks)
     by_degree = {}
     vector: list[int] = []
-    for m in ideal.lcm_lattice():
-        vec = ideal.monomial_key(m)
-        if not any(vec):
+    for m in ideal._lattice():
+        if not m:
             continue  # only the unit ideal has this degree, and nothing below it
-        below = [g for g in gvecs if _divides(g, vec)]
-        # each A_x as a mask over the positions in below
+        below = [g for g in ideal._masks if not g & ~m]
+        # each A_x, the generators lacking m's top bit in x, over below
         covers = dict.fromkeys(
-            sum(1 << i for i, g in enumerate(below) if g[x] < e)
-            for x, e in enumerate(vec) if e)
+            sum(1 << i for i, g in enumerate(below) if not g >> x & 1)
+            for x in _bit_indices(ideal._tops(m)))
         covers.pop(0, None)
         maximal = [a for a in covers if not any(a != b and a & b == a for b in covers)]
         if len(maximal) > len(below):
@@ -262,7 +258,7 @@ def _lattice_betti_table(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTa
                     vector.append(0)
                 vector[i] += r
         if column:
-            by_degree[m] = column
+            by_degree[ideal._decode(m)] = column
     if not vector:
         vector = [t]  # only for the unit ideal, whose quotient is zero
     elif vector[0] != t:
@@ -270,12 +266,14 @@ def _lattice_betti_table(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTa
     return BettiTable(by_degree, tuple(vector))
 
 
-def _strongly_generic(gvecs: list) -> bool:
-    """No variable has the same nonzero exponent in two generators."""
-    for column in zip(*gvecs):
-        nonzero = [e for e in column if e]
-        if len(set(nonzero)) != len(nonzero):
+def _strongly_generic(ideal: MonomialIdeal) -> bool:
+    """No variable has the same nonzero exponent in two generators, that is,
+    no two generator masks share a top bit."""
+    seen = 0
+    for tops in map(ideal._tops, ideal._masks):
+        if seen & tops:
             return False
+        seen |= tops
     return True
 
 
@@ -284,52 +282,49 @@ def betti_table(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTable:
 
     ``by_degree`` lists its degrees in lexicographic order under the
     ideal's variable order.  For t generators in n variables there are two
-    routes, chosen by an O(t*n) test:
+    routes, chosen by an O(t) mask test:
 
     - A strongly generic ideal other than the unit ideal: the Scarf
       complex supports its minimal resolution over every field
       (Bayer-Peeva-Sturmfels, *Monomial resolutions*, 1998),
       so each face F of ``scarf_complex(ideal)`` gives one rank, in
       homological position |F| - 1 at its label, and ``vector`` is the
-      f-vector.  Cost: that of ``scarf_complex``, O(t*n) per candidate
-      face, plus sorting the faces by label.
+      f-vector.  Cost: that of ``scarf_complex``, O(t) mask operations
+      per candidate face, plus sorting the faces by label.
     - Every other ideal: the lcm-lattice walk, one reduced homology rank
       computation per lattice element (``_lattice_betti_table``).
     """
-    gens = ideal.generators
-    gvecs = [g.exponent_vector(ideal.variables) for g in gens]
     # by minimality, the unit ideal is the one whose first generator is 1
-    if gens[0].is_unit() or not _strongly_generic(gvecs):
+    if not ideal._masks[0] or not _strongly_generic(ideal):
         return _lattice_betti_table(ideal, field)
-    faces = _scarf_faces(gvecs)
+    faces = _scarf_faces(ideal._masks)
     vector = [0] * max(map(len, faces))
     by_degree = {}
-    # a face's lcm vector is its label's key under ideal.monomial_key
-    for face, vec in sorted(faces.items(), key=lambda item: item[1]):
+    # label masks sort in the labels' lexicographic order
+    for face, m in sorted(faces.items(), key=lambda item: item[1]):
         vector[len(face) - 1] += 1
-        by_degree[Monomial(zip(ideal.variables, vec))] = (0,) * (len(face) - 1) + (1,)
+        by_degree[ideal._decode(m)] = (0,) * (len(face) - 1) + (1,)
     return BettiTable(by_degree, tuple(vector))
 
 
-def _scarf_faces(gvecs: list) -> dict[tuple[int, ...], tuple[int, ...]]:
+def _scarf_faces(masks: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """Every face of the Scarf complex, as increasing generator positions,
-    mapped to its lcm exponent vector; grown level by level (see
-    ``scarf_complex``), so faces come in order of size."""
-    t = len(gvecs)
-    level = {(i,): g for i, g in enumerate(gvecs)}
+    mapped to its label mask; grown level by level (see ``scarf_complex``),
+    so faces come in order of size."""
+    t = len(masks)
+    level = {(i,): g for i, g in enumerate(masks)}
     faces = {}
     while level:
         faces.update(level)
         grown = {}
-        for face, vec in level.items():
+        for face, label in level.items():
             for w in range(face[-1] + 1, t):
                 cand = face + (w,)
                 if any(cand[:k] + cand[k + 1:] not in level
                        for k in range(len(face))):
                     continue
-                m = tuple(map(max, vec, gvecs[w]))
-                if not any(_divides(g, m) for u, g in enumerate(gvecs)
-                           if u not in cand):
+                m = label | masks[w]
+                if all(g & ~m for u, g in enumerate(masks) if u not in cand):
                     grown[cand] = m
         level = grown
     return faces
@@ -346,13 +341,13 @@ def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
     only when every subface of the candidate was kept.  Then (b) holds
     already, because a kept S - {v} satisfies (a), which puts g_v outside
     its lcm; only (a) is tested.  Every single generator is kept, by
-    minimality.  Cost: O(t*n) per candidate, and there are at most t
-    candidates per kept face.  The 2^t definition is kept as a test oracle
-    in ``tests/oracles.py``.
+    minimality.  Cost: O(t) mask operations per candidate, and there are at
+    most t candidates per kept face.  The 2^t definition is kept as a test
+    oracle in ``tests/oracles.py``.
     """
     gens = ideal.generators
     names = [str(i + 1) for i in range(len(gens))]
-    faces = _scarf_faces([g.exponent_vector(ideal.variables) for g in gens])
+    faces = _scarf_faces(ideal._masks)
     covered = {face[:k] + face[k + 1:] for face in faces for k in range(len(face))}
     complex_ = SimplicialComplex._from_maximal(
         frozenset(names[i] for i in face) for face in faces if face not in covered)

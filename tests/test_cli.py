@@ -17,7 +17,7 @@ import treescarf
 from treescarf import (BettiTable, CollapseSequence, LabeledComplex, Monomial,
                        MonomialIdeal, SimplicialComplex, tree_collapse_certificate,
                        verify_sequence)
-from treescarf import cli, collapse, errors, io
+from treescarf import cli, collapse, errors, io, parse_monomial
 from treescarf.cli import main
 from treescarf.errors import InputFileError
 from treescarf.io import (complex_to_data, ideal_to_data, load_complex,
@@ -537,6 +537,51 @@ def test_betti_command(files, capsys):
     result = json.loads(out)["result"]
     assert result["betti"] == [4, 4, 1]
     assert result["by_degree"]["x*y^2*z"] == [0, 1]
+
+
+def test_ideal_commands_do_no_monomial_arithmetic(files, capsys, monkeypatch):
+    # divisibility and lcms run on the ideal's masks; Monomials are only
+    # built for what a report prints
+    calls = []
+    for cls, name in ((Monomial, "lcm"), (Monomial, "divides"),
+                      (Monomial, "exponent_vector"), (MonomialIdeal, "monomial_key")):
+        def spy(*args, _name=name, _method=getattr(cls, name)):
+            calls.append(_name)
+            return _method(*args)
+        monkeypatch.setattr(cls, name, spy)
+    cycle, generic = generic_cycle_files(files["tmp"])
+    for argv in (("supports", files["diamond"], files["ideal"], "--verify"),
+                 ("supports", cycle, generic, "--verify"),
+                 ("betti", generic), ("betti", files["ideal"]),
+                 ("scarf", files["ideal"])):
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("generators", [
+    ["x*y^2", "y*z", "x*z^2", "z*u"],  # not strongly generic: the lattice walk
+    ["x^2*y", "y^3*z", "x*z^2"],  # strongly generic: read off the Scarf faces
+])
+def test_huge_exponents_answer_like_small_ones(files, capsys, generators):
+    # e -> 10^3999 + e keeps each variable's exponent order, so the ideals
+    # are order-isomorphic: the same Betti vector and Scarf facets
+    huge = 10 ** 3999
+    small = [parse_monomial(g) for g in generators]
+    ideals = {"small": small,
+              "huge": [Monomial({x: huge + g.exponent(x) for x in g.variables})
+                       for g in small]}
+    answers = []
+    for name, gens in ideals.items():
+        path = files["tmp"] / f"{name}.json"
+        path.write_text(json.dumps(ideal_to_data(MonomialIdeal(("x", "y", "z", "u"), gens))))
+        code, betti, _ = run(capsys, "betti", str(path))
+        assert code == 0
+        code, scarf, _ = run(capsys, "scarf", str(path))
+        assert code == 0
+        answers.append((json.loads(betti)["result"]["betti"],
+                        json.loads(scarf)["result"]["facets"]))
+    assert answers[0] == answers[1]
 
 
 def test_build_scarf_writes_a_loadable_ideal(files, capsys):

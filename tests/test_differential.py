@@ -244,7 +244,7 @@ def generic_ideal(rng: Random, t: int, variables=("x", "y", "z", "u")) -> Monomi
 def lattice_spy(monkeypatch):
     """Records each lcm-lattice build and nerve rank computation."""
     calls = []
-    lattice, ranks = MonomialIdeal.lcm_lattice, resolution.reduced_ranks_from_faces
+    lattice, ranks = MonomialIdeal._lattice, resolution.reduced_ranks_from_faces
 
     def spy_lattice(self):
         calls.append("lcm_lattice")
@@ -254,7 +254,7 @@ def lattice_spy(monkeypatch):
         calls.append("reduced_ranks_from_faces")
         return ranks(faces, field)
 
-    monkeypatch.setattr(MonomialIdeal, "lcm_lattice", spy_lattice)
+    monkeypatch.setattr(MonomialIdeal, "_lattice", spy_lattice)
     monkeypatch.setattr(resolution, "reduced_ranks_from_faces", spy_ranks)
     return calls
 

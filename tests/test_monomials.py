@@ -4,12 +4,14 @@ import itertools
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treescarf import (UNIT, Monomial, MonomialIdeal, format_monomial, lcm,
-                       parse_monomial)
+from treescarf import (UNIT, LabeledComplex, Monomial, MonomialIdeal,
+                       SimplicialComplex, format_monomial, lcm, parse_monomial)
 from treescarf.errors import EmptyListError, MonomialParseError
 
-from generators import random_monomial
+from generators import RING_VARS, random_monomial
 
 XY2 = parse_monomial("x*y^2")
 YZ = parse_monomial("y*z")
@@ -167,3 +169,55 @@ def test_lcm_lattice_sorted_lexicographically():
     ideal = spread_ideal()
     keys = [ideal.monomial_key(m) for m in ideal.lcm_lattice()]
     assert keys == sorted(keys)
+
+
+# -- the private mask encoding ------------------------------------------------------
+
+# small exponents collide across generators; huge ones test that a mask
+# takes one bit per level, not one per unit of exponent
+EXPONENTS = st.one_of(st.integers(1, 3), st.integers(2, 10**30))
+
+
+@st.composite
+def encoded_cases(draw):
+    """An ideal (some declared variables unused, sometimes the unit ideal),
+    a labeled complex on its generators, and an arbitrary monomial."""
+    variables = draw(st.permutations(RING_VARS + ("w",)))[:draw(st.integers(1, 6))]
+    used = [x for x in variables if x != "w"]
+    if not used or draw(st.integers(0, 9)) == 0:
+        gens = [UNIT]
+    else:
+        drawn = draw(st.lists(st.dictionaries(st.sampled_from(used), EXPONENTS,
+                                              min_size=1), min_size=1, max_size=5))
+        gens = list(dict.fromkeys(map(Monomial, drawn)))
+        gens = [g for g in gens if not any(h != g and h.divides(g) for h in gens)]
+    ideal = MonomialIdeal(variables, gens)
+    names = [str(i + 1) for i in range(len(gens))]
+    facets = draw(st.lists(st.sets(st.sampled_from(names), min_size=1), max_size=4))
+    complex_ = SimplicialComplex(facets + [{v} for v in names])
+    # exponents above every level, and variables outside the ideal
+    m = Monomial(draw(st.dictionaries(st.sampled_from(RING_VARS + ("w", "s")),
+                                      st.one_of(EXPONENTS, st.just(10**31)))))
+    return ideal, LabeledComplex(complex_, dict(zip(names, gens)), variables), m
+
+
+@settings(max_examples=200, deadline=None)
+@given(encoded_cases())
+def test_masks_agree_with_monomial_arithmetic(case):
+    ideal, labeled, m = case
+    gens, t, n = ideal.generators, len(ideal.generators), len(ideal.variables)
+    subsets = {lcm(c) for r in range(1, t + 1) for c in itertools.combinations(gens, r)}
+    masks = ideal._lattice()
+    lattice = ideal.lcm_lattice()
+    assert masks == sorted(masks)
+    assert lattice == tuple(map(ideal._decode, masks))
+    assert list(lattice) == sorted(subsets, key=ideal.monomial_key)
+    assert all(mask.bit_length() <= t * n for mask in masks)
+    assert [ideal._decode(ideal._encode(g)) for g in gens] == list(gens)
+    for a, ma in zip(masks, lattice):
+        for b, mb in zip(masks, lattice):
+            assert (not a & ~b) == ma.divides(mb)
+            assert ideal._decode(a | b) == ma.lcm(mb)
+    complex_ = labeled.complex
+    assert labeled.divisor_subcomplex(m) == complex_.induced(
+        v for v in complex_.vertices if labeled.label(v).divides(m))

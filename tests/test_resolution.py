@@ -129,13 +129,13 @@ def test_criteria_agree_on_random_labeled_trees():
 
 def test_tree_criterion_never_builds_the_lcm_lattice(monkeypatch):
     calls = []
-    lattice = MonomialIdeal.lcm_lattice
+    lattice = MonomialIdeal._lattice
 
     def spy(self):
         calls.append(self)
         return lattice(self)
 
-    monkeypatch.setattr(MonomialIdeal, "lcm_lattice", spy)
+    monkeypatch.setattr(MonomialIdeal, "_lattice", spy)
     assert supports_resolution_tree(diamond_labeled()) == (True, None)
     assert supports_resolution_tree(adversarial_labeled())[0] is False
     rng = Random(23)
