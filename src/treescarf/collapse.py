@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from ._frozen import FrozenValue
-from .complexes import Face, SimplicialComplex, _bit_indices, _mask_key
+from .complexes import Face, SimplicialComplex, _face, _mask_key
 from .errors import InvalidStepError, NotATreeError
 
 
@@ -48,11 +48,6 @@ class CollapseSequence(FrozenValue):
 def _step_key(pair):
     # face_key order on (free, coface) mask pairs
     return _mask_key(pair[0]) + _mask_key(pair[1])
-
-
-def _face(vertices: tuple[str, ...], mask: int) -> Face:
-    # the named face of a mask over a complex's vertices
-    return frozenset(map(vertices.__getitem__, _bit_indices(mask)))
 
 
 def _named(vertices: tuple[str, ...], pairs: list[tuple[int, int]],
@@ -248,18 +243,8 @@ def _tree_steps(complex_: SimplicialComplex) -> tuple[list[tuple[int, int]], int
     the whole complex, terminal included.  There are (#faces - 1) / 2
     pairs.
 
-    Raises NotATreeError with the evidence when the input is empty,
-    disconnected, or has a leafless subcollection.
+    The input must be a simplicial tree: callers decide that first, once.
     """
-    if complex_.is_empty():
-        raise NotATreeError("the empty complex cannot collapse to a point",
-                            reason="empty")
-    if not complex_.is_connected():
-        raise NotATreeError("complex is not connected", reason="disconnected")
-    forest, witness = complex_.is_forest()
-    if not forest:
-        raise NotATreeError("complex has a leafless subcollection",
-                            witness=witness)
     pairs: list[tuple[int, int]] = []
     *pruned, (last, _) = complex_._leaf_order()
     for leaf, joint in pruned:
@@ -280,6 +265,15 @@ def tree_collapse_certificate(complex_: SimplicialComplex) -> CollapseSequence:
     NotATreeError with the evidence when the input is empty, disconnected,
     or has a leafless subcollection.
     """
+    if complex_.is_empty():
+        raise NotATreeError("the empty complex cannot collapse to a point",
+                            reason="empty")
+    if not complex_.is_connected():
+        raise NotATreeError("complex is not connected", reason="disconnected")
+    forest, witness = complex_.is_forest()
+    if not forest:
+        raise NotATreeError("complex has a leafless subcollection",
+                            witness=witness)
     pairs, point = _tree_steps(complex_)
     return _named(complex_.vertices, pairs, [point])
 

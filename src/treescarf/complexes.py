@@ -10,11 +10,12 @@ kept; each write is idempotent and stores an immutable value, so instances
 stay safe to share between threads.
 
 Inside the library a face is a vertex bitmask: bit i stands for the i-th
-vertex in canonical order, and 0 is the empty face.  ``_face_masks`` is
-the one face enumeration, and ``_mask_key`` the one face order: size,
-then ascending vertex indices, which is the ``face_key`` order.  Forest
-decision, face counts, homology, minimality and collapse replay all work
-on masks.
+vertex in canonical order, and 0 is the empty face.  A complex stores its
+facets as masks, and only this module maps its vertex names to bits
+(``_face`` maps back).  ``_face_masks`` is the one face enumeration,
+``_mask_key`` the one face order (size, then vertex indices: ``face_key``
+order), ``_maximal`` the one maximal-set filter and ``_connected`` the
+one connectivity test.  Names are built only for public results.
 
 The forest decision is polynomial in the number of facets: good leaves
 are deleted until none is left, and a complex that does not empty out is
@@ -28,6 +29,7 @@ input.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable
 from itertools import combinations
@@ -75,6 +77,36 @@ def _mask_key(mask: int) -> tuple[int, list[int]]:
     return (len(indices), indices)
 
 
+def _face(vertices: tuple[Vertex, ...], mask: int) -> Face:
+    # the named face of a mask over a complex's vertices
+    return frozenset(map(vertices.__getitem__, _bit_indices(mask)))
+
+
+def _maximal(masks: Iterable[int]) -> list[int]:
+    # the distinct nonzero masks not inside another, in first-seen order;
+    # m lies inside n when m & n == m, which only a larger n can satisfy
+    distinct = dict.fromkeys(masks)
+    distinct.pop(0, None)
+    larger = sorted(distinct, key=int.bit_count, reverse=True)
+    sizes = [-n.bit_count() for n in larger]
+    return [m for m in distinct
+            if m not in map(m.__and__, larger[:bisect_left(sizes, -m.bit_count())])]
+
+
+def _connected(masks: Iterable[int]) -> bool:
+    # whether the nonzero masks chain into one connected union; True for none
+    left = [m for m in masks if m]
+    component = left[-1] if left else 0
+    while left:
+        rest = [m for m in left if not m & component]
+        if len(rest) == len(left):
+            return False
+        for m in left:
+            component |= m if m & component else 0
+        left = rest
+    return True
+
+
 def _as_face(vertices: Iterable[Vertex]) -> Face:
     face = frozenset(vertices)
     for v in face:
@@ -93,27 +125,24 @@ class SimplicialComplex:
     deterministic.
     """
 
-    __slots__ = ("_facets", "_vertices", "_masks", "_forest")
+    __slots__ = ("_facets", "_vertices", "_facet_masks", "_masks", "_forest")
 
     def __init__(self, candidate_facets: Iterable[Iterable[Vertex]]):
         candidates = [_as_face(f) for f in candidate_facets]
         if not candidates:
             raise EmptyInputError("a complex needs at least one facet")
-        for f in candidates:
-            if not f:
-                raise EmptyFaceError("facets must be nonempty vertex sets")
-        distinct = set(candidates)
-        facets = [f for f in distinct
-                  if not any(f < g for g in distinct)]
-        self._init_canonical(facets)
+        if not all(candidates):
+            raise EmptyFaceError("facets must be nonempty vertex sets")
+        self._init_canonical(candidates, _maximal)
 
-    def _init_canonical(self, facets: Iterable[Face]) -> None:
-        # facets in face_key order: by size, then by sorted vertex indices
+    def _init_canonical(self, facets: Iterable[Face], keep=list) -> None:
+        # facet masks and facets in _mask_key order; ``keep`` picks the masks
         facets = list(facets)
         self._vertices = tuple(sorted(set().union(*facets), key=vertex_key))
-        index = self._vertex_index()
-        self._facets = tuple(sorted(facets, key=lambda f: (
-            len(f), sorted(map(index.__getitem__, f)))))
+        bits = self._vertex_bits()
+        named = {sum(map(bits.__getitem__, f)): f for f in facets}
+        self._facet_masks = tuple(sorted(keep(named), key=_mask_key))
+        self._facets = tuple(map(named.__getitem__, self._facet_masks))
         self._masks = None
         self._forest = None
 
@@ -144,9 +173,7 @@ class SimplicialComplex:
 
     def dimension(self) -> int:
         """Largest facet dimension; -1 for the empty complex."""
-        if not self._facets:
-            return -1
-        return max(len(f) for f in self._facets) - 1
+        return max(map(len, self._facets), default=0) - 1
 
     def has_face(self, vertices: Iterable[Vertex]) -> bool:
         """Face membership: contained in some facet.
@@ -165,8 +192,7 @@ class SimplicialComplex:
         most d vertices.  Built afresh on every call.
         """
         names = self._vertices
-        return [frozenset(map(names.__getitem__, indices))
-                for _, indices in sorted(map(_mask_key, self._face_masks()))]
+        return [_face(names, m) for m in sorted(self._face_masks(), key=_mask_key)]
 
     def f_vector(self) -> tuple[int, ...]:
         """Face counts by dimension, (f_0, f_1, ...); () for the empty complex.
@@ -175,9 +201,7 @@ class SimplicialComplex:
         O(N), so it builds no face list and sorts nothing.
         """
         counts = Counter(map(int.bit_count, self._face_masks()))
-        if not counts:
-            return ()
-        return tuple(counts[size] for size in range(1, max(counts) + 1))
+        return tuple(counts[size] for size in range(1, max(counts, default=0) + 1))
 
     def _face_masks(self) -> frozenset[int]:
         # the bitmasks of all nonempty faces, in no order, kept per
@@ -185,10 +209,9 @@ class SimplicialComplex:
         # facet, so the 2^|F| - 1 subsets of each facet F cost no Python
         # loop step each
         if self._masks is None:
-            bits = self._vertex_bits()
             found = set()
-            for facet in self._facets:
-                facet_bits = list(map(bits.__getitem__, facet))
+            for facet in self._facet_masks:
+                facet_bits = [1 << i for i in _bit_indices(facet)]
                 for r in range(1, len(facet_bits) + 1):
                     found.update(map(sum, combinations(facet_bits, r)))
             self._masks = frozenset(found)
@@ -206,31 +229,19 @@ class SimplicialComplex:
         Names outside the vertex set are ignored; callers pass divisor sets
         computed elsewhere.  The result may be disconnected or empty.
         """
-        keep = frozenset(names) & set(self._vertices)
-        cuts = {f & keep for f in self._facets} - {frozenset()}
-        maximal = [f for f in cuts if not any(f < g for g in cuts)]
-        return SimplicialComplex._from_maximal(maximal)
+        bits = self._vertex_bits()
+        keep = sum(map(bits.__getitem__, bits.keys() & set(names)))
+        return SimplicialComplex._from_maximal(
+            _face(self._vertices, f) for f in _maximal(f & keep for f in self._facet_masks))
 
     # -- leaves, trees, forests ------------------------------------------------
 
     def is_connected(self) -> bool:
-        """Connectivity of the 1-skeleton.
+        """Connectivity of the 1-skeleton, decided on the facet masks.
 
         The empty complex and one-vertex complexes count as connected.
         """
-        if len(self._facets) <= 1:
-            return True
-        remaining = list(self._facets)
-        component = set(remaining.pop())
-        while remaining:
-            for i, f in enumerate(remaining):
-                if f & component:
-                    component |= f
-                    del remaining[i]
-                    break
-            else:
-                return False
-        return True
+        return _connected(self._facet_masks)
 
     def is_forest(self) -> tuple[bool, tuple[Face, ...] | None]:
         """Whether every nonempty subcollection has a leaf.
@@ -287,19 +298,14 @@ class SimplicialComplex:
             left.remove(leaf)
         return order
 
-    def _vertex_index(self) -> dict[Vertex, int]:
-        # position of each vertex in canonical order
-        return {v: i for i, v in enumerate(self._vertices)}
-
     def _vertex_bits(self) -> dict[Vertex, int]:
         # the bit of each vertex in a face mask; Python ints keep masks
         # exact for any vertex count
         return {v: 1 << i for i, v in enumerate(self._vertices)}
 
-    def _bitmasks(self) -> tuple[list[int], list[list[int]]]:
-        # facets as bit masks, and their pairwise intersections
-        bits = self._vertex_bits()
-        masks = [sum(map(bits.__getitem__, f)) for f in self._facets]
+    def _bitmasks(self) -> tuple[tuple[int, ...], list[list[int]]]:
+        # the facet masks, and their pairwise intersections
+        masks = self._facet_masks
         return masks, [[m & n for n in masks] for m in masks]
 
     def is_tree(self) -> bool:

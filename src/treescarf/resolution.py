@@ -7,7 +7,8 @@ vertex labels.  The chain complex of the labeled complex resolves the
 quotient by the ideal exactly when every divisor subcomplex is empty or
 acyclic, and the resolution is minimal exactly when no two nested faces
 share a label.  For forests, acyclicity degrades to connectivity, and only
-the lcms of vertex pairs need testing, which is the fast path.
+the lcms of vertex pairs need testing, which is the fast path.  Both
+criteria take a divisor subcomplex as a vertex mask and build no complex.
 
 The multigraded Betti numbers of a strongly generic ideal, where no
 variable has the same nonzero exponent in two generators, are read off
@@ -34,9 +35,10 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 
 from ._frozen import FrozenValue
-from .complexes import Face, SimplicialComplex, _bit_indices, _mask_key, vertex_key
+from .complexes import (Face, SimplicialComplex, _bit_indices, _connected, _face,
+                        _mask_key, _maximal, vertex_key)
 from .errors import NotAFaceError, NotAForestError
-from .homology import QQ, FieldSpec, is_acyclic, reduced_ranks_from_faces
+from .homology import QQ, FieldSpec, reduced_ranks_from_faces
 from .monomials import Monomial, MonomialIdeal, lcm
 
 
@@ -95,12 +97,12 @@ class LabeledComplex:
 
     def divisor_subcomplex(self, m: Monomial) -> SimplicialComplex:
         """Subcomplex induced on the vertices whose labels divide m."""
-        return self._divisor_subcomplex(self._ideal._encode(m))
+        keep = self._divisor_vertices(self._ideal._encode(m))
+        return self._complex.induced(_face(self._complex.vertices, keep))
 
-    def _divisor_subcomplex(self, m: int) -> SimplicialComplex:
-        # induced on the vertices whose label masks divide the mask m
-        return self._complex.induced(
-            v for v, g in zip(self._complex.vertices, self._ideal._masks) if not g & ~m)
+    def _divisor_vertices(self, m: int) -> int:
+        # the vertex mask of the vertices whose label masks divide the mask m
+        return sum(1 << i for i, g in enumerate(self._ideal._masks) if not g & ~m)
 
     def __repr__(self) -> str:
         pairs = ", ".join(f"{v}:{self._labels[v]}" for v in self._complex.vertices)
@@ -115,12 +117,14 @@ def supports_resolution(labeled: LabeledComplex,
     monomial; only lcms of generator subsets need checking, because the
     divisor subcomplex of any monomial is reproduced by the lcm of the
     labels dividing it.  On failure returns the lexicographically smallest
-    failing degree under the ideal's variable order.  Cost: one acyclicity
-    test per element of ``labeled.ideal().lcm_lattice()``.
+    failing degree under the ideal's variable order.  Cost: one rank
+    computation per lattice element m, on the faces whose labels divide m.
     """
     ideal = labeled.ideal()
+    faces = labeled.complex._face_masks()
     for m in ideal._lattice():
-        if not is_acyclic(labeled._divisor_subcomplex(m), field):
+        keep = labeled._divisor_vertices(m)
+        if reduced_ranks_from_faces([f for f in faces if not f & ~keep], field).ranks:
             return False, ideal._decode(m)
     return True, None
 
@@ -135,7 +139,8 @@ def supports_resolution_tree(labeled: LabeledComplex) -> tuple[bool, Monomial | 
     lexicographically no larger.  Testing connectivity at the distinct
     pair lcms, in lexicographic order, therefore gives the answer and the
     failing degree of ``supports_resolution`` on every forest, in at most
-    t(t-1)/2 checks and without building the lcm lattice.  Raises
+    t(t-1)/2 checks of O(q^2) mask operations on the q facet masks cut by
+    the divisor vertex mask, and without building the lcm lattice.  Raises
     NotAForestError (with the leafless witness) otherwise, from the
     complex's kept forest decision.
     """
@@ -144,8 +149,10 @@ def supports_resolution_tree(labeled: LabeledComplex) -> tuple[bool, Monomial | 
         raise NotAForestError("tree criterion needs a forest", witness=witness)
     ideal = labeled.ideal()
     masks = ideal._masks
+    facets = labeled.complex._facet_masks
     for m in sorted({g | h for i, g in enumerate(masks) for h in masks[i + 1:]}):
-        if not labeled._divisor_subcomplex(m).is_connected():
+        keep = labeled._divisor_vertices(m)
+        if not _connected([f & keep for f in facets]):
             return False, ideal._decode(m)
     return True, None
 
@@ -168,9 +175,7 @@ def is_minimal(labeled: LabeledComplex) -> tuple[bool, tuple[Face, Face] | None]
         label[face] = mine = label[subs[0]] | label[face ^ subs[0]]
         for sub in subs:
             if label[sub] == mine:
-                return False, tuple(
-                    frozenset(map(names.__getitem__, _bit_indices(m)))
-                    for m in (face, sub))
+                return False, (_face(names, face), _face(names, sub))
     return True, None
 
 
@@ -241,11 +246,9 @@ def _lattice_betti_table(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTa
             continue  # only the unit ideal has this degree, and nothing below it
         below = [g for g in ideal._masks if not g & ~m]
         # each A_x, the generators lacking m's top bit in x, over below
-        covers = dict.fromkeys(
+        maximal = _maximal(
             sum(1 << i for i, g in enumerate(below) if not g >> x & 1)
             for x in _bit_indices(ideal._tops(m)))
-        covers.pop(0, None)
-        maximal = [a for a in covers if not any(a != b and a & b == a for b in covers)]
         if len(maximal) > len(below):
             # Every g in below falls short of m in some variable (g = m
             # would leave maximal empty), so no dual set is empty.
@@ -298,33 +301,32 @@ def betti_table(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTable:
     if not ideal._masks[0] or not _strongly_generic(ideal):
         return _lattice_betti_table(ideal, field)
     faces = _scarf_faces(ideal._masks)
-    vector = [0] * max(map(len, faces))
+    vector = [0] * max(map(int.bit_count, faces))
     by_degree = {}
     # label masks sort in the labels' lexicographic order
     for face, m in sorted(faces.items(), key=lambda item: item[1]):
-        vector[len(face) - 1] += 1
-        by_degree[ideal._decode(m)] = (0,) * (len(face) - 1) + (1,)
+        vector[face.bit_count() - 1] += 1
+        by_degree[ideal._decode(m)] = (0,) * (face.bit_count() - 1) + (1,)
     return BettiTable(by_degree, tuple(vector))
 
 
-def _scarf_faces(masks: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """Every face of the Scarf complex, as increasing generator positions,
+def _scarf_faces(masks: tuple[int, ...]) -> dict[int, int]:
+    """Every face of the Scarf complex, as a generator-position mask,
     mapped to its label mask; grown level by level (see ``scarf_complex``),
     so faces come in order of size."""
     t = len(masks)
-    level = {(i,): g for i, g in enumerate(masks)}
+    level = {1 << i: g for i, g in enumerate(masks)}
     faces = {}
     while level:
         faces.update(level)
         grown = {}
         for face, label in level.items():
-            for w in range(face[-1] + 1, t):
-                cand = face + (w,)
-                if any(cand[:k] + cand[k + 1:] not in level
-                       for k in range(len(face))):
+            for w in range(face.bit_length(), t):
+                cand = face | 1 << w
+                if any(cand ^ 1 << k not in level for k in _bit_indices(face)):
                     continue
                 m = label | masks[w]
-                if all(g & ~m for u, g in enumerate(masks) if u not in cand):
+                if all(g & ~m for u, g in enumerate(masks) if not cand >> u & 1):
                     grown[cand] = m
         level = grown
     return faces
@@ -346,9 +348,9 @@ def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
     oracle in ``tests/oracles.py``.
     """
     gens = ideal.generators
-    names = [str(i + 1) for i in range(len(gens))]
+    names = tuple(str(i + 1) for i in range(len(gens)))
     faces = _scarf_faces(ideal._masks)
-    covered = {face[:k] + face[k + 1:] for face in faces for k in range(len(face))}
+    covered = {face ^ 1 << k for face in faces for k in _bit_indices(face)}
     complex_ = SimplicialComplex._from_maximal(
-        frozenset(names[i] for i in face) for face in faces if face not in covered)
+        _face(names, face) for face in faces if face not in covered)
     return LabeledComplex(complex_, dict(zip(names, gens)), ideal.variables)

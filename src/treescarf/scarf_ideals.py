@@ -182,17 +182,15 @@ def verify_scarf(complex_: SimplicialComplex,
     i-th vertex in canonical order).  Returns EQUAL when the face sets
     coincide, CONTAINS when the Scarf complex strictly contains the input,
     NEITHER otherwise, along with the computed Scarf complex.  Compares
-    facets only, after renaming the Scarf facets to the input's vertices.
+    facet masks: bit i is generator i on both sides ("1".."t" sort so).
     """
     if len(ideal.generators) != len(complex_.vertices):
         raise ArityMismatchError(
             f"{len(ideal.generators)} generators for {len(complex_.vertices)} vertices")
     scarf = scarf_complex(ideal)
-    rename = {str(i + 1): v for i, v in enumerate(complex_.vertices)}
-    renamed = SimplicialComplex._from_maximal(
-        frozenset(rename[n] for n in f) for f in scarf.complex.facets)
-    if renamed == complex_:
+    mine, theirs = complex_._facet_masks, scarf.complex._facet_masks
+    if mine == theirs:
         return ScarfComparison.EQUAL, scarf
-    if all(renamed.has_face(f) for f in complex_.facets):
+    if all(any(not f & ~g for g in theirs) for f in mine):
         return ScarfComparison.CONTAINS, scarf
     return ScarfComparison.NEITHER, scarf

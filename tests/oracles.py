@@ -8,7 +8,13 @@ same objects in time that scales with their output (see
 table is also computed a second way, from the order complexes of intervals
 in the lcm lattice, which shares no code with the first.  The tree
 support criterion tests connectivity at every lcm-lattice element, where
-the library tests only the lcms of vertex pairs.  Plain Gaussian
+the library tests only the lcms of vertex pairs, and it builds each
+divisor subcomplex from frozensets: the maximal-set filter, the induced
+subcomplex and the connectivity test here are the references for the
+library's mask versions, which cut facet masks by a vertex mask.  The
+general criterion builds each divisor subcomplex as a complex and tests
+it with ``is_acyclic``, where the library ranks the parent complex's face
+masks inside the divisor vertex mask.  Plain Gaussian
 elimination over Fractions is the reference for the library's
 fraction-free rank, and Gauss-Jordan elimination mod p for its rank over
 GF(p).  The face set that answers every free-face question by
@@ -47,7 +53,7 @@ from treescarf.collapse import CollapseSequence, CollapseStep
 from treescarf.complexes import Face, SimplicialComplex, face_key, face_sorted, vertex_key
 from treescarf.errors import (BadHError, BoundaryOfSimplexError,
                               DegenerateVertexFacetError)
-from treescarf.homology import QQ, FieldSpec, HomologyRanks, rank
+from treescarf.homology import QQ, FieldSpec, HomologyRanks, is_acyclic, rank
 from treescarf.monomials import UNIT, Monomial, MonomialIdeal
 from treescarf.resolution import BettiTable, LabeledComplex
 from treescarf.scarf_ideals import face_variable_ring, is_boundary_of_simplex
@@ -282,13 +288,62 @@ def verify_scarf(complex_: SimplicialComplex, ideal: MonomialIdeal) -> str:
     return "NEITHER"
 
 
+def maximal(candidates: Iterable[Iterable[str]]) -> tuple[Face, ...]:
+    """The distinct candidates not strictly inside another, sorted by
+    ``face_key``; reference for the mask filter behind the constructor and
+    ``induced``."""
+    distinct = set(map(frozenset, candidates))
+    return tuple(sorted((f for f in distinct if not any(f < g for g in distinct)),
+                        key=face_key))
+
+
+def induced(complex_: SimplicialComplex, names: Iterable[str]) -> tuple[Face, ...]:
+    """The facets of the subcomplex induced on ``names``, sorted by
+    ``face_key``: the maximal nonempty cuts of the facets by the names
+    that are vertices.  Reference for ``SimplicialComplex.induced``."""
+    keep = frozenset(names) & set(complex_.vertices)
+    return maximal({f & keep for f in complex_.facets} - {frozenset()})
+
+
+def is_connected(facets: Iterable[Face]) -> bool:
+    """Connectivity of the 1-skeleton of the complex with these facets,
+    grown one facet at a time; no facets or one facet count as connected.
+    Reference for ``SimplicialComplex.is_connected``."""
+    remaining = list(facets)
+    if len(remaining) <= 1:
+        return True
+    component = set(remaining.pop())
+    while remaining:
+        for i, f in enumerate(remaining):
+            if f & component:
+                component |= f
+                del remaining[i]
+                break
+        else:
+            return False
+    return True
+
+
 def supports_resolution_tree(labeled: LabeledComplex) -> tuple[bool, Optional[Monomial]]:
     """The tree criterion over the whole lcm lattice: the lexicographically
     first m whose divisor subcomplex is disconnected, one connectivity test
-    per lattice element.  Reference for the library's pair-lcm test; the
-    input must be a forest."""
+    per lattice element, on frozenset facets.  Reference for the library's
+    pair-lcm test; the input must be a forest."""
+    complex_ = labeled.complex
     for m in labeled.ideal().lcm_lattice():
-        if not labeled.divisor_subcomplex(m).is_connected():
+        names = [v for v in complex_.vertices if labeled.label(v).divides(m)]
+        if not is_connected(induced(complex_, names)):
+            return False, m
+    return True, None
+
+
+def supports_resolution(labeled: LabeledComplex,
+                        field: FieldSpec = QQ) -> tuple[bool, Optional[Monomial]]:
+    """The general criterion as stated: the lexicographically first m in
+    the lcm lattice whose divisor subcomplex, built as a complex, is not
+    acyclic.  Reference for the library's rank test on face masks."""
+    for m in labeled.ideal().lcm_lattice():
+        if not is_acyclic(labeled.divisor_subcomplex(m), field):
             return False, m
     return True, None
 

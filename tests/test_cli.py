@@ -18,6 +18,7 @@ from treescarf import (BettiTable, CollapseSequence, LabeledComplex, Monomial,
                        MonomialIdeal, SimplicialComplex, tree_collapse_certificate,
                        verify_sequence)
 from treescarf import cli, collapse, errors, io, parse_monomial
+from treescarf import complexes as complexes_module
 from treescarf.cli import main
 from treescarf.errors import InputFileError
 from treescarf.io import (complex_to_data, ideal_to_data, load_complex,
@@ -296,6 +297,29 @@ def test_each_command_decides_forest_once(files, capsys, monkeypatch, argv):
     code, _, _ = run(capsys, *(files.get(a, a) for a in argv))
     assert code == 0
     assert searched == [load_complex(files["diamond"])]
+
+
+@pytest.mark.parametrize("command", ["check", "collapse"])
+@pytest.mark.parametrize("facets", [
+    [["1", "2", "4"], ["2", "3", "4"]],     # a tree
+    [["1", "2"], ["2", "3"], ["1", "3"]],   # a cycle
+    [["1", "2"], ["3", "4"]],               # disconnected
+])
+def test_each_command_decides_connectivity_once(files, capsys, monkeypatch,
+                                                command, facets):
+    p = files["tmp"] / "input.json"
+    p.write_text(json.dumps({"facets": facets}))
+    decided = []
+    connected = complexes_module._connected
+
+    def spy(masks):
+        decided.append(masks)
+        return connected(masks)
+
+    monkeypatch.setattr(complexes_module, "_connected", spy)
+    code, _, _ = run(capsys, command, str(p))
+    assert code == 0
+    assert decided == [load_complex(str(p))._facet_masks]
 
 
 @pytest.mark.parametrize("command", ["check", "collapse"])

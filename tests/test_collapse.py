@@ -10,7 +10,7 @@ from treescarf import (CollapseSequence, CollapseStep, SimplicialComplex,
                        elementary_collapse, free_pairs, greedy_collapse,
                        tree_collapse_certificate, verify_sequence)
 from treescarf import collapse
-from treescarf.complexes import _bit_indices, _mask_key, face_key
+from treescarf.complexes import _bit_indices, _face, _mask_key, face_key
 from treescarf.errors import InvalidStepError, NotATreeError
 
 import oracles
@@ -320,7 +320,7 @@ def candidate_steps(rng, faces, names):
 def facets_left(complex_, table):
     # the complex of the facets of a coface-bit table, named
     return SimplicialComplex._from_maximal(
-        collapse._face(complex_.vertices, f) for f, up in table.items() if not up)
+        _face(complex_.vertices, f) for f, up in table.items() if not up)
 
 
 @settings(max_examples=300)
@@ -335,7 +335,7 @@ def test_coface_table_matches_scanning_oracle(complex_, rng):
     table, ref = collapse._coface_bits(complex_), oracles.FaceSet(complex_)
     vertices = complex_.vertices
     for step in seq.steps + (None,):
-        assert [(collapse._face(vertices, free), collapse._face(vertices, coface))
+        assert [(_face(vertices, free), _face(vertices, coface))
                 for free, coface in collapse._free_pairs(table)] == ref.free_pairs()
         assert facets_left(complex_, table) == ref.to_complex()
         for candidate in candidate_steps(rng, sorted(ref.faces, key=sorted), names):
@@ -354,7 +354,7 @@ def assert_encodes(complex_, table, ref):
     vertices = complex_.vertices
 
     def name(mask):
-        return collapse._face(vertices, mask)
+        return _face(vertices, mask)
 
     assert {name(f): {name(f | 1 << i) for i in _bit_indices(up)}
             for f, up in table.items()} == ref.cofaces
@@ -368,8 +368,8 @@ def test_coface_bits_encode_the_oracle_cofaces_through_greedy(complex_):
     assert_encodes(complex_, table, ref)
     for free, coface in pairs:
         assert collapse._replay(table, [(free, coface)]) is None
-        ref.apply(CollapseStep(collapse._face(complex_.vertices, free),
-                               collapse._face(complex_.vertices, coface)))
+        ref.apply(CollapseStep(_face(complex_.vertices, free),
+                               _face(complex_.vertices, coface)))
         assert_encodes(complex_, table, ref)
     assert residual == sorted((f for f, up in table.items() if not up),
                               key=_mask_key)
@@ -511,10 +511,10 @@ def test_mask_schedule_matches_the_frozenset_schedule(names):
         simplex = SimplicialComplex([names[:n]])
         vertices, full = simplex.vertices, (1 << n) - 1
         for goal in range(1, full):
-            got = [(collapse._face(vertices, free), collapse._face(vertices, coface))
+            got = [(_face(vertices, free), _face(vertices, coface))
                    for free, coface in collapse._simplex_steps(full, goal)]
             expected = [(s.free_face, s.coface) for s in oracles.simplex_steps(
-                frozenset(names[:n]), collapse._face(vertices, goal))]
+                frozenset(names[:n]), _face(vertices, goal))]
             assert got == expected
 
 

@@ -187,6 +187,76 @@ def test_induced_ignores_unknown_names_and_is_idempotent():
     assert sub.induced(x) == sub
 
 
+# -- maximal sets, induced subcomplexes and connectivity against frozensets ------
+
+NAMES = ("1", "2", "3", "4", "5", "6")
+
+
+def mask_of(face):
+    return sum(1 << NAMES.index(v) for v in face)
+
+
+@st.composite
+def candidate_facets(draw):
+    """Nonempty vertex sets on NAMES, with repeats and nested parts mixed in."""
+    sets = draw(st.lists(st.frozensets(st.sampled_from(NAMES), min_size=1, max_size=4),
+                         min_size=1, max_size=6))
+    for f in draw(st.lists(st.sampled_from(sets), max_size=3)):
+        # the whole set again, or a part of it
+        sets.append(draw(st.frozensets(st.sampled_from(sorted(f)), min_size=1)))
+    return draw(st.permutations(sets))
+
+
+def test_maximal_masks_match_the_frozenset_filter():
+    seen = set()
+
+    @settings(max_examples=300)
+    @given(candidate_facets(), st.booleans())
+    def check(candidates, zero):
+        expected = oracles.maximal(candidates)
+        assert SimplicialComplex(candidates).facets == expected
+        # the empty set is inside every other, and a zero mask is dropped
+        masks = [mask_of(f) for f in candidates] + [0] * zero
+        got = complexes._maximal(masks)
+        assert len(set(got)) == len(got)
+        assert sorted((frozenset(NAMES[i] for i in _bit_indices(m)) for m in got),
+                      key=face_key) == list(expected)
+        seen.add((len(set(candidates)) < len(candidates),
+                  len(expected) < len(set(candidates))))
+
+    check()
+    # repeated candidates, and candidates strictly inside another, both come up
+    assert {(True, True), (False, True)} <= seen
+
+
+def test_induced_and_connectivity_match_the_frozenset_oracles():
+    seen = set()
+
+    @settings(max_examples=300)
+    @given(candidate_facets(),
+           st.frozensets(st.sampled_from(NAMES + ("zz", "7", "10"))))
+    def check(candidates, names):
+        c = SimplicialComplex(candidates)
+        assert c.is_connected() == oracles.is_connected(c.facets)
+        sub = c.induced(names)
+        expected = oracles.induced(c, names)
+        assert sub.facets == expected
+        assert sub.vertices == tuple(v for v in c.vertices if v in names)
+        assert sub.is_connected() == oracles.is_connected(expected)
+        seen.add((sub.is_empty(), sub.is_connected(), c.is_connected()))
+
+    check()
+    # empty induced sets, disconnected induced subcomplexes, disconnected complexes
+    assert {(True, True, True), (False, False, True), (False, False, False)} <= seen
+
+
+@settings(max_examples=300)
+@given(st.lists(st.frozensets(st.sampled_from(NAMES), max_size=3), max_size=6))
+def test_connected_ignores_zero_masks(sets):
+    assert complexes._connected(map(mask_of, sets)) == oracles.is_connected(
+        [f for f in sets if f])
+
+
 # -- leaves: the oracle and the forest code's leaf order ------------------------
 
 def named_leaf_order(c):

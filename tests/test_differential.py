@@ -1,6 +1,7 @@
 """Scarf complexes and Betti tables against the 2^t definitions in oracles.py,
-the two Betti routes against each other, and the pair-lcm tree criterion
-against the lcm-lattice loop.
+the two Betti routes against each other, the pair-lcm tree criterion
+against the lcm-lattice loop, and the general support criterion on face
+masks against the loop that builds each divisor subcomplex.
 
 Facets, labels, Betti vectors and the multigraded columns (in order) must
 agree exactly, over the rationals and over GF(2), GF(3) and GF(5).
@@ -324,6 +325,39 @@ def test_tree_criterion_matches_the_lattice_loop_and_the_general_criterion():
     check()
     # both answers on trees; a disconnected forest never supports
     assert seen == {(True, True), (True, False), (False, False)}
+
+
+# -- the general criterion: face masks against built divisor subcomplexes ---------
+
+@st.composite
+def labeled_non_forests(draw):
+    """A random complex on at most 6 vertices with random antichain labels,
+    or the Scarf complex of a strongly generic ideal labeled by its
+    generators, which supports a resolution; None when it is a forest."""
+    rng = draw(st.randoms(use_true_random=True))
+    if draw(st.booleans()):
+        complex_ = random_complex(rng, max_vertices=6)
+        labeled = LabeledComplex(complex_, dict(zip(
+            complex_.vertices, random_label_antichain(rng, len(complex_.vertices)))))
+    else:
+        labeled = scarf_complex(draw(strongly_generic_ideals()))
+    return None if labeled.complex.is_forest()[0] else labeled
+
+
+def test_general_criterion_matches_the_built_subcomplex_loop():
+    seen = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(labeled_non_forests(), st.sampled_from((QQ, FieldSpec(2))))
+    def check(labeled, field):
+        if labeled is None:
+            return
+        answer = supports_resolution(labeled, field)
+        assert answer == oracles.supports_resolution(labeled, field)
+        seen.add(answer[0])
+
+    check()
+    assert seen == {True, False}
 
 
 # -- mask-based minimality and Scarf verification against the frozenset walks ----

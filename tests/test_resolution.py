@@ -300,3 +300,23 @@ def test_betti_bounded_by_f_on_random_supporting_trees():
         assert (betti == fvec) == is_minimal(lc)[0]
         minimal += betti == fvec
     assert 0 < minimal < supported  # the sample must contain both kinds
+
+
+def test_support_criteria_build_no_complex(monkeypatch):
+    # both criteria take divisor subcomplexes as vertex masks over the
+    # labeled complex's own numbering; no SimplicialComplex is made
+    cycle = SimplicialComplex([{"1", "2"}, {"2", "3"}, {"1", "3"}])
+    cycle_labeled = LabeledComplex(cycle, dict(zip("123", GENS)), VARS)
+    labeled = [diamond_labeled(), adversarial_labeled(), cycle_labeled]
+    built = []
+    init = SimplicialComplex._init_canonical
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        return init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimplicialComplex, "_init_canonical", spy)
+    answers = [supports_resolution(l) for l in labeled]
+    answers += [supports_resolution_tree(l) for l in labeled[:2]]
+    assert built == []
+    assert [a[0] for a in answers] == [True, False, False, True, False]
