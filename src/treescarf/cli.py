@@ -8,27 +8,25 @@ parses but is wrong (``--field 4``, a bad ``--labels``), exits 2 with a JSON
 error on stderr.  A command line that argparse rejects (an unknown command
 or flag, a missing argument, ``--field two``) exits 2 with argparse's usage
 text on stderr instead.
+
+Each command runs in its own process, so its fixed cost matters: a command
+line spelled exactly as ``_GRAMMAR`` writes it is parsed without argparse,
+and each command imports only the library modules it runs.  argparse is
+built from the same table, and only for the other lines, so every help,
+usage and error text is still argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from . import io
-from .collapse import _first_violation, _greedy_steps, _tree_steps
-from .complexes import face_sorted
 from .errors import ArityMismatchError, InputFileError, TreescarfError
-from .homology import FieldSpec
-from .monomials import format_monomial
-from .resolution import (LabeledComplex, _lattice_betti_table, betti_table,
-                         is_minimal, scarf_complex, supports_resolution,
-                         supports_resolution_tree)
-from .scarf_ideals import (build_intermediate, build_J, build_Jprime, random_h,
-                           verify_scarf)
 
 
-def _field(args) -> FieldSpec:
+def _field(args):
+    from .homology import FieldSpec
     try:
         return FieldSpec(args.field)
     except ValueError as exc:
@@ -36,6 +34,8 @@ def _field(args) -> FieldSpec:
 
 
 def cmd_check(args) -> dict:
+    from .collapse import _tree_steps
+    from .complexes import face_sorted
     complex_ = io.load_complex(args.complex_file)
     connected = complex_.is_connected()
     forest, witness = complex_.is_forest()
@@ -64,6 +64,9 @@ def cmd_fvector(args) -> dict:
 
 
 def cmd_supports(args) -> dict:
+    from .resolution import (LabeledComplex, _lattice_betti_table, betti_table,
+                             is_minimal, supports_resolution,
+                             supports_resolution_tree)
     complex_ = io.load_complex(args.complex_file)
     ideal = io.load_ideal(args.ideal_file)
     if len(ideal.generators) != len(complex_.vertices):
@@ -110,6 +113,7 @@ def cmd_supports(args) -> dict:
 
 
 def cmd_scarf(args) -> dict:
+    from .resolution import scarf_complex
     ideal = io.load_ideal(args.ideal_file)
     scarf = scarf_complex(ideal)
     result = {
@@ -122,6 +126,9 @@ def cmd_scarf(args) -> dict:
 
 
 def cmd_build_scarf(args) -> dict:
+    from .monomials import format_monomial
+    from .scarf_ideals import (build_intermediate, build_J, build_Jprime, random_h,
+                               verify_scarf)
     complex_ = io.load_complex(args.complex_file)
     diagnostics = []
     try:
@@ -153,6 +160,7 @@ def cmd_build_scarf(args) -> dict:
 
 
 def cmd_betti(args) -> dict:
+    from .resolution import betti_table
     ideal = io.load_ideal(args.ideal_file)
     field = _field(args)
     table = betti_table(ideal, field)
@@ -163,6 +171,7 @@ def cmd_betti(args) -> dict:
 
 
 def cmd_collapse(args) -> dict:
+    from .collapse import _greedy_steps, _tree_steps
     complex_ = io.load_complex(args.complex_file)
     diagnostics = []
     if complex_.is_tree():
@@ -192,6 +201,7 @@ def cmd_collapse(args) -> dict:
 
 
 def cmd_verify_collapse(args) -> dict:
+    from .collapse import _first_violation
     complex_ = io.load_complex(args.complex_file)
     sequence = io.load_sequence(args.certificate_file)
     bad = _first_violation(complex_, sequence)
@@ -215,60 +225,116 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# The command line, as one table that both parsers read.  Per command: its
+# help line, its positionals in order, and its options as (flag, kind,
+# default, help).  A kind is ``int``, ``str``, ``bool`` (a switch, default
+# False) or a tuple of the values allowed.
+_GRAMMAR = {
+    "check": ("tree/forest/connectivity report", ("complex_file",), ()),
+    "fvector": ("face counts by dimension", ("complex_file",), ()),
+    "supports": ("does the labeled complex support a resolution?",
+                 ("complex_file", "ideal_file"), (
+        ("--field", int, 0, "coefficient field characteristic (0 or a prime)"),
+        ("--labels", str, None, "comma-separated vertex order for the generators"),
+        ("--verify", bool, False,
+         "cross-check the tree criterion against the general one, and the "
+         "Betti table against the lcm-lattice walk"),
+    )),
+    "scarf": ("Scarf complex of an ideal", ("ideal_file",), ()),
+    "build-scarf": ("build a Scarf ideal for a complex", ("complex_file",), (
+        ("--variant", ("J", "Jprime", "intermediate"), "J", None),
+        ("--seed", int, 0, "seed for sampling the intermediate-family factors"),
+        ("--out", str, None, "write the ideal file here"),
+    )),
+    "betti": ("Betti vector and multigraded table", ("ideal_file",), (
+        ("--field", int, 0, None),
+    )),
+    "collapse": ("collapse certificate", ("complex_file",), (
+        ("--out", str, None, "write the certificate here"),
+    )),
+    "verify-collapse": ("replay a collapse certificate against a complex",
+                        ("complex_file", "certificate_file"), ()),
+}
+
+
+def _parse_exact(argv):
+    """The arguments of a command line spelled exactly as the grammar
+    writes it, or None.
+
+    Accepted: a command name, then its positionals and its flags in any
+    order, each flag spelled in full and any value as the next token, not
+    starting with "-".  Values convert as argparse converts them.  Anything
+    else, such as ``-h``, ``--``, ``--flag=value``, an abbreviated flag, a
+    missing or extra positional or a value that does not convert, gives
+    None, and argparse parses the line instead.
+    """
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    _, positionals, options = _GRAMMAR[argv[0]]
+    values = {"command": argv[0]}
+    flags = {}
+    for flag, kind, default, _ in options:
+        dest = flag[2:].replace("-", "_")
+        values[dest] = default
+        flags[flag] = dest, kind
+    given = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            given.append(token)
+            continue
+        if token not in flags:
+            return None
+        dest, kind = flags[token]
+        if kind is bool:
+            values[dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif kind is not str and value not in kind:
+            return None
+        values[dest] = value
+    if len(given) != len(positionals):
+        return None
+    values.update(zip(positionals, given))
+    return SimpleNamespace(**values)
+
+
+def _build_parser():
+    """The argparse parser of the same grammar.  It parses the command lines
+    that ``_parse_exact`` declines, and writes every help, usage and error
+    text."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="treescarf",
         description="Simplicial trees, collapse certificates, and Scarf ideals.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    check = sub.add_parser("check", help="tree/forest/connectivity report")
-    check.add_argument("complex_file")
-
-    fvector = sub.add_parser("fvector", help="face counts by dimension")
-    fvector.add_argument("complex_file")
-
-    supports = sub.add_parser(
-        "supports", help="does the labeled complex support a resolution?")
-    supports.add_argument("complex_file")
-    supports.add_argument("ideal_file")
-    supports.add_argument("--field", type=int, default=0,
-                          help="coefficient field characteristic (0 or a prime)")
-    supports.add_argument("--labels", default=None,
-                          help="comma-separated vertex order for the generators")
-    supports.add_argument(
-        "--verify", action="store_true",
-        help="cross-check the tree criterion against the general one, and the "
-             "Betti table against the lcm-lattice walk")
-
-    scarf = sub.add_parser("scarf", help="Scarf complex of an ideal")
-    scarf.add_argument("ideal_file")
-
-    build = sub.add_parser("build-scarf", help="build a Scarf ideal for a complex")
-    build.add_argument("complex_file")
-    build.add_argument("--variant", choices=("J", "Jprime", "intermediate"),
-                       default="J")
-    build.add_argument("--seed", type=int, default=0,
-                       help="seed for sampling the intermediate-family factors")
-    build.add_argument("--out", default=None, help="write the ideal file here")
-
-    betti = sub.add_parser("betti", help="Betti vector and multigraded table")
-    betti.add_argument("ideal_file")
-    betti.add_argument("--field", type=int, default=0)
-
-    collapse = sub.add_parser("collapse", help="collapse certificate")
-    collapse.add_argument("complex_file")
-    collapse.add_argument("--out", default=None, help="write the certificate here")
-
-    verify = sub.add_parser("verify-collapse",
-                            help="replay a collapse certificate against a complex")
-    verify.add_argument("complex_file")
-    verify.add_argument("certificate_file")
-
+    for name, (text, positionals, options) in _GRAMMAR.items():
+        command = sub.add_parser(name, help=text)
+        for positional in positionals:
+            command.add_argument(positional)
+        for flag, kind, default, text in options:
+            if kind is bool:
+                shape = {"action": "store_true"}
+            elif kind is str:
+                shape = {}
+            else:
+                shape = {"type": int} if kind is int else {"choices": kind}
+            command.add_argument(flag, default=default, help=text, **shape)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_exact(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     try:
         report = _COMMANDS[args.command](args)
     except (TreescarfError, ValueError) as exc:

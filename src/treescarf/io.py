@@ -56,6 +56,7 @@ def _facet_list(raw, key, path):
     if not isinstance(raw, list) or not raw:
         raise InputFileError(f'"{key}" must be a nonempty list', path=path)
     facets = []
+    seen = set()
     for i, entry in enumerate(raw):
         loc = f"{key}[{i}]"
         if not isinstance(entry, list) or not entry:
@@ -63,8 +64,9 @@ def _facet_list(raw, key, path):
                                  path=path, location=loc)
         _check_names(entry, path, loc)
         face = frozenset(entry)
-        if face in facets:
+        if face in seen:
             raise InputFileError("duplicate facet", path=path, location=loc)
+        seen.add(face)
         facets.append(face)
     return facets
 

@@ -1,6 +1,7 @@
 """Command-line interface: reports, file round trips, determinism, errors."""
 
 import json
+import marshal
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import treescarf
 from treescarf import (BettiTable, CollapseSequence, LabeledComplex, Monomial,
                        MonomialIdeal, SimplicialComplex, tree_collapse_certificate,
                        verify_sequence)
-from treescarf import cli, collapse, errors, io, parse_monomial
+from treescarf import cli, collapse, errors, io, parse_monomial, resolution
 from treescarf import complexes as complexes_module
 from treescarf.cli import main
 from treescarf.errors import InputFileError
@@ -74,6 +75,24 @@ def test_ideal_file_round_trip():
 def test_bad_complex_data_rejected(data):
     with pytest.raises(InputFileError):
         parse_complex_data(data)
+
+
+@pytest.mark.parametrize("facets, message, location", [
+    # the repeat has its names reordered and comes two facets after the first
+    ([["1", "2", "3"], ["3", "4"], ["4", "5"], ["3", "1", "2"]],
+     "duplicate facet", "facets[3]"),
+    # the first problem in file order wins: the repeat before the empty facet
+    ([["a", "b"], ["c"], ["b", "a"], []], "duplicate facet", "facets[2]"),
+    ([["1", "2"], ["2", "3", "4", "2"]], "duplicate vertex name", "facets[1]"),
+    # a facet that repeats a name is reported for the name, even when it
+    # also repeats an earlier facet
+    ([["1", "2"], ["3"], ["2", "1", "2"]], "duplicate vertex name", "facets[2]"),
+])
+def test_duplicates_in_a_complex_file_are_located(facets, message, location):
+    with pytest.raises(InputFileError) as err:
+        parse_complex_data({"facets": facets})
+    assert err.value.location == location
+    assert message in str(err.value)
 
 
 BAD_IDEALS = [
@@ -495,13 +514,13 @@ def generic_cycle_files(tmp):
 
 def test_supports_verify_rechecks_betti_on_a_non_forest(files, capsys, monkeypatch):
     walked = []
-    walk = cli._lattice_betti_table
+    walk = resolution._lattice_betti_table
 
     def spy(ideal, field):
         walked.append(ideal)
         return walk(ideal, field)
 
-    monkeypatch.setattr(cli, "_lattice_betti_table", spy)
+    monkeypatch.setattr(resolution, "_lattice_betti_table", spy)
     argv = ("supports", *generic_cycle_files(files["tmp"]))
     _, plain, _ = run(capsys, *argv)
     assert walked == []
@@ -514,7 +533,7 @@ def test_supports_verify_rechecks_betti_on_a_non_forest(files, capsys, monkeypat
 
 
 def test_supports_verify_raises_on_a_betti_mismatch(files, monkeypatch):
-    monkeypatch.setattr(cli, "_lattice_betti_table",
+    monkeypatch.setattr(resolution, "_lattice_betti_table",
                         lambda ideal, field: BettiTable({}, (3,)))
     with pytest.raises(AssertionError, match="lcm-lattice walk"):
         main(["supports", *generic_cycle_files(files["tmp"]), "--verify"])
@@ -824,6 +843,95 @@ def test_rejected_command_lines_print_usage_not_json(files, capsys, argv):
         json.loads(err)
 
 
+def argparse_namespace(argv):
+    """vars() of argparse's parse of ``argv``; a SystemExit fails the test."""
+    with redirect_stdout(StringIO()), redirect_stderr(StringIO()) as err:
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            raise AssertionError(f"argparse rejects {argv}: {err.getvalue()}") from None
+
+
+# every form of the README's command-line block, each optional part given
+README_COMMAND_LINES = [
+    "check complex.json",
+    "fvector complex.json",
+    "collapse complex.json --out cert.json",
+    "verify-collapse complex.json cert.json",
+    "supports complex.json ideal.json",
+    "supports complex.json ideal.json --field 3 --labels 1,3,2,4 --verify",
+    "betti ideal.json",
+    "betti ideal.json --field 3",
+    "scarf ideal.json",
+    "build-scarf complex.json --variant J",
+    "build-scarf complex.json --variant Jprime --out ideal.json",
+    "build-scarf complex.json --variant intermediate --seed 7 --out ideal.json",
+]
+
+
+@pytest.mark.parametrize("line", README_COMMAND_LINES)
+def test_readme_command_lines_skip_argparse(line):
+    argv = line.split()
+    args = cli._parse_exact(argv)
+    assert args is not None
+    assert vars(args) == argparse_namespace(argv)
+
+
+def test_the_grammar_names_every_command():
+    assert list(cli._GRAMMAR) == list(cli._COMMANDS)
+
+
+COMMAND_TOKENS = [*cli._GRAMMAR, "bogus"]
+FLAG_TOKENS = ["--field", "--labels", "--verify", "--variant", "--seed", "--out",
+               "--fi", "--ver", "--var", "--o", "--field=3", "--out=x.json",
+               "-h", "--help", "--", "-"]
+VALUE_TOKENS = ["0", "-3", "two", "٣", " 3", "", "J", "Jprime",
+                "intermediate", "1,2", "a.json", "b.json", "c.json"]
+TOKENS = COMMAND_TOKENS + FLAG_TOKENS + VALUE_TOKENS
+
+
+# values for a flag of each kind, some that argparse rejects
+KIND_VALUES = {int: ["0", "3", "٣", " 3", "two", "-3"], str: ["a.json", "1,2", "", "-"]}
+
+
+@st.composite
+def near_command_lines(draw):
+    """A command line the grammar spells, each flag given up to twice, then
+    up to two tokens inserted or deleted."""
+    name = draw(st.sampled_from(COMMAND_TOKENS))
+    _, positionals, options = cli._GRAMMAR.get(name, (None, ("command",), ()))
+    parts = [[draw(st.sampled_from(VALUE_TOKENS))] for _ in positionals]
+    for flag, kind, _, _ in options:
+        for _ in range(draw(st.integers(0, 2))):
+            if kind is bool:
+                parts.append([flag])
+            else:
+                values = KIND_VALUES.get(kind) or [*kind, "two"]
+                parts.append([flag, draw(st.sampled_from(values))])
+    tokens = [name, *(token for part in draw(st.permutations(parts)) for token in part)]
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            del tokens[draw(st.integers(0, len(tokens) - 1))]
+        else:
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(TOKENS)))
+    return tokens
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(TOKENS), max_size=6) | near_command_lines()
+       | near_command_lines() | near_command_lines())
+@example(["supports", "a.json", "--verify", "b.json"])
+@example(["betti", "a.json", "--field", "٣", "--field", " 3"])
+@example(["build-scarf", "a.json", "--variant", "intermediate", "--seed", "0"])
+@example(["check", "--labels", "1,2", "a.json"])
+@example(["fvector", "-h"])
+def test_exact_parse_agrees_with_argparse(argv):
+    # the exact parse either declines or builds what argparse builds
+    args = cli._parse_exact(argv)
+    if args is not None:
+        assert vars(args) == argparse_namespace(argv)
+
+
 def test_large_prime_field_answers(files, capsys):
     code, out, _ = run(capsys, "betti", files["ideal"], "--field", "1000000000000000003")
     assert code == 0
@@ -957,7 +1065,35 @@ def test_public_names_are_pinned():
                       if not name.startswith("_")) == methods, cls.__name__
 
 
-def test_cli_import_loads_neither_dataclasses_nor_fractions():
+# Runs ``python -m treescarf.cli ARGS`` in-process and reports, on stderr,
+# the exit code and the modules that running it added.
+RUN_COMMAND = """
+import runpy, sys
+before = set(sys.modules)
+try:
+    runpy.run_module("treescarf.cli", run_name="__main__")
+except SystemExit as stop:
+    sys.stderr.write(f"{stop.code} {' '.join(sorted(set(sys.modules) - before))}")
+"""
+
+ALGEBRA = {"treescarf.homology", "treescarf.resolution", "treescarf.scarf_ideals"}
+
+# per command line: the modules it must not load
+COMMAND_MODULES = [
+    (("check", "tail"), ALGEBRA),
+    (("fvector", "tail"), ALGEBRA),
+    (("collapse", "tail", "--out", "cert.json"), ALGEBRA),
+    (("verify-collapse", "tail", "cert.json"), ALGEBRA),
+    (("scarf", "ideal"), {"treescarf.scarf_ideals"}),
+    (("betti", "ideal", "--field", "2"), {"treescarf.scarf_ideals"}),
+    (("supports", "diamond", "ideal", "--verify"), {"treescarf.scarf_ideals"}),
+    (("build-scarf", "tail", "--variant", "Jprime"), set()),
+    (("build-scarf", "tail", "--variant", "intermediate", "--seed", "1",
+      "--out", "built.json"), set()),
+]
+
+
+def test_cli_import_loads_neither_dataclasses_nor_fractions(files):
     # Every command runs in its own process, so each pays the package's
     # import; compare with what the bare interpreter had already loaded.
     # -S skips site hooks, which may preload some of these modules and so
@@ -971,3 +1107,39 @@ def test_cli_import_loads_neither_dataclasses_nor_fractions():
     added = set(proc.stdout.split())
     assert "treescarf.cli" in added
     assert not added & {"dataclasses", "fractions", "typing", "random"}
+    # Each command end to end: a valid command line never builds the
+    # argparse parser, and a command loads only the library modules it runs.
+    for argv, forbidden in COMMAND_MODULES:
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", RUN_COMMAND, *(files.get(a, a) for a in argv)],
+            env=env, cwd=files["tmp"], capture_output=True, text=True, check=True)
+        code, *added = proc.stderr.split()
+        assert code == "0" and "treescarf.io" in added, (argv, proc.stderr)
+        never = {"dataclasses", "fractions", "typing", "argparse", "gettext", "locale"}
+        if "intermediate" not in argv:
+            never.add("random")
+        assert not set(added) & (never | forbidden), argv
+
+
+@pytest.mark.parametrize("argv, span", [
+    (("check", "tail"), "io.load_complex"),
+    (("betti", "ideal"), "resolution.betti_table"),
+    (("build-scarf", "tail", "--out", "built.json"), "scarf_ideals.verify_scarf"),
+])
+def test_benchmark_tracer_sees_every_layer(files, argv, span):
+    # perfbench/traced_cli.py reads each submodule off the package and
+    # rebinds every public function before the command runs; the command's
+    # own imports must then get the traced functions
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
+    spans_file = files["tmp"] / "query.spans"
+    src = str(Path(treescarf.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, str(tracer), str(spans_file), "query",
+         *(files.get(a, a) for a in argv)],
+        env=dict(os.environ, PYTHONPATH=src), cwd=files["tmp"], capture_output=True,
+        text=True)
+    assert proc.returncode == 0, proc.stderr
+    query, spans = marshal.loads(spans_file.read_bytes())
+    names = {name for _, _, name, *_ in spans}
+    assert query == "query"
+    assert {f"cli.cmd_{argv[0].replace('-', '_')}", span} <= names
