@@ -217,10 +217,6 @@ class SimplicialComplex:
             self._masks = frozenset(found)
         return self._masks
 
-    def euler_characteristic(self) -> int:
-        """Unreduced Euler characteristic, sum of (-1)^i f_i."""
-        return sum((-1) ** i * c for i, c in enumerate(self.f_vector()))
-
     # -- structural operations ------------------------------------------------
 
     def induced(self, names: Iterable[Vertex]) -> "SimplicialComplex":
@@ -269,8 +265,9 @@ class SimplicialComplex:
         # the result was dropped once without success, so each proper
         # subcollection is a forest while the whole is not: a simplicial
         # cycle (Caboara-Faridi-Selinger 2007).
-        _, inter = self._bitmasks()
-        q = len(inter)
+        masks = self._facet_masks
+        inter = [[m & n for n in masks] for m in masks]
+        q = len(masks)
         meets = [[j for j in range(q) if j != i and inter[i][j]]
                  for i in range(q)]
         core = _stuck_core(inter, meets, range(q), range(q))
@@ -289,11 +286,11 @@ class SimplicialComplex:
         # (leaf, joint) facet masks pruning a forest down to nothing: each
         # leaf is the first in facet order of the facets still left, and
         # only the last, lone facet has no joint
-        masks, inter = self._bitmasks()
-        left = list(range(len(self._facets)))
+        masks = self._facet_masks
+        left = list(range(len(masks)))
         order = []
         while left:
-            leaf, joint = _first_leaf(masks, inter, left)
+            leaf, joint = _first_leaf(masks, left)
             order.append((masks[leaf], None if joint is None else masks[joint]))
             left.remove(leaf)
         return order
@@ -302,11 +299,6 @@ class SimplicialComplex:
         # the bit of each vertex in a face mask; Python ints keep masks
         # exact for any vertex count
         return {v: 1 << i for i, v in enumerate(self._vertices)}
-
-    def _bitmasks(self) -> tuple[tuple[int, ...], list[list[int]]]:
-        # the facet masks, and their pairwise intersections
-        masks = self._facet_masks
-        return masks, [[m & n for n in masks] for m in masks]
 
     def is_tree(self) -> bool:
         """Connected and a forest."""
@@ -355,19 +347,20 @@ def _stuck_core(inter, meets, live, pending) -> set[int]:
     return live
 
 
-def _first_leaf(masks, inter, combo) -> tuple[int, int | None] | None:
+def _first_leaf(masks, combo) -> tuple[int, int | None] | None:
     # The first leaf of the subcollection `combo` (ascending indices into
     # masks) and its first joint: a facet F is a leaf when F is alone, or
     # when some other facet G, its joint, contains every intersection of F
-    # with the rest.  None when the subcollection is leafless.
+    # with the rest.  Those intersections have the union F & (the union of
+    # the rest).  None when the subcollection is leafless.
     if len(combo) == 1:
         return combo[0], None
     for i in combo:
-        row = inter[i]
-        union = 0
+        rest = 0
         for h in combo:
             if h != i:
-                union |= row[h]
+                rest |= masks[h]
+        union = masks[i] & rest
         for j in combo:
             if j != i and union & ~masks[j] == 0:
                 return i, j

@@ -11,6 +11,10 @@ produce deterministic, canonically ordered JSON data that re-parses to an
 equal value.  One writer, ``json_text``, turns that data into text: the
 exact bytes of ``json.dumps(data, indent=2, sort_keys=True)``, built from
 leaves that json's C encoder quotes.
+
+Each command runs in its own process, so ``collapse`` and ``monomials``
+are imported inside the readers and writers that use them: a command
+loads only the layers it runs.
 """
 
 from __future__ import annotations
@@ -18,10 +22,8 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii as _quote
 
-from .collapse import CollapseSequence, CollapseStep
 from .complexes import SimplicialComplex, face_sorted, vertex_key
 from .errors import InputFileError, MonomialParseError
-from .monomials import _NAME_RE, MonomialIdeal, format_monomial, parse_monomial
 
 
 def _load_json(path):
@@ -86,6 +88,7 @@ def complex_to_data(complex_: SimplicialComplex) -> dict:
 
 
 def parse_ideal_data(data, path=None) -> MonomialIdeal:
+    from .monomials import _NAME_RE, MonomialIdeal, parse_monomial
     if not isinstance(data, dict) or "variables" not in data or "generators" not in data:
         raise InputFileError('expected an object with "variables" and "generators"',
                              path=path)
@@ -119,6 +122,7 @@ def load_ideal(path) -> MonomialIdeal:
 
 
 def ideal_to_data(ideal: MonomialIdeal) -> dict:
+    from .monomials import format_monomial
     return {"variables": list(ideal.variables),
             "generators": [format_monomial(g, ideal.variables)
                            for g in ideal.generators]}
@@ -155,6 +159,7 @@ def _mask_steps_to_data(vertices, pairs, terminal) -> dict:
 
 
 def parse_sequence_data(data, path=None) -> CollapseSequence:
+    from .collapse import CollapseSequence, CollapseStep
     if not isinstance(data, dict) or "steps" not in data or "terminal" not in data:
         raise InputFileError('expected an object with "steps" and "terminal"', path=path)
     if not isinstance(data["steps"], list):

@@ -57,10 +57,6 @@ class Monomial:
         o = other._exps
         return all(e <= o.get(v, 0) for v, e in self._items)
 
-    def exponent_vector(self, variables: Iterable[str]) -> tuple[int, ...]:
-        """Exponents in the given variable order (missing variables are 0)."""
-        return tuple(self._exps.get(v, 0) for v in variables)
-
     # -- arithmetic -----------------------------------------------------------
 
     def lcm(self, other: "Monomial") -> "Monomial":
@@ -69,22 +65,6 @@ class Monomial:
             if e > exps.get(v, 0):
                 exps[v] = e
         return Monomial(exps)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        exps = dict(self._exps)
-        for v, e in other._items:
-            exps[v] = exps.get(v, 0) + e
-        return Monomial(exps)
-
-    def divide_exact(self, other: "Monomial") -> "Monomial":
-        """Quotient self / other; raises ValueError when not divisible."""
-        if not other.divides(self):
-            raise ValueError(f"{other} does not divide {self}")
-        return Monomial({v: e - other.exponent(v) for v, e in self._items})
-
-    def radical(self) -> "Monomial":
-        """Every positive exponent set to 1."""
-        return Monomial({v: 1 for v, _ in self._items})
 
     # -- value semantics ---------------------------------------------------
 
@@ -230,16 +210,8 @@ class MonomialIdeal:
     def generators(self) -> tuple[Monomial, ...]:
         return self._generators
 
-    def monomial_key(self, m: Monomial) -> tuple[int, ...]:
-        """Lexicographic key under this ideal's variable order."""
-        return m.exponent_vector(self._variables)
-
     def format(self, m: Monomial) -> str:
         return format_monomial(m, self._variables)
-
-    def lcm_lattice(self) -> tuple[Monomial, ...]:
-        """Distinct lcms of nonempty generator subsets, in lexicographic order."""
-        return tuple(map(self._decode, self._lattice()))
 
     def _encode(self, m: Monomial) -> int:
         """Mask of m, exact for divisibility by generators: exponents clip to levels."""

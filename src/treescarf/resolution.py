@@ -220,8 +220,8 @@ def _lattice_betti_table(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTa
     the generators whose label strictly divides m, the empty face included
     (Bayer-Peeva-Sturmfels, *Monomial resolutions*, 1998).  Only lcms of
     generator subsets can carry a nonzero rank, so the loop runs over the
-    L masks of ``ideal._lattice()``, the sorted lcm closure that
-    ``lcm_lattice()`` decodes.
+    L masks of ``ideal._lattice()``, the sorted lcm closure of the
+    generator masks.
 
     A subset's lcm falls short of m exactly when all its generators fall
     short of m in some variable x, so K_{<m} is the union of the full

@@ -41,7 +41,12 @@ builder sorted by ``face_key``, with its ranks, and the frozenset
 minimality walk over ``faces`` are their references, as the comparison
 of the two face sets is for ``verify_scarf``, and both Betti
 table oracles build their chain complexes with it, so they share no
-chain-complex code with the library.
+chain-complex code with the library.  The closure of ``Monomial.lcm``
+over the generators, sorted by exponent vector, is the reference for the
+sorted mask closure ``MonomialIdeal._lattice`` and reads no mask.
+Monomial products, exact quotients, radicals, exponent vectors with
+their lexicographic key, and the Euler characteristic, none of which the
+library needs, are defined here for the tests and the references above.
 """
 
 import itertools
@@ -57,6 +62,44 @@ from treescarf.homology import QQ, FieldSpec, HomologyRanks, is_acyclic, rank
 from treescarf.monomials import UNIT, Monomial, MonomialIdeal
 from treescarf.resolution import BettiTable, LabeledComplex
 from treescarf.scarf_ideals import face_variable_ring, is_boundary_of_simplex
+
+
+def exponent_vector(m: Monomial, variables: Iterable[str]) -> tuple[int, ...]:
+    """Exponents of m in the given variable order (missing variables are 0)."""
+    return tuple(m.exponent(v) for v in variables)
+
+
+def monomial_key(ideal: MonomialIdeal, m: Monomial) -> tuple[int, ...]:
+    """Lexicographic key of m under the ideal's variable order."""
+    return exponent_vector(m, ideal.variables)
+
+
+def product(a: Monomial, b: Monomial) -> Monomial:
+    """The product a * b: exponents add."""
+    return Monomial({v: a.exponent(v) + b.exponent(v)
+                     for v in {*a.variables, *b.variables}})
+
+
+def divide_exact(a: Monomial, b: Monomial) -> Monomial:
+    """The quotient a / b; raises ValueError when b does not divide a."""
+    if not b.divides(a):
+        raise ValueError(f"{b} does not divide {a}")
+    return Monomial({v: a.exponent(v) - b.exponent(v) for v in a.variables})
+
+
+def radical(m: Monomial) -> Monomial:
+    """m with every positive exponent set to 1."""
+    return Monomial({v: 1 for v in m.variables})
+
+
+def lcm_lattice(ideal: MonomialIdeal) -> tuple[Monomial, ...]:
+    """The distinct lcms of nonempty generator subsets, sorted by exponent
+    vector: the closure of ``Monomial.lcm`` over the generators.  Reads no
+    mask; reference for ``MonomialIdeal._lattice``."""
+    values: set[Monomial] = set()
+    for g in ideal.generators:
+        values |= {g} | {g.lcm(m) for m in values}
+    return tuple(sorted(values, key=lambda m: monomial_key(ideal, m)))
 
 
 def chain_complex_from_faces(faces: Iterable[Face]) -> tuple[dict, dict]:
@@ -141,7 +184,7 @@ def betti_table(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTable:
     variables = ideal.variables
     t = len(gens)
     names = [str(i + 1) for i in range(t)]
-    gvecs = [g.exponent_vector(variables) for g in gens]
+    gvecs = [exponent_vector(g, variables) for g in gens]
     value_faces: dict[tuple, list[Face]] = {}
     subset_vec: list = [None] * (1 << t)
     for mask in range(1, 1 << t):
@@ -196,7 +239,7 @@ def betti_table_lcm_lattice(ideal: MonomialIdeal, field: FieldSpec = QQ) -> Bett
     bottom = (0,) * len(variables)
     lattice = {bottom}
     for g in ideal.generators:
-        vec = g.exponent_vector(variables)
+        vec = exponent_vector(g, variables)
         lattice |= {tuple(map(max, vec, m)) for m in lattice}
     by_degree = {}
     vector: list[int] = []
@@ -245,7 +288,7 @@ def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
     gens = ideal.generators
     t = len(gens)
     names = [str(i + 1) for i in range(t)]
-    gvecs = [g.exponent_vector(ideal.variables) for g in gens]
+    gvecs = [exponent_vector(g, ideal.variables) for g in gens]
     subset_vec: list = [None] * (1 << t)
     counts: dict[tuple, int] = {}
     for mask in range(1, 1 << t):
@@ -330,7 +373,7 @@ def supports_resolution_tree(labeled: LabeledComplex) -> tuple[bool, Optional[Mo
     per lattice element, on frozenset facets.  Reference for the library's
     pair-lcm test; the input must be a forest."""
     complex_ = labeled.complex
-    for m in labeled.ideal().lcm_lattice():
+    for m in lcm_lattice(labeled.ideal()):
         names = [v for v in complex_.vertices if labeled.label(v).divides(m)]
         if not is_connected(induced(complex_, names)):
             return False, m
@@ -342,7 +385,7 @@ def supports_resolution(labeled: LabeledComplex,
     """The general criterion as stated: the lexicographically first m in
     the lcm lattice whose divisor subcomplex, built as a complex, is not
     acyclic.  Reference for the library's rank test on face masks."""
-    for m in labeled.ideal().lcm_lattice():
+    for m in lcm_lattice(labeled.ideal()):
         if not is_acyclic(labeled.divisor_subcomplex(m), field):
             return False, m
     return True, None
@@ -444,6 +487,11 @@ def f_vector(complex_: SimplicialComplex) -> tuple[int, ...]:
     if not counts:
         return ()
     return tuple(counts.get(d, 0) for d in range(max(counts) + 1))
+
+
+def euler_characteristic(complex_: SimplicialComplex) -> int:
+    """Unreduced Euler characteristic, the sum of (-1)^i f_i over ``f_vector``."""
+    return sum((-1) ** i * n for i, n in enumerate(f_vector(complex_)))
 
 
 class CofaceTable:
@@ -701,17 +749,17 @@ def _reduced_parts(complex_: SimplicialComplex):
     full = build_J(complex_)
     reduced = []
     for v in complex_.vertices:
-        product = UNIT
+        m = UNIT
         for g in complex_.facets:
             if v in g:
-                product = product * Monomial({ring.of_face[g - {v}]: 1})
+                m = product(m, Monomial({ring.of_face[g - {v}]: 1}))
         for f in complex_.facets:
             if v in f:
                 continue
-            product = product * Monomial({ring.of_face[f]: 1})
+            m = product(m, Monomial({ring.of_face[f]: 1}))
             for w in f:
-                product = product * Monomial({ring.of_face[f - {w}]: 1})
-        reduced.append(product.radical())
+                m = product(m, Monomial({ring.of_face[f - {w}]: 1}))
+        reduced.append(radical(m))
     for m_full, m_red in zip(full.generators, reduced):
         if not m_red.divides(m_full):
             raise AssertionError("a reduced generator does not divide the full one")
@@ -730,7 +778,7 @@ def m_double_prime(complex_: SimplicialComplex, vertex: str) -> Monomial:
         raise KeyError(vertex)
     _, full, reduced = _reduced_parts(complex_)
     i = complex_.vertices.index(vertex)
-    return full[i].divide_exact(reduced[i])
+    return divide_exact(full[i], reduced[i])
 
 
 def build_intermediate(complex_: SimplicialComplex,
@@ -745,10 +793,10 @@ def build_intermediate(complex_: SimplicialComplex,
     gens = []
     for v, m_full, m_red in zip(complex_.vertices, full, reduced):
         hv = factors.get(v, UNIT)
-        if not hv.divides(m_full.divide_exact(m_red)):
+        if not hv.divides(divide_exact(m_full, m_red)):
             raise BadHError(f"h_{v} = {hv} does not divide the cofactor of {v}",
                             vertex=v)
-        gens.append(hv * m_red)
+        gens.append(product(hv, m_red))
     return MonomialIdeal(ring.variables, gens)
 
 
@@ -757,7 +805,7 @@ def random_h(complex_: SimplicialComplex, rng: Random) -> dict:
     _, full, reduced = _reduced_parts(complex_)
     out = {}
     for v, m_full, m_red in zip(complex_.vertices, full, reduced):
-        cofactor = m_full.divide_exact(m_red)
+        cofactor = divide_exact(m_full, m_red)
         out[v] = Monomial({name: rng.randint(0, cofactor.exponent(name))
                            for name in cofactor.variables})
     return out

@@ -19,6 +19,7 @@ from treescarf import (LabeledComplex, MonomialIdeal, SimplicialComplex,
                        supports_resolution, supports_resolution_tree,
                        tree_collapse_certificate, verify_scarf, verify_sequence)
 
+import oracles
 from generators import random_complex, random_label_antichain, random_tree
 
 TREE_COUNT = 200
@@ -111,7 +112,7 @@ def test_criterion_3_tail_tree_reproduction():
 
     for v, m_full, m_red in zip(TAIL_TREE.vertices, full.generators,
                                 reduced.generators):
-        assert m_double_prime(TAIL_TREE, v) * m_red == m_full
+        assert oracles.product(m_double_prime(TAIL_TREE, v), m_red) == m_full
 
     modified = build_intermediate(TAIL_TREE, {"4": parse_monomial("x_1")})
     assert betti_table(modified).vector == (5, 7, 3)
@@ -143,10 +144,10 @@ def test_criterion_4_collapsibility_suite(tree_suite):
         assert len(cert.terminal.facets) == 1
         assert len(cert.terminal.facets[0]) == 1
         current = tree
-        chi = current.euler_characteristic()
+        chi = oracles.euler_characteristic(current)
         for step in cert.steps:
             current = elementary_collapse(current, step)
-            assert current.euler_characteristic() == chi
+            assert oracles.euler_characteristic(current) == chi
         assert is_acyclic(tree)
     print(f"ACCEPTANCE 4 PASS: {len(tree_suite)} random trees collapse to "
           "a point with verified, characteristic-preserving certificates")

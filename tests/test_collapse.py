@@ -100,7 +100,8 @@ def test_each_collapse_preserves_euler_characteristic():
         current = c
         for step in cert.steps:
             after = elementary_collapse(current, step)
-            assert after.euler_characteristic() == current.euler_characteristic()
+            assert (oracles.euler_characteristic(after)
+                    == oracles.euler_characteristic(current))
             current = after
 
 

@@ -270,8 +270,7 @@ def named_leaf_order(c):
 
 def first_leaf_of(c, combo):
     # the bitmask leaf test on a subcollection, as facets
-    masks, inter = c._bitmasks()
-    found = _first_leaf(masks, inter, combo)
+    found = _first_leaf(c._facet_masks, combo)
     if found is None:
         return None
     leaf, joint = found

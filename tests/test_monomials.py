@@ -2,6 +2,7 @@
 
 import itertools
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from treescarf import (UNIT, LabeledComplex, Monomial, MonomialIdeal,
                        SimplicialComplex, format_monomial, lcm, parse_monomial)
 from treescarf.errors import EmptyListError, MonomialParseError
 
+import oracles
 from generators import RING_VARS, random_monomial
 
 XY2 = parse_monomial("x*y^2")
@@ -21,6 +23,11 @@ ZU = parse_monomial("z*u")
 
 def spread_ideal():
     return MonomialIdeal(("x", "y", "z", "u"), [XY2, YZ, XZ2, ZU])
+
+
+def decoded_lattice(ideal):
+    # the library's sorted lcm closure of the generator masks, decoded
+    return tuple(map(ideal._decode, ideal._lattice()))
 
 
 # -- divisibility and lcm -------------------------------------------------------
@@ -58,17 +65,17 @@ def test_lcm_algebra_laws():
 # -- radical ------------------------------------------------------------------
 
 def test_radical():
-    assert parse_monomial("x^2*y^3").radical() == parse_monomial("x*y")
+    assert oracles.radical(parse_monomial("x^2*y^3")) == parse_monomial("x*y")
     square_free = parse_monomial("x*y*z")
-    assert square_free.radical() == square_free
+    assert oracles.radical(square_free) == square_free
 
 
 def test_radical_of_a_face_variable_product():
     # the product that reduces the first generator of the edge-triangle ideal
-    product = parse_monomial("x_2") * parse_monomial(
-        "x_234*x_23*x_24*x_34")
-    assert (product * parse_monomial("x_23")).radical() == parse_monomial(
-        "x_2*x_23*x_24*x_34*x_234")
+    product = oracles.product(parse_monomial("x_2"),
+                              parse_monomial("x_234*x_23*x_24*x_34"))
+    assert oracles.radical(oracles.product(product, parse_monomial("x_23"))) == (
+        parse_monomial("x_2*x_23*x_24*x_34*x_234"))
 
 
 def test_radical_commutes_with_lcm():
@@ -77,19 +84,19 @@ def test_radical_commutes_with_lcm():
     for _ in range(100):
         a = random_monomial(rng, variables)
         b = random_monomial(rng, variables)
-        assert a.lcm(b).radical() == a.radical().lcm(b.radical())
+        assert oracles.radical(a.lcm(b)) == oracles.radical(a).lcm(oracles.radical(b))
 
 
 # -- products and quotients ------------------------------------------------------
 
 def test_multiplication_adds_exponents():
-    assert XY2 * YZ == parse_monomial("x*y^3*z")
+    assert oracles.product(XY2, YZ) == parse_monomial("x*y^3*z")
 
 
 def test_exact_division():
-    assert parse_monomial("x*y^3*z").divide_exact(YZ) == XY2
+    assert oracles.divide_exact(parse_monomial("x*y^3*z"), YZ) == XY2
     with pytest.raises(ValueError):
-        XY2.divide_exact(YZ)
+        oracles.divide_exact(XY2, YZ)
 
 
 # -- parsing and formatting ---------------------------------------------------
@@ -145,8 +152,9 @@ def test_ideal_requires_declared_variables():
 
 def test_lcm_lattice_of_two_coprime_variables():
     ideal = MonomialIdeal(("x", "y"), [parse_monomial("x"), parse_monomial("y")])
-    assert set(ideal.lcm_lattice()) == {
+    assert set(decoded_lattice(ideal)) == {
         parse_monomial("x"), parse_monomial("y"), parse_monomial("x*y")}
+    assert decoded_lattice(ideal) == oracles.lcm_lattice(ideal)
 
 
 def test_lcm_lattice_of_spread_ideal():
@@ -157,18 +165,30 @@ def test_lcm_lattice_of_spread_ideal():
         for combo in itertools.combinations(ideal.generators, r):
             expected.add(lcm(combo))
     assert len(expected) == 12
-    assert set(ideal.lcm_lattice()) == expected
+    assert set(decoded_lattice(ideal)) == expected
+    assert decoded_lattice(ideal) == oracles.lcm_lattice(ideal)
 
 
 def test_lcm_lattice_of_single_generator():
     ideal = MonomialIdeal(("x", "y"), [XY2])
-    assert ideal.lcm_lattice() == (XY2,)
+    assert decoded_lattice(ideal) == (XY2,) == oracles.lcm_lattice(ideal)
 
 
 def test_lcm_lattice_sorted_lexicographically():
     ideal = spread_ideal()
-    keys = [ideal.monomial_key(m) for m in ideal.lcm_lattice()]
+    keys = [oracles.monomial_key(ideal, m) for m in decoded_lattice(ideal)]
     assert keys == sorted(keys)
+
+
+def test_lattice_oracles_read_only_public_members():
+    # a stand-in with the public members alone: the oracles cannot reach
+    # the masks they are the reference for
+    ideal = spread_ideal()
+    public = SimpleNamespace(variables=ideal.variables, generators=ideal.generators)
+    lattice = oracles.lcm_lattice(public)
+    assert lattice == decoded_lattice(ideal)
+    assert [oracles.monomial_key(public, m) for m in lattice] == [
+        oracles.exponent_vector(m, ("x", "y", "z", "u")) for m in lattice]
 
 
 # -- the private mask encoding ------------------------------------------------------
@@ -208,10 +228,10 @@ def test_masks_agree_with_monomial_arithmetic(case):
     gens, t, n = ideal.generators, len(ideal.generators), len(ideal.variables)
     subsets = {lcm(c) for r in range(1, t + 1) for c in itertools.combinations(gens, r)}
     masks = ideal._lattice()
-    lattice = ideal.lcm_lattice()
+    lattice = oracles.lcm_lattice(ideal)
     assert masks == sorted(masks)
     assert lattice == tuple(map(ideal._decode, masks))
-    assert list(lattice) == sorted(subsets, key=ideal.monomial_key)
+    assert list(lattice) == sorted(subsets, key=lambda s: oracles.monomial_key(ideal, s))
     assert all(mask.bit_length() <= t * n for mask in masks)
     assert [ideal._decode(ideal._encode(g)) for g in gens] == list(gens)
     for a, ma in zip(masks, lattice):

@@ -75,7 +75,7 @@ def test_full_ideal_factors_through_the_reduced_one():
     reduced = build_Jprime(TRIANGLES_WITH_TAIL)
     for v, m_full, m_red in zip(TRIANGLES_WITH_TAIL.vertices,
                                 full.generators, reduced.generators):
-        assert m_full == m_double_prime(TRIANGLES_WITH_TAIL, v) * m_red
+        assert m_full == oracles.product(m_double_prime(TRIANGLES_WITH_TAIL, v), m_red)
 
 
 # -- the reduced construction ---------------------------------------------------------
@@ -131,7 +131,7 @@ def test_cofactor_times_reduced_recovers_full():
     reduced = build_Jprime(EDGE_TRIANGLE)
     for v, m_full, m_red in zip(EDGE_TRIANGLE.vertices,
                                 full.generators, reduced.generators):
-        assert m_double_prime(EDGE_TRIANGLE, v) * m_red == m_full
+        assert oracles.product(m_double_prime(EDGE_TRIANGLE, v), m_red) == m_full
 
 
 # -- the intermediate family -----------------------------------------------------------
@@ -149,7 +149,7 @@ def test_tail_complex_modified_at_one_vertex():
     ideal = build_intermediate(TRIANGLES_WITH_TAIL, {"4": parse_monomial("x_1")})
     reduced = build_Jprime(TRIANGLES_WITH_TAIL)
     expected = list(reduced.generators)
-    expected[3] = parse_monomial("x_1") * expected[3]
+    expected[3] = oracles.product(parse_monomial("x_1"), expected[3])
     assert list(ideal.generators) == expected
 
 
