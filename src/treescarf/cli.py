@@ -13,10 +13,19 @@ Each command runs in its own process, so its fixed cost matters: a command
 line spelled exactly as ``_GRAMMAR`` writes it is parsed without argparse,
 and each command imports only the library modules it runs.  argparse is
 built from the same table, and only for the other lines, so every help,
-usage and error text is still argparse's own.
+usage and error text is still argparse's own.  ``python -m treescarf.cli``
+runs with the cyclic garbage collector off.
 """
 
 from __future__ import annotations
+
+if __name__ == "__main__":
+    # this process runs one command and exits, which frees everything, so
+    # cyclic garbage collection would only cost time: it is off from before
+    # the package's modules load.  main() called in process leaves the
+    # collector as it finds it.
+    import gc
+    gc.disable()
 
 import sys
 from types import SimpleNamespace
@@ -181,14 +190,13 @@ def cmd_collapse(args) -> dict:
     else:
         pairs, left = _greedy_steps(complex_)
         diagnostics.append("greedy collapse; a large residual proves nothing")
-    # names straight from the masks of the steps and the facets left; no
-    # CollapseStep is built
-    certificate = io._mask_steps_to_data(complex_.vertices, pairs, left)
-    terminal = certificate["terminal"]
-    # laid out once, for the report and the --out file
-    laid = io._Laid(io.json_text(certificate))
+    # text straight from the masks of the steps and the facets left, laid
+    # out once for the report and the --out file; no CollapseStep is built
+    vertices = complex_.vertices
+    laid = io._Laid(io._certificate_text(vertices, pairs, left))
+    terminal = [io._names(vertices, f) for f in left]
     result = {
-        "steps": len(certificate["steps"]),
+        "steps": len(pairs),
         "terminal": terminal,
         "collapsed_to_point": len(terminal) == 1 and len(terminal[0]) == 1,
         "certificate": laid,

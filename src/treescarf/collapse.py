@@ -12,10 +12,13 @@ the OR of the vertex bits that extend it to a present face, so an entry of
 0 marks a facet and an entry of one bit b a free face whose coface is
 face | b.  Every replay, of a tree certificate, of a certificate read back
 from a file, of one elementary collapse or of each greedy step, is the one
-routine ``_replay`` on that table.  A tree certificate is scheduled as
-mask pairs and replayed once, against the whole complex; the greedy
-collapse applies its pairs one at a time as a heap hands them out.
-Frozenset faces are built only for the public results.
+routine ``_replay`` on that table, which is built facet by facet: a face
+s inside a facet F is extended by the vertices of F ^ s.  A tree
+certificate is scheduled as mask pairs and replayed once, against the
+whole complex; the greedy collapse applies its pairs one at a time as a
+heap hands them out.  Frozenset faces are built only for the public
+results; the ``collapse`` command lays out certificate text straight from
+the masks (``io._certificate_text``).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from ._frozen import FrozenValue
-from .complexes import Face, SimplicialComplex, _face, _mask_key
+from .complexes import Face, SimplicialComplex, _face, _mask_key, _submasks
 from .errors import InvalidStepError, NotATreeError
 
 
@@ -81,18 +84,15 @@ def _coface_bits(complex_: SimplicialComplex) -> dict[int, int]:
     # OR of the vertex bits v that extend it to a present face: a face is
     # a facet when its entry is 0, and free when the entry is one bit b
     # (downward closure then makes its one coface, face | b, a facet); the
-    # popcount is the number of cofaces; O(N d) for N faces of at most d
-    # vertices
-    masks = complex_._face_masks()
-    table = dict.fromkeys(masks, 0)
-    if table:
-        table[0] = 0
-    for f in masks:
-        rest = f
-        while rest:
-            low = rest & -rest
-            table[f ^ low] |= low
-            rest ^= low
+    # popcount is the number of cofaces.  Built facet by facet: the vertices
+    # that extend a face s inside a facet F are F ^ s, so each submask s of
+    # each F ORs in F ^ s, and the empty face gets the OR of all facets;
+    # sum of 2^|F| dict updates over the facets F
+    table: dict[int, int] = {}
+    get = table.get
+    for facet in complex_._facet_masks:
+        for s in _submasks(facet):
+            table[s] = get(s, 0) | facet ^ s
     return table
 
 
@@ -185,9 +185,10 @@ def verify_sequence(complex_: SimplicialComplex,
     the first invalid step, or len(steps) when only the terminal differs.
     Every step is checked against all six conditions of ``_replay``; the
     steps' names become vertex bitmasks first, and a name outside the
-    complex gets a bit of its own above the complex's.  Cost: O(N d) to
-    build the coface-bit table of a complex with N faces of at most d
-    vertices, then O(d) per step; nothing is sorted.
+    complex gets a bit of its own above the complex's.  Cost: one dict
+    update per subset of each facet F (the sum of 2^|F|) to build the
+    coface-bit table, then O(d) per step for faces of at most d vertices;
+    nothing is sorted.
     """
     bad = _first_violation(complex_, sequence)
     return (True, None) if bad is None else (False, bad[0])
@@ -289,10 +290,10 @@ def _greedy_steps(complex_: SimplicialComplex) -> tuple[list[tuple[int, int]], l
     it went stale: a face with one coface makes that coface a facet, so
     the six checks pass just when the free face still has the one coface
     it was pushed with.  A refused pair never becomes free again (faces
-    only go), so it is dropped.  Cost: O(N d) to build the table of N
-    faces of at most d vertices, one scan and sort of it, then per step
-    O(d) to apply it and at most 2d heap pushes of O(d log d + log P)
-    each, for at most P pairs in the heap.
+    only go), so it is dropped.  Cost: the sum of 2^|F| over the facets F
+    to build the table of N faces of at most d vertices, one scan and sort
+    of it, then per step O(d) to apply it and at most 2d heap pushes of
+    O(d log d + log P) each, for at most P pairs in the heap.
     """
     from heapq import heappop, heappush  # only this heuristic needs a heap
 
@@ -327,9 +328,9 @@ def greedy_collapse(complex_: SimplicialComplex) -> tuple[CollapseSequence, Simp
     nothing about non-collapsibility.  The steps and residual of
     ``_greedy_steps``, named; the rescanning loop that sorted the whole
     face set per step is the reference in ``tests/oracles.py``.  Cost:
-    that of ``_greedy_steps`` (O(N d) for the table of N faces of at most
-    d vertices, then per step O(d) and at most 2d heap pushes), plus O(d)
-    per step to name it.
+    that of ``_greedy_steps`` (the sum of 2^|F| over the facets F for the
+    table, then per step O(d) and at most 2d heap pushes, for faces of at
+    most d vertices), plus O(d) per step to name it.
     """
     sequence = _named(complex_.vertices, *_greedy_steps(complex_))
     return sequence, sequence.terminal

@@ -13,7 +13,8 @@ Inside the library a face is a vertex bitmask: bit i stands for the i-th
 vertex in canonical order, and 0 is the empty face.  A complex stores its
 facets as masks, and only this module maps its vertex names to bits
 (``_face`` maps back).  ``_face_masks`` is the one face enumeration,
-``_mask_key`` the one face order (size, then vertex indices: ``face_key``
+over ``_submasks``, the one walk of a facet's subsets, ``_mask_key``
+the one face order (size, then vertex indices: ``face_key``
 order), ``_maximal`` the one maximal-set filter and ``_connected`` the
 one connectivity test.  Names are built only for public results.
 
@@ -32,7 +33,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable
-from itertools import combinations
 
 from .errors import EmptyFaceError, EmptyInputError
 
@@ -68,6 +68,18 @@ def _bit_indices(mask: int) -> list[int]:
         indices.append(low.bit_length() - 1)
         mask ^= low
     return indices
+
+
+def _submasks(mask: int) -> list[int]:
+    # all 2^|mask| submasks of a mask, 0 first: each vertex bit in turn is
+    # ORed into the submasks so far, so the walk costs no Python loop step
+    # per submask
+    subs = [0]
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        subs += [*map(low.__or__, subs)]
+    return subs
 
 
 def _mask_key(mask: int) -> tuple[int, list[int]]:
@@ -171,18 +183,6 @@ class SimplicialComplex:
     def is_empty(self) -> bool:
         return not self._facets
 
-    def dimension(self) -> int:
-        """Largest facet dimension; -1 for the empty complex."""
-        return max(map(len, self._facets), default=0) - 1
-
-    def has_face(self, vertices: Iterable[Vertex]) -> bool:
-        """Face membership: contained in some facet.
-
-        The empty face belongs to every nonempty complex.
-        """
-        face = frozenset(vertices)
-        return any(face <= g for g in self._facets)
-
     def faces(self) -> list[Face]:
         """All nonempty faces in a deterministic order (dimension, then
         vertex names).
@@ -205,15 +205,12 @@ class SimplicialComplex:
 
     def _face_masks(self) -> frozenset[int]:
         # the bitmasks of all nonempty faces, in no order, kept per
-        # instance; each is the sum of the vertex bits of a subset of a
-        # facet, so the 2^|F| - 1 subsets of each facet F cost no Python
-        # loop step each
+        # instance: the submasks of each facet
         if self._masks is None:
             found = set()
             for facet in self._facet_masks:
-                facet_bits = [1 << i for i in _bit_indices(facet)]
-                for r in range(1, len(facet_bits) + 1):
-                    found.update(map(sum, combinations(facet_bits, r)))
+                found.update(_submasks(facet))
+            found.discard(0)
             self._masks = frozenset(found)
         return self._masks
 

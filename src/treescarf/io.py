@@ -10,7 +10,9 @@ or in a step's face, and duplicate facets, are rejected.  All emitters
 produce deterministic, canonically ordered JSON data that re-parses to an
 equal value.  One writer, ``json_text``, turns that data into text: the
 exact bytes of ``json.dumps(data, indent=2, sort_keys=True)``, built from
-leaves that json's C encoder quotes.
+leaves that json's C encoder quotes.  The one exception is the certificate
+that ``collapse`` writes: ``_certificate_text`` lays out the same bytes
+straight from the step masks, with no data in between.
 
 Each command runs in its own process, so ``collapse`` and ``monomials``
 are imported inside the readers and writers that use them: a command
@@ -22,7 +24,7 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii as _quote
 
-from .complexes import SimplicialComplex, face_sorted, vertex_key
+from .complexes import SimplicialComplex, _bit_indices, face_sorted, vertex_key
 from .errors import InputFileError, MonomialParseError
 
 
@@ -139,23 +141,57 @@ def sequence_to_data(sequence: CollapseSequence) -> dict:
             "terminal": complex_to_data(sequence.terminal)["facets"]}
 
 
-def _mask_steps_to_data(vertices, pairs, terminal) -> dict:
-    # the certificate data of (free, coface) vertex-mask pairs and terminal
-    # facet masks over a complex's vertices; bit order is vertex_key order,
-    # so each face's names come out sorted.  A face's names are those of
-    # the face without its top vertex, kept, plus that vertex's name.
-    known = {0: []}
+def _names(vertices, mask) -> list[str]:
+    # the names of a face mask over a complex's vertices; bit order is
+    # vertex_key order, so they come out sorted
+    return list(map(vertices.__getitem__, _bit_indices(mask)))
 
-    def names(mask):
-        found = known.get(mask)
-        if found is None:
-            top = mask.bit_length() - 1
-            found = known[mask] = names(mask ^ (1 << top)) + [vertices[top]]
-        return found
 
-    return {"steps": [{"free": names(free), "coface": names(coface)}
-                      for free, coface in pairs],
-            "terminal": list(map(names, terminal))}
+# a step of a certificate laid out at the top level, as json_text lays out
+# {"coface": [...], "free": [...]} inside the "steps" list; each %s is a
+# face's names, quoted and joined by _STEP_SEP
+_STEP = '    {\n      "coface": [\n        %s\n      ],\n      "free": [\n        %s\n      ]\n    }'
+_STEP_SEP = ",\n        "
+
+
+class _StepNames(dict):
+    """Face mask -> its names, quoted and joined as a step's face list: the
+    text of the face without its top vertex, kept, plus that vertex's
+    quoted name.  Each name is quoted once."""
+
+    def __init__(self, vertices):
+        super().__init__({0: ""})
+        self.quoted = list(map(_quote, vertices))
+
+    def __missing__(self, mask):
+        top = mask.bit_length() - 1
+        rest = self[mask ^ (1 << top)]
+        text = self[mask] = (rest + _STEP_SEP if rest else "") + self.quoted[top]
+        return text
+
+
+def _certificate_text(vertices, pairs, terminal) -> str:
+    """The certificate of (free, coface) vertex-mask pairs and terminal
+    facet masks over a complex's vertices, as ``json_text`` lays out its
+    data ``{"steps": [{"free": names, "coface": names}, ...], "terminal":
+    [names, ...]}``.
+
+    Laid out straight from the masks: each step is one template filled
+    with its two faces' texts, and each face's text is its parent's plus
+    one name (see ``_StepNames``).  The terminal goes through the general
+    writer.
+    """
+    names = _StepNames(vertices)
+    parts = ['{\n  "steps": ']
+    if pairs:
+        parts.append("[\n" + ",\n".join([_STEP % (names[coface], names[free])
+                                          for free, coface in pairs]) + "\n  ]")
+    else:
+        parts.append("[]")
+    parts.append(',\n  "terminal": ')
+    _write([_names(vertices, f) for f in terminal], "\n  ", parts)
+    parts.append("\n}")
+    return "".join(parts)
 
 
 def parse_sequence_data(data, path=None) -> CollapseSequence:

@@ -37,9 +37,9 @@ from collections.abc import Iterable, Mapping
 from ._frozen import FrozenValue
 from .complexes import (Face, SimplicialComplex, _bit_indices, _connected, _face,
                         _mask_key, _maximal, vertex_key)
-from .errors import NotAFaceError, NotAForestError
+from .errors import NotAForestError
 from .homology import QQ, FieldSpec, reduced_ranks_from_faces
-from .monomials import Monomial, MonomialIdeal, lcm
+from .monomials import Monomial, MonomialIdeal
 
 
 class LabeledComplex:
@@ -87,13 +87,6 @@ class LabeledComplex:
     def ideal(self) -> MonomialIdeal:
         """The ideal generated by the vertex labels, in vertex order."""
         return self._ideal
-
-    def face_label(self, face: Iterable[str]) -> Monomial:
-        """lcm of the labels of the face's vertices."""
-        f = frozenset(face)
-        if not f or not self._complex.has_face(f):
-            raise NotAFaceError(f"{sorted(f)} is not a nonempty face")
-        return lcm([self._labels[v] for v in f])
 
     def divisor_subcomplex(self, m: Monomial) -> SimplicialComplex:
         """Subcomplex induced on the vertices whose labels divide m."""

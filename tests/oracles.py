@@ -25,7 +25,9 @@ by ``face_key`` is the reference for ``faces`` and ``f_vector``, and the
 coface table keyed by frozensets, with its replay, the reference for
 the coface-bit replay on masks behind ``verify_sequence``, and the
 frozenset simplex schedule, joined along the frozenset leaf order, the
-reference for the mask schedule of tree certificates.  Trial
+reference for the mask schedule of tree certificates.  A certificate's
+data, dicts of name lists that ``json_text`` lays out, is the reference
+for the certificate text that ``collapse`` writes straight from masks.  Trial
 division and the Lucas test (which certifies a prime from the factorisation
 of p - 1) are the references for the Miller-Rabin test behind ``FieldSpec``.
 The Scarf ideals built by monomial products, radicals and exact quotients
@@ -45,8 +47,9 @@ chain-complex code with the library.  The closure of ``Monomial.lcm``
 over the generators, sorted by exponent vector, is the reference for the
 sorted mask closure ``MonomialIdeal._lattice`` and reads no mask.
 Monomial products, exact quotients, radicals, exponent vectors with
-their lexicographic key, and the Euler characteristic, none of which the
-library needs, are defined here for the tests and the references above.
+their lexicographic key, the Euler characteristic, a complex's dimension,
+face membership and face labels, none of which the library needs, are
+defined here for the tests and the references above.
 """
 
 import itertools
@@ -57,9 +60,9 @@ from typing import Iterable, Iterator, Mapping, Optional
 from treescarf.collapse import CollapseSequence, CollapseStep
 from treescarf.complexes import Face, SimplicialComplex, face_key, face_sorted, vertex_key
 from treescarf.errors import (BadHError, BoundaryOfSimplexError,
-                              DegenerateVertexFacetError)
+                              DegenerateVertexFacetError, NotAFaceError)
 from treescarf.homology import QQ, FieldSpec, HomologyRanks, is_acyclic, rank
-from treescarf.monomials import UNIT, Monomial, MonomialIdeal
+from treescarf.monomials import UNIT, Monomial, MonomialIdeal, lcm
 from treescarf.resolution import BettiTable, LabeledComplex
 from treescarf.scarf_ideals import face_variable_ring, is_boundary_of_simplex
 
@@ -489,6 +492,27 @@ def f_vector(complex_: SimplicialComplex) -> tuple[int, ...]:
     return tuple(counts.get(d, 0) for d in range(max(counts) + 1))
 
 
+def dimension(complex_: SimplicialComplex) -> int:
+    """Largest facet dimension; -1 for the empty complex."""
+    return max(map(len, complex_.facets), default=0) - 1
+
+
+def has_face(complex_: SimplicialComplex, vertices: Iterable[str]) -> bool:
+    """Face membership: contained in some facet.  The empty face belongs to
+    every nonempty complex."""
+    face = frozenset(vertices)
+    return any(face <= g for g in complex_.facets)
+
+
+def face_label(labeled: LabeledComplex, face: Iterable[str]) -> Monomial:
+    """lcm of the labels of a nonempty face's vertices; NotAFaceError for
+    anything else."""
+    f = frozenset(face)
+    if not f or not has_face(labeled.complex, f):
+        raise NotAFaceError(f"{sorted(f)} is not a nonempty face")
+    return lcm([labeled.label(v) for v in f])
+
+
 def euler_characteristic(complex_: SimplicialComplex) -> int:
     """Unreduced Euler characteristic, the sum of (-1)^i f_i over ``f_vector``."""
     return sum((-1) ** i * n for i, n in enumerate(f_vector(complex_)))
@@ -685,6 +709,26 @@ def tree_collapse_certificate(tree: SimplicialComplex) -> CollapseSequence:
     point = frozenset({min(last, key=vertex_key)})
     steps.extend(simplex_steps(last, point))
     return CollapseSequence(tuple(steps), SimplicialComplex([point]))
+
+
+def mask_steps_to_data(vertices, pairs, terminal) -> dict:
+    """The certificate data of (free, coface) vertex-mask pairs and
+    terminal facet masks over a complex's vertices, as dicts and name
+    lists; bit order is ``vertex_key`` order, so each face's names come out
+    sorted.  A face's names are those of the face without its top vertex,
+    kept, plus that vertex's name."""
+    known = {0: []}
+
+    def names(mask):
+        found = known.get(mask)
+        if found is None:
+            top = mask.bit_length() - 1
+            found = known[mask] = names(mask ^ (1 << top)) + [vertices[top]]
+        return found
+
+    return {"steps": [{"free": names(free), "coface": names(coface)}
+                      for free, coface in pairs],
+            "terminal": list(map(names, terminal))}
 
 
 def leafless_subcollection(complex_: SimplicialComplex) -> Optional[tuple[Face, ...]]:

@@ -1,5 +1,6 @@
 """Command-line interface: reports, file round trips, determinism, errors."""
 
+import gc
 import json
 import marshal
 import os
@@ -243,6 +244,38 @@ def test_writer_edge_cases_and_file_output(value, tmp_path):
     assert io.json_text(value) == expected
     io.dump_json(value, tmp_path / "out.json")
     assert (tmp_path / "out.json").read_text() == expected + "\n"
+
+
+# names that JSON escapes, and names whose vertex_key order is not string order
+CERTIFICATE_NAMES = ("1", "2", "10", "a", '"', "\\", "é", "\x01", "\n", "\u2028", "😀")
+
+
+def certificate_masks(complex_):
+    # the (free, coface) mask pairs and facet masks left that collapse writes
+    if complex_.is_tree():
+        pairs, point = collapse._tree_steps(complex_)
+        return pairs, [point]
+    return collapse._greedy_steps(complex_)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sets(st.sampled_from(CERTIFICATE_NAMES), min_size=1, max_size=5),
+                min_size=1, max_size=6))
+@example([{"1"}])  # no steps: a point is already a point
+@example([{'"'}])
+@example([{"1", "2"}, {"2", "10"}, {"1", "10"}])  # no steps, three facets left
+@example([{"1", "2"}, {"2", "10"}, {"1", "10"}, {"10", "a", "é"}])  # steps, three left
+@example([{"1", "2", "10", "a", "é"}, {"a", "\\", '"'}, {"\x01", "\n", '"'}])
+@example([{"1"}, {"2", "10"}])  # disconnected: two facets left
+def test_certificate_text_is_the_writer_text_of_its_data(facets):
+    # the certificate laid out straight from masks is json_text of the
+    # certificate data naming the same masks, for tree and greedy collapses
+    complex_ = SimplicialComplex(facets)
+    pairs, left = certificate_masks(complex_)
+    vertices = complex_.vertices
+    expected = io.json_text(oracles.mask_steps_to_data(vertices, pairs, left))
+    assert io._certificate_text(vertices, pairs, left) == expected
+    assert [io._names(vertices, f) for f in left] == json.loads(expected)["terminal"]
 
 
 def test_writer_rejects_what_json_rejects():
@@ -1038,12 +1071,10 @@ PUBLIC_NAMES = [
 
 PUBLIC_METHODS = {
     SimplicialComplex: [
-        "dimension", "empty", "f_vector", "faces",
-        "facets", "has_face", "induced", "is_connected", "is_empty", "is_forest",
-        "is_tree", "vertices"],
+        "empty", "f_vector", "faces", "facets", "induced", "is_connected",
+        "is_empty", "is_forest", "is_tree", "vertices"],
     LabeledComplex: [
-        "complex", "divisor_subcomplex", "face_label", "ideal", "label", "labels",
-        "variables"],
+        "complex", "divisor_subcomplex", "ideal", "label", "labels", "variables"],
     Monomial: [
         "divides", "exponent", "is_unit", "lcm", "variables"],
     MonomialIdeal: [
@@ -1120,6 +1151,41 @@ def test_cli_import_loads_neither_dataclasses_nor_fractions(files):
         if "intermediate" not in argv:
             never.add("random")
         assert not set(added) & (never | forbidden), argv
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_in_process_leaves_the_garbage_collector_as_it_was(files, capsys, enabled):
+    # only the one-shot ``python -m treescarf.cli`` process turns cyclic
+    # collection off; a caller of main() keeps its own setting
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for argv in (("collapse", files["tail"]), ("check", files["diamond"])):
+            assert main(list(argv)) == 0
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+def test_only_the_module_run_turns_cyclic_collection_off(files):
+    # run as ``python -m treescarf.cli``, the collector goes off; a fresh
+    # process that imports the module and calls main() keeps it on
+    as_main = ("import gc, runpy, sys\n"
+               "try:\n"
+               "    runpy.run_module('treescarf.cli', run_name='__main__')\n"
+               "except SystemExit as stop:\n"
+               "    sys.stderr.write(f'{stop.code} {gc.isenabled()}')\n")
+    imported = ("import gc, sys\n"
+                "from treescarf import cli\n"
+                "code = cli.main(sys.argv[1:])\n"
+                "sys.stderr.write(f'{code} {gc.isenabled()}')\n")
+    src = str(Path(treescarf.__file__).resolve().parents[1])
+    for probe, enabled in ((as_main, "False"), (imported, "True")):
+        proc = subprocess.run([sys.executable, "-c", probe, "check", files["tail"]],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True, check=True)
+        assert proc.stderr.split() == ["0", enabled]
 
 
 @pytest.mark.parametrize("argv, span", [

@@ -3,7 +3,7 @@
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treescarf import (CollapseSequence, CollapseStep, SimplicialComplex,
@@ -361,11 +361,37 @@ def assert_encodes(complex_, table, ref):
             for f, up in table.items()} == ref.cofaces
 
 
-@settings(max_examples=300)
+def simplex(n):
+    return SimplicialComplex([[str(i) for i in range(1, n + 1)]])
+
+
+def simplex_boundary(n):
+    names = [str(i) for i in range(1, n + 1)]
+    return SimplicialComplex([set(names) - {v} for v in names])
+
+
+# the table is built facet by facet, so complexes whose facets share large
+# faces, and full simplices, whose one facet holds every face, are examples;
+# the 8-vertex simplex takes about 0.2 s against the oracle, so no deadline
+@settings(max_examples=300, deadline=None)
 @given(small_complexes())
+@example(simplex(1))
+@example(simplex(2))
+@example(simplex(3))
+@example(simplex(4))
+@example(simplex(5))
+@example(simplex(6))
+@example(simplex(7))
+@example(simplex(8))
+@example(simplex_boundary(7))  # the boundary of the 6-simplex
+@example(SimplicialComplex(simplex_boundary(7).facets[1:]))
+@example(SimplicialComplex([set("123456"), set("234567")]))
+@example(SimplicialComplex([set("12345"), set("12346"), set("12356"), set("23456")]))
 def test_coface_bits_encode_the_oracle_cofaces_through_greedy(complex_):
     table, ref = collapse._coface_bits(complex_), oracles.CofaceTable(complex_)
     pairs, residual = collapse._greedy_steps(complex_)
+    # the empty face is extended by every vertex
+    assert table[0] == (1 << len(complex_.vertices)) - 1
     assert_encodes(complex_, table, ref)
     for free, coface in pairs:
         assert collapse._replay(table, [(free, coface)]) is None

@@ -72,6 +72,7 @@ def test_duplicate_candidates_collapse():
 def test_empty_complex_is_a_value_but_not_an_input():
     e = SimplicialComplex.empty()
     assert e.is_empty() and e.faces() == [] and e.f_vector() == ()
+    assert oracles.dimension(e) == -1 and not oracles.has_face(e, set())
 
 
 # -- faces and f-vectors -----------------------------------------------------
@@ -113,6 +114,9 @@ def test_faces_and_f_vector_match_the_frozenset_enumeration(candidates):
     c = SimplicialComplex(candidates)
     assert c.faces() == oracles.faces(c)
     assert c.f_vector() == oracles.f_vector(c)
+    assert len(c.f_vector()) - 1 == oracles.dimension(c)
+    assert all(oracles.has_face(c, f) for f in c.faces())
+    assert not oracles.has_face(c, set(c.vertices) | {"zz"})
     assert list(c.facets) == sorted(c.facets, key=face_key)
     assert list(c.vertices) == sorted(c.vertices, key=vertex_key)
 
