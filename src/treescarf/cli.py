@@ -14,7 +14,13 @@ line spelled exactly as ``_GRAMMAR`` writes it is parsed without argparse,
 and each command imports only the library modules it runs.  argparse is
 built from the same table, and only for the other lines, so every help,
 usage and error text is still argparse's own.  ``python -m treescarf.cli``
-runs with the cyclic garbage collector off.
+runs with the cyclic garbage collector off, and once ``main()`` returns it
+flushes stdout and stderr and ends with ``os._exit(code)``, skipping the
+interpreter's finalisation.  Whatever ``main()`` raises (argparse's
+``SystemExit``, an uncaught error, a ``BrokenPipeError``) and a stream that
+cannot be flushed still exit the normal way.  ``main()`` called in process,
+as by the ``treescarf`` console script, is unaffected: it leaves the
+collector as it finds it, and its process keeps the normal exit.
 """
 
 from __future__ import annotations
@@ -43,22 +49,30 @@ def _field(args):
 
 
 def cmd_check(args) -> dict:
-    from .collapse import _tree_steps
-    from .complexes import face_sorted
+    from .collapse import _coface_bits, _tree_steps
+    from .complexes import _f_vector, face_sorted
     complex_ = io.load_complex(args.complex_file)
     connected = complex_.is_connected()
     forest, witness = complex_.is_forest()
+    tree = connected and forest
+    if tree:
+        # one walk of the facets' subsets: the f-vector is counted off the
+        # coface table before the replay removes its faces
+        table = _coface_bits(complex_)
+        f_vector = _f_vector(table)
+    else:
+        f_vector = complex_.f_vector()
     result = {
         "connected": connected,
         "forest": forest,
-        "tree": connected and forest,
-        "f_vector": list(complex_.f_vector()),
+        "tree": tree,
+        "f_vector": list(f_vector),
         "witness": None if witness is None else [list(face_sorted(f)) for f in witness],
         "collapse": None,
     }
     diagnostics = []
-    if result["tree"]:
-        pairs, point = _tree_steps(complex_)
+    if tree:
+        pairs, point = _tree_steps(complex_, table)
         result["collapse"] = {"steps": len(pairs),
                               "terminal": [[complex_.vertices[point.bit_length() - 1]]]}
         diagnostics.append("collapse certificate verified")
@@ -357,4 +371,20 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # this process runs one command and exits: its --out files are closed
+    # and the package registers no atexit hooks, so the interpreter's
+    # finalisation (a full cyclic collection, then every module torn down)
+    # would only free memory the OS takes back.  Once the streams are
+    # flushed, os._exit skips it.  Whatever main() raises (argparse's
+    # SystemExit, an AssertionError, a BrokenPipeError from print) never
+    # reaches os._exit and exits the normal way; so does a stream that
+    # cannot be flushed (a reader gone, a full disk), whose flush the
+    # normal exit retries and reports, with exit status 120.
+    import os
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)

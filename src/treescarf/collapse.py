@@ -231,7 +231,8 @@ def _simplex_steps(start: int, goal: int) -> Iterator[tuple[int, int]]:
         cur = rest
 
 
-def _tree_steps(complex_: SimplicialComplex) -> tuple[list[tuple[int, int]], int]:
+def _tree_steps(complex_: SimplicialComplex,
+                table: dict[int, int] | None = None) -> tuple[list[tuple[int, int]], int]:
     """The verified (free, coface) mask pairs that collapse a simplicial
     tree to a point, and the mask of that point.
 
@@ -241,8 +242,9 @@ def _tree_steps(complex_: SimplicialComplex) -> tuple[list[tuple[int, int]], int
     on F onto F & G (valid in the whole complex: each face it removes
     sticks out of every other facet left), then collapses the last facet
     to its first vertex.  The joined schedules are replayed once, against
-    the whole complex, terminal included.  There are (#faces - 1) / 2
-    pairs.
+    the whole complex, terminal included, on ``table``: the complex's
+    ``_coface_bits``, which the replay consumes, built here when not
+    given.  There are (#faces - 1) / 2 pairs.
 
     The input must be a simplicial tree: callers decide that first, once.
     """
@@ -252,7 +254,9 @@ def _tree_steps(complex_: SimplicialComplex) -> tuple[list[tuple[int, int]], int
         pairs.extend(_simplex_steps(leaf, leaf & joint))
     point = last & -last
     pairs.extend(_simplex_steps(last, point))
-    bad = _replay(_coface_bits(complex_), pairs, {point})
+    if table is None:
+        table = _coface_bits(complex_)
+    bad = _replay(table, pairs, {point})
     if bad is not None:
         raise AssertionError(f"tree collapse certificate failed at step {bad[0]}")
     return pairs, point

@@ -89,6 +89,13 @@ def _mask_key(mask: int) -> tuple[int, list[int]]:
     return (len(indices), indices)
 
 
+def _f_vector(masks: Iterable[int]) -> tuple[int, ...]:
+    # face counts by size 1, 2, ... of distinct face masks; the empty face
+    # (0), when given, is not counted
+    counts = Counter(map(int.bit_count, masks))
+    return tuple(counts[size] for size in range(1, max(counts, default=0) + 1))
+
+
 def _face(vertices: tuple[Vertex, ...], mask: int) -> Face:
     # the named face of a mask over a complex's vertices
     return frozenset(map(vertices.__getitem__, _bit_indices(mask)))
@@ -200,8 +207,7 @@ class SimplicialComplex:
         Counts the popcounts of the N face masks (``_face_masks``) in
         O(N), so it builds no face list and sorts nothing.
         """
-        counts = Counter(map(int.bit_count, self._face_masks()))
-        return tuple(counts[size] for size in range(1, max(counts, default=0) + 1))
+        return _f_vector(self._face_masks())
 
     def _face_masks(self) -> frozenset[int]:
         # the bitmasks of all nonempty faces, in no order, kept per

@@ -390,6 +390,28 @@ def test_tree_certificate_is_replayed_once(files, capsys, monkeypatch, command):
     assert replayed == [collapse._coface_bits(load_complex(files["tail"]))]
 
 
+@pytest.mark.parametrize("command, name", [
+    ("check", "tail"), ("collapse", "tail"), ("check", "triangle")])
+def test_each_facet_is_walked_once(files, capsys, monkeypatch, command, name):
+    # a command enumerates each facet's subsets once: check on a tree counts
+    # its f-vector off the coface table that the replay then consumes
+    (files["tmp"] / "triangle.json").write_text(
+        json.dumps({"facets": [["1", "2"], ["2", "3"], ["1", "3"]]}))
+    path = files.get(name, str(files["tmp"] / f"{name}.json"))
+    walked = []
+    submasks = complexes_module._submasks
+
+    def spy(mask):
+        walked.append(mask)
+        return submasks(mask)
+
+    monkeypatch.setattr(complexes_module, "_submasks", spy)
+    monkeypatch.setattr(collapse, "_submasks", spy)
+    code, _, _ = run(capsys, command, path)
+    assert code == 0
+    assert sorted(walked) == sorted(load_complex(path)._facet_masks)
+
+
 @pytest.mark.parametrize("argv", [("check",), ("collapse", "--out", "cert.json")])
 def test_tree_commands_name_faces_only_for_output(files, capsys, monkeypatch, argv):
     # check and collapse work on masks from schedule to output: no
@@ -1095,14 +1117,20 @@ def test_public_names_are_pinned():
 
 
 # Runs ``python -m treescarf.cli ARGS`` in-process and reports, on stderr,
-# the exit code and the modules that running it added.
+# the exit code and the modules that running it added.  The module run
+# ends with os._exit(code), so the probe records there and then exits.
 RUN_COMMAND = """
-import runpy, sys
+import os, runpy, sys
 before = set(sys.modules)
-try:
-    runpy.run_module("treescarf.cli", run_name="__main__")
-except SystemExit as stop:
-    sys.stderr.write(f"{stop.code} {' '.join(sorted(set(sys.modules) - before))}")
+exit_now = os._exit
+
+def record(code):
+    sys.stderr.write(f"{code} {' '.join(sorted(set(sys.modules) - before))}")
+    sys.stderr.flush()
+    exit_now(code)
+
+os._exit = record
+runpy.run_module("treescarf.cli", run_name="__main__")
 """
 
 ALGEBRA = {"treescarf.homology", "treescarf.monomials", "treescarf.resolution",
@@ -1171,11 +1199,14 @@ def test_main_in_process_leaves_the_garbage_collector_as_it_was(files, capsys, e
 def test_only_the_module_run_turns_cyclic_collection_off(files):
     # run as ``python -m treescarf.cli``, the collector goes off; a fresh
     # process that imports the module and calls main() keeps it on
-    as_main = ("import gc, runpy, sys\n"
-               "try:\n"
-               "    runpy.run_module('treescarf.cli', run_name='__main__')\n"
-               "except SystemExit as stop:\n"
-               "    sys.stderr.write(f'{stop.code} {gc.isenabled()}')\n")
+    as_main = ("import gc, os, runpy, sys\n"
+               "exit_now = os._exit\n"
+               "def record(code):\n"
+               "    sys.stderr.write(f'{code} {gc.isenabled()}')\n"
+               "    sys.stderr.flush()\n"
+               "    exit_now(code)\n"
+               "os._exit = record\n"
+               "runpy.run_module('treescarf.cli', run_name='__main__')\n")
     imported = ("import gc, sys\n"
                 "from treescarf import cli\n"
                 "code = cli.main(sys.argv[1:])\n"
@@ -1186,6 +1217,69 @@ def test_only_the_module_run_turns_cyclic_collection_off(files):
                               env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                               text=True, check=True)
         assert proc.stderr.split() == ["0", enabled]
+
+
+SIMPLEX12 = {"facets": [[str(v) for v in range(1, 13)]]}
+
+
+def module_run(argv, cwd, stdout=subprocess.PIPE):
+    # ``python -m treescarf.cli ARGV`` as its own process, in ``cwd``, with
+    # buffered streams, so that output left unflushed at exit would be lost
+    src = str(Path(treescarf.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-m", "treescarf.cli", *argv],
+                          env=dict(env, PYTHONPATH=src, COLUMNS="80"),
+                          cwd=cwd, stdout=stdout, stderr=subprocess.PIPE)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # a report of more than a 64 KiB pipe buffer, and its --out file
+    (("collapse", "simplex12.json", "--out", "cert.json"), 0),
+    (("check", "missing.json"), 2),  # a typed error: JSON on stderr
+    (("check",), 2),  # argparse's rejection: usage text on stderr
+])
+def test_module_run_matches_main_byte_for_byte(tmp_path, capsys, monkeypatch,
+                                               argv, expected):
+    # the process ends with os._exit, after flushing: what it writes and
+    # its exit code are those of main() run in process
+    for side in ("module", "main"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "simplex12.json").write_text(json.dumps(SIMPLEX12))
+    proc = module_run(argv, tmp_path / "module")
+    monkeypatch.chdir(tmp_path / "main")
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(list(argv))
+    except SystemExit as stop:
+        code = stop.code
+    out, err = capsys.readouterr()
+    assert code == expected
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+    if "--out" in argv:
+        assert len(proc.stdout) > 65536
+        written = [(tmp_path / side / "cert.json").read_bytes() for side in ("module", "main")]
+        assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("collapse", "simplex12.json"), 1),  # print raises: a traceback
+    (("check", "simplex12.json"), 120),  # the report fits the buffer
+])
+def test_module_run_into_a_closed_pipe_fails(tmp_path, argv, expected):
+    # the reader is gone before the report is written: a report larger
+    # than the stream's buffer raises BrokenPipeError in print, and one
+    # that fits it fails to flush, which the interpreter's normal exit
+    # reports with status 120 and no traceback; never exit 0
+    (tmp_path / "simplex12.json").write_text(json.dumps(SIMPLEX12))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = module_run(argv, tmp_path, stdout=write)
+    finally:
+        os.close(write)
+    assert proc.returncode == expected
+    assert proc.stderr.splitlines()[-1].startswith(b"BrokenPipeError")
+    assert (b"Traceback" in proc.stderr) is (expected == 1)
 
 
 @pytest.mark.parametrize("argv, span", [
