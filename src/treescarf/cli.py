@@ -1,11 +1,14 @@
 """Command-line front end: JSON files in, deterministic JSON reports out.
 
 Every command prints one report object with the keys "command", "inputs",
-"result" and "diagnostics", serialized with sorted keys so identical inputs
-and seeds give byte-identical output.  Exit code 0 means the computation
-ran (whatever the mathematical answer).  A bad file, or a flag value that
-parses but is wrong (``--field 4``, a bad ``--labels``), exits 2 with a JSON
-error on stderr.  A command line that argparse rejects (an unknown command
+"result" and "diagnostics" as ``json.dumps(report, indent=2,
+sort_keys=True)`` writes it, so identical inputs and seeds give
+byte-identical output.  ``collapse`` and ``verify-collapse`` lay out their
+certificate from masks and splice the text in where json would put it
+(see ``treescarf.io``).  Exit code 0 means the computation ran (whatever
+the mathematical answer).  A bad file, or a flag value that parses but is
+wrong (``--field 4``, a bad ``--labels``), exits 2 with a JSON error on
+stderr.  A command line that argparse rejects (an unknown command
 or flag, a missing argument, ``--field two``) exits 2 with argparse's usage
 text on stderr instead.
 
@@ -168,14 +171,13 @@ def cmd_build_scarf(args) -> dict:
         # vertex names whose face-variable names no ideal file can hold
         raise InputFileError(str(exc), path=args.complex_file) from None
     status, _ = verify_scarf(complex_, ideal)
-    result = dict(io.ideal_to_data(ideal))
-    result["variant"] = args.variant
-    result["verification"] = status
+    data = io.ideal_to_data(ideal)
+    result = {**data, "variant": args.variant, "verification": status}
     if args.variant == "intermediate":
         result["h"] = {v: format_monomial(h[v], ideal.variables)
                        for v in complex_.vertices}
     if args.out:
-        io.dump_json(io.ideal_to_data(ideal), args.out)
+        io.dump_json(data, args.out)
         diagnostics.append(f"ideal written to {args.out}")
     return {"inputs": {"complex": io.complex_to_data(complex_),
                        "variant": args.variant, "seed": args.seed},
@@ -207,19 +209,18 @@ def cmd_collapse(args) -> dict:
     # text straight from the masks of the steps and the facets left, laid
     # out once for the report and the --out file; no CollapseStep is built
     vertices = complex_.vertices
-    laid = io._Laid(io._certificate_text(vertices, pairs, left))
+    certificate = io._certificate_text(vertices, pairs, left)
     terminal = [io._names(vertices, f) for f in left]
     result = {
         "steps": len(pairs),
         "terminal": terminal,
         "collapsed_to_point": len(terminal) == 1 and len(terminal[0]) == 1,
-        "certificate": laid,
     }
     if args.out:
-        io.dump_json(laid, args.out)
+        io._write_file(certificate, args.out)
         diagnostics.append(f"certificate written to {args.out}")
     return {"inputs": {"complex": io.complex_to_data(complex_)}, "result": result,
-            "diagnostics": diagnostics}
+            "diagnostics": diagnostics, "certificate": ("result", certificate)}
 
 
 def cmd_verify_collapse(args) -> dict:
@@ -230,9 +231,8 @@ def cmd_verify_collapse(args) -> dict:
     result = {"valid": bad is None,
               "first_bad_step": None if bad is None else bad[0],
               "violation": None if bad is None else bad[1]}
-    return {"inputs": {"complex": io.complex_to_data(complex_),
-                       "certificate": io.sequence_to_data(sequence)},
-            "result": result, "diagnostics": []}
+    return {"inputs": {"complex": io.complex_to_data(complex_)}, "result": result,
+            "diagnostics": [], "certificate": ("inputs", io._sequence_text(sequence))}
 
 
 _COMMANDS = {
@@ -364,9 +364,14 @@ def main(argv=None) -> int:
                  "message": str(exc)}
         print(io.json_text(error), file=sys.stderr)
         return 2
-    report = {"command": args.command, "inputs": report["inputs"],
-              "result": report["result"], "diagnostics": report["diagnostics"]}
-    print(io.json_text(report))
+    report["command"] = args.command
+    # collapse and verify-collapse hand over their certificate as text, with
+    # the report object that holds it
+    certificate = report.pop("certificate", None)
+    text = io.json_text(report)
+    if certificate is not None:
+        text = io._with_certificate(text, *certificate)
+    print(text)
     return 0
 
 

@@ -18,7 +18,8 @@ certificate is scheduled as mask pairs and replayed once, against the
 whole complex; the greedy collapse applies its pairs one at a time as a
 heap hands them out.  Frozenset faces are built only for the public
 results; the ``collapse`` command lays out certificate text straight from
-the masks (``io._certificate_text``).
+the masks (``io._certificate_text``), and ``verify-collapse`` echoes the
+certificate it reads through the same layout.
 """
 
 from __future__ import annotations

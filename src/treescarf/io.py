@@ -8,11 +8,12 @@ Certificate file:  {"steps": [{"free": [...], "coface": [...]}, ...],
 Vertex-name order inside a facet is irrelevant; duplicate names in a facet
 or in a step's face, and duplicate facets, are rejected.  All emitters
 produce deterministic, canonically ordered JSON data that re-parses to an
-equal value.  One writer, ``json_text``, turns that data into text: the
-exact bytes of ``json.dumps(data, indent=2, sort_keys=True)``, built from
-leaves that json's C encoder quotes.  The one exception is the certificate
-that ``collapse`` writes: ``_certificate_text`` lays out the same bytes
-straight from the step masks, with no data in between.
+equal value, and ``json_text`` writes it as ``json.dumps(data, indent=2,
+sort_keys=True)``.  The one exception is a collapse certificate, which can
+run to megabytes: ``_certificate_text`` lays out the same bytes straight
+from the step masks, with no data in between and without json's
+pure-Python indenting encoder, and ``_with_certificate`` splices that text
+into a report.
 
 Each command runs in its own process, so ``collapse`` and ``monomials``
 are imported inside the readers and writers that use them: a command
@@ -147,51 +148,85 @@ def _names(vertices, mask) -> list[str]:
     return list(map(vertices.__getitem__, _bit_indices(mask)))
 
 
-# a step of a certificate laid out at the top level, as json_text lays out
-# {"coface": [...], "free": [...]} inside the "steps" list; each %s is a
-# face's names, quoted and joined by _STEP_SEP
-_STEP = '    {\n      "coface": [\n        %s\n      ],\n      "free": [\n        %s\n      ]\n    }'
-_STEP_SEP = ",\n        "
+# a step of a certificate, {"coface": [...], "free": [...]}, as json_text
+# lays it out inside the top-level "steps" list; each %s is a face's name
+# list at that depth (see _StepNames)
+_STEP = '    {\n      "coface": %s,\n      "free": %s\n    }'
+_CLOSE = "\n      ]"  # the end of a nonempty name list in a step
+_OPEN = -len(_CLOSE)  # slices a nonempty name list open again
 
 
 class _StepNames(dict):
-    """Face mask -> its names, quoted and joined as a step's face list: the
-    text of the face without its top vertex, kept, plus that vertex's
-    quoted name.  Each name is quoted once."""
+    """Face mask -> the text of its name list inside a step: the text of
+    the face without its top vertex, its closing bracket cut, then that
+    vertex's line and the bracket.  Each name is quoted once."""
 
     def __init__(self, vertices):
-        super().__init__({0: ""})
-        self.quoted = list(map(_quote, vertices))
+        super().__init__({0: "[]"})
+        lines = [f"\n        {name}{_CLOSE}" for name in map(_quote, vertices)]
+        self.first = ["[" + line for line in lines]
+        self.later = ["," + line for line in lines]
 
     def __missing__(self, mask):
         top = mask.bit_length() - 1
-        rest = self[mask ^ (1 << top)]
-        text = self[mask] = (rest + _STEP_SEP if rest else "") + self.quoted[top]
+        rest = mask ^ (1 << top)
+        text = self[mask] = (self[rest][:_OPEN] + self.later[top] if rest
+                             else self.first[top])
         return text
 
 
 def _certificate_text(vertices, pairs, terminal) -> str:
     """The certificate of (free, coface) vertex-mask pairs and terminal
-    facet masks over a complex's vertices, as ``json_text`` lays out its
-    data ``{"steps": [{"free": names, "coface": names}, ...], "terminal":
+    facet masks over ``vertices``, as ``json_text`` lays out its data
+    ``{"steps": [{"free": names, "coface": names}, ...], "terminal":
     [names, ...]}``.
 
     Laid out straight from the masks: each step is one template filled
     with its two faces' texts, and each face's text is its parent's plus
-    one name (see ``_StepNames``).  The terminal goes through the general
-    writer.
+    one name (see ``_StepNames``).  Only the terminal, a few facets, goes
+    through json.
     """
-    names = _StepNames(vertices)
-    parts = ['{\n  "steps": ']
+    parts = ['{\n  "steps": [']
     if pairs:
-        parts.append("[\n" + ",\n".join([_STEP % (names[coface], names[free])
-                                          for free, coface in pairs]) + "\n  ]")
-    else:
-        parts.append("[]")
-    parts.append(',\n  "terminal": ')
-    _write([_names(vertices, f) for f in terminal], "\n  ", parts)
-    parts.append("\n}")
+        names = _StepNames(vertices)
+        parts += ["\n", ",\n".join([_STEP % (names[coface], names[free])
+                                   for free, coface in pairs]), "\n  "]
+    terminal = json.dumps([_names(vertices, f) for f in terminal], indent=2)
+    parts += ['],\n  "terminal": ', terminal.replace("\n", "\n  "), "\n}"]
     return "".join(parts)
+
+
+def _sequence_text(sequence: CollapseSequence) -> str:
+    # the text of sequence_to_data(sequence), laid out from masks over the
+    # certificate's names in vertex_key order; the terminal's facets keep
+    # their canonical order
+    steps, facets = sequence.steps, sequence.terminal.facets
+    vertices = sorted(set().union(*facets, *(s.free_face for s in steps),
+                                  *(s.coface for s in steps)), key=vertex_key)
+    bit = {v: 1 << i for i, v in enumerate(vertices)}.__getitem__
+
+    def mask(face):
+        return sum(map(bit, face))
+
+    return _certificate_text(vertices, [(mask(s.free_face), mask(s.coface)) for s in steps],
+                             list(map(mask, facets)))
+
+
+def _with_certificate(text, parent, certificate) -> str:
+    """A report's ``json_text`` with ``certificate`` text placed under the
+    key "certificate" of its top-level object ``parent``, a nonempty
+    object whose keys all sort after "certificate".
+
+    The parent's opening line, ``\\n  "<parent>": {\\n``, occurs exactly
+    once in the text: each top-level key opens its own line two spaces
+    in, deeper lines are indented further, dict keys are distinct, and no
+    JSON string holds a raw newline.  Keys are sorted, so "certificate"
+    goes first, straight after that line, two spaces deeper.
+    """
+    opening = f'\n  "{parent}": {{\n'
+    head, _, tail = text.partition(opening)
+    return "".join((head, opening, '    "certificate": ',
+                    certificate.replace("\n", "\n    "), ",\n", tail))
 
 
 def parse_sequence_data(data, path=None) -> CollapseSequence:
@@ -220,114 +255,17 @@ def load_sequence(path) -> CollapseSequence:
 
 
 def dump_json(data, path) -> None:
-    text = json_text(data) + "\n"
+    _write_file(json_text(data), path)
+
+
+def _write_file(text, path) -> None:
     try:
         with open(path, "w") as handle:
-            handle.write(text)
+            handle.write(text + "\n")
     except OSError as exc:
         raise InputFileError(f"cannot write: {exc.strerror}", path=path) from None
 
 
 def json_text(value) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` for a JSON value
-    (objects with str keys).
-
-    json encodes in C only without indentation, and its pure-Python
-    indenting encoder is slow.  This writer lays out the same text and
-    leaves strings to json's C quoting, which a list of strings gets in
-    one join.  A ``_Laid`` value, text this writer laid out before, is
-    placed as it is, at its depth.
-    """
-    parts: list[str] = []
-    _write(value, "\n", parts)
-    return "".join(parts)
-
-
-class _Laid:
-    """JSON text that ``json_text`` laid out at the top level, to be placed
-    inside another value without laying it out again.  JSON text holds no
-    raw newline inside a string, so moving it to a deeper indentation only
-    adds that indentation after each newline."""
-
-    __slots__ = ("text",)
-
-    def __init__(self, text: str):
-        self.text = text
-
-
-_NON_FINITE = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
-
-# newline + indentation -> the strings a container at that indentation
-# uses: its items' newline, the separator before each later item, and the
-# opening, separator and closing of a string list held under a key
-_LAYOUTS: dict[str, tuple[str, str, str, str, str]] = {}
-
-
-def _layout(newline: str) -> tuple[str, str, str, str, str]:
-    layout = _LAYOUTS.get(newline)
-    if layout is None:
-        inner = newline + "  "
-        deeper = "," + inner + "  "
-        layout = _LAYOUTS[newline] = (inner, "," + inner, ": [" + deeper[1:],
-                                      deeper, inner + "]")
-    return layout
-
-
-def _write(value, newline, parts) -> None:
-    # the value at the indentation that ``newline`` ends with; containers
-    # come first, as they are the common case
-    if isinstance(value, (list, tuple)):
-        if not value:
-            parts.append("[]")
-            return
-        inner, comma = _layout(newline)[:2]
-        try:
-            parts.append("[" + inner + comma.join(map(_quote, value))
-                         + newline + "]")
-            return
-        except TypeError:
-            pass  # not all strings
-        sep = "[" + inner
-        for item in value:
-            parts.append(sep)
-            _write(item, inner, parts)
-            sep = comma
-        parts.append(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            parts.append("{}")
-            return
-        inner, comma, opening, deeper, closing = _layout(newline)
-        sep = "{" + inner
-        for key, item in sorted(value.items()):
-            if item and isinstance(item, (list, tuple)):
-                # a nonempty list of strings is one join, with no call
-                try:
-                    parts += (sep, _quote(key), opening,
-                              deeper.join(map(_quote, item)), closing)
-                    sep = comma
-                    continue
-                except TypeError:
-                    pass  # not all strings
-            parts.append(sep + _quote(key) + ": ")
-            _write(item, inner, parts)
-            sep = comma
-        parts.append(newline + "}")
-    elif isinstance(value, str):
-        parts.append(_quote(value))
-    elif value is None:
-        parts.append("null")
-    elif value is True:
-        parts.append("true")
-    elif value is False:
-        parts.append("false")
-    elif isinstance(value, int):
-        parts.append(int.__repr__(value))
-    elif isinstance(value, float):
-        parts.append("NaN" if value != value
-                     else _NON_FINITE.get(value) or float.__repr__(value))
-    elif isinstance(value, _Laid):
-        parts.append(value.text.replace("\n", newline))
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} "
-                        "is not JSON serializable")
+    """The text of every report, JSON error and file this package writes."""
+    return json.dumps(value, indent=2, sort_keys=True)

@@ -26,8 +26,9 @@ coface table keyed by frozensets, with its replay, the reference for
 the coface-bit replay on masks behind ``verify_sequence``, and the
 frozenset simplex schedule, joined along the frozenset leaf order, the
 reference for the mask schedule of tree certificates.  A certificate's
-data, dicts of name lists that ``json_text`` lays out, is the reference
-for the certificate text that ``collapse`` writes straight from masks.  Trial
+data, dicts of name lists that ``json.dumps`` lays out, is the reference
+for the certificate text that ``collapse`` and ``verify-collapse`` lay out
+straight from masks.  Trial
 division and the Lucas test (which certifies a prime from the factorisation
 of p - 1) are the references for the Miller-Rabin test behind ``FieldSpec``.
 The Scarf ideals built by monomial products, radicals and exact quotients

@@ -218,18 +218,6 @@ def test_writer_is_byte_identical_to_json_indented_output(value):
     assert io.json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
-@settings(max_examples=300)
-@given(json_trees)
-def test_laid_out_text_is_placed_at_any_depth(value):
-    # text laid out once at the top level, placed inside other values,
-    # reads as the value laid out there
-    laid = io._Laid(io.json_text(value))
-    for outer, expected in (([laid], [value]), ({"a": {"b": laid}}, {"a": {"b": value}}),
-                            ([["x"], {"k": [laid, "y"]}], [["x"], {"k": [value, "y"]}])):
-        assert io.json_text(outer) == json.dumps(expected, indent=2, sort_keys=True)
-    assert io.json_text(laid) == json.dumps(value, indent=2, sort_keys=True)
-
-
 @pytest.mark.parametrize("value", [
     [], {}, [[]], [{}], {"a": [], "b": {}, "c": [[], {}]},
     [True, 1, False, 0, None], {"1": True, "10": 1, "9": False},
@@ -276,6 +264,64 @@ def test_certificate_text_is_the_writer_text_of_its_data(facets):
     expected = io.json_text(oracles.mask_steps_to_data(vertices, pairs, left))
     assert io._certificate_text(vertices, pairs, left) == expected
     assert [io._names(vertices, f) for f in left] == json.loads(expected)["terminal"]
+
+
+def with_certificate(text, parent, certificate):
+    # json's indented text of the report ``text`` holds, with the
+    # certificate under its object ``parent`` given as data
+    report = json.loads(text)
+    report[parent]["certificate"] = certificate
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+certificate_faces = st.lists(st.sampled_from(CERTIFICATE_NAMES + ("x", "11")),
+                             max_size=4, unique=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sets(st.sampled_from(CERTIFICATE_NAMES), min_size=1, max_size=5),
+                min_size=1, max_size=6),
+       st.lists(st.fixed_dictionaries({"free": certificate_faces,
+                                       "coface": certificate_faces}), max_size=4),
+       st.lists(certificate_faces.filter(bool), min_size=1, max_size=3,
+                unique_by=frozenset))
+@example([{"1"}], [], [["1"]])
+@example([{"1", "2", "10"}, {"10", "a"}], [{"free": [], "coface": []}], [["x"]])
+@example([{"1", "2"}, {"2", "10"}, {"1", "10"}], [{"free": ["é"], "coface": ["\n"]}],
+         [["\u2028", "😀"], ["1"]])
+def test_certificate_reports_are_json_text_of_their_data(facets, steps, terminal):
+    # collapse (its report and --out file, tree and greedy) and
+    # verify-collapse (of that file, and of any certificate: invalid, with
+    # empty faces or names outside the complex) splice certificate text
+    # into the report exactly where json puts the certificate's data
+    complex_ = SimplicialComplex(facets)
+    pairs, left = certificate_masks(complex_)
+    certificate = oracles.mask_steps_to_data(complex_.vertices, pairs, left)
+    other = {"steps": steps, "terminal": terminal}
+    with tempfile.TemporaryDirectory() as tmp:
+        complex_file, out, other_file = (os.path.join(tmp, name) for name in
+                                         ("complex.json", "cert.json", "other.json"))
+        with open(complex_file, "w") as handle:
+            json.dump(complex_to_data(complex_), handle)
+        with open(other_file, "w") as handle:
+            json.dump(other, handle)
+        reports = []
+        for argv in (["collapse", complex_file, "--out", out],
+                     ["verify-collapse", complex_file, out],
+                     ["verify-collapse", complex_file, other_file]):
+            stdout = StringIO()
+            with redirect_stdout(stdout):
+                assert main(argv) == 0
+            reports.append(stdout.getvalue())
+        with open(out) as handle:
+            written = handle.read()
+    collapsed, replayed, checked = reports
+    assert written == json.dumps(certificate, indent=2, sort_keys=True) + "\n"
+    assert collapsed == with_certificate(collapsed, "result", certificate)
+    assert replayed == with_certificate(replayed, "inputs", certificate)
+    assert json.loads(replayed)["result"]["valid"]
+    echoed = io.sequence_to_data(parse_sequence_data(other))
+    assert checked == with_certificate(checked, "inputs", echoed)
 
 
 def test_writer_rejects_what_json_rejects():
@@ -828,6 +874,16 @@ def test_verify_collapse_rejects_a_malformed_certificate(files, capsys):
         code, out, err = run(capsys, "verify-collapse", files["tail"], str(p))
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "InputFileError"
+
+
+@pytest.mark.parametrize("command", ["collapse", "build-scarf"])
+def test_out_file_that_cannot_be_written_is_an_operational_error(files, capsys, command):
+    missing = str(files["tmp"] / "missing" / "out.json")
+    code, out, err = run(capsys, command, files["tail"], "--out", missing)
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "InputFileError"
+    assert error["message"] == f"{missing}: cannot write: No such file or directory"
 
 
 def test_collapse_command_on_a_point(files, capsys):
