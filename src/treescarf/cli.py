@@ -61,7 +61,7 @@ def cmd_check(args) -> dict:
     if tree:
         # one walk of the facets' subsets: the f-vector is counted off the
         # coface table before the replay removes its faces
-        table = _coface_bits(complex_)
+        table = _coface_bits(complex_._facet_masks)
         f_vector = _f_vector(table)
     else:
         f_vector = complex_.f_vector()

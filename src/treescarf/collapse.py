@@ -12,8 +12,11 @@ the OR of the vertex bits that extend it to a present face, so an entry of
 0 marks a facet and an entry of one bit b a free face whose coface is
 face | b.  Every replay, of a tree certificate, of a certificate read back
 from a file, of one elementary collapse or of each greedy step, is the one
-routine ``_replay`` on that table, which is built facet by facet: a face
-s inside a facet F is extended by the vertices of F ^ s.  A tree
+routine ``_replay`` on that table, which ``complexes._coface_bits`` builds
+from the facet masks: a face s inside a facet F is extended by the
+vertices of F ^ s.  The same table and its one removal step,
+``complexes._remove``, serve the homology ranks, which collapse in any
+order; here the order of the steps is part of the output.  A tree
 certificate is scheduled as mask pairs and replayed once, against the
 whole complex; the greedy collapse applies its pairs one at a time as a
 heap hands them out.  Frozenset faces are built only for the public
@@ -27,7 +30,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from ._frozen import FrozenValue
-from .complexes import Face, SimplicialComplex, _face, _mask_key, _submasks
+from .complexes import (Face, SimplicialComplex, _coface_bits, _face, _mask_key,
+                        _remove)
 from .errors import InvalidStepError, NotATreeError
 
 
@@ -80,23 +84,6 @@ def _mask_pairs(complex_: SimplicialComplex, steps) -> tuple[list[tuple[int, int
     return [(sum(map(bit, s.free_face)), sum(map(bit, s.coface))) for s in steps], bits
 
 
-def _coface_bits(complex_: SimplicialComplex) -> dict[int, int]:
-    # the mask of each present face, the empty face (0) included, to the
-    # OR of the vertex bits v that extend it to a present face: a face is
-    # a facet when its entry is 0, and free when the entry is one bit b
-    # (downward closure then makes its one coface, face | b, a facet); the
-    # popcount is the number of cofaces.  Built facet by facet: the vertices
-    # that extend a face s inside a facet F are F ^ s, so each submask s of
-    # each F ORs in F ^ s, and the empty face gets the OR of all facets;
-    # sum of 2^|F| dict updates over the facets F
-    table: dict[int, int] = {}
-    get = table.get
-    for facet in complex_._facet_masks:
-        for s in _submasks(facet):
-            table[s] = get(s, 0) | facet ^ s
-    return table
-
-
 def _replay(table: dict[int, int], pairs: list[tuple[int, int]],
             terminal: set[int] | None = None) -> tuple[int, str] | None:
     """Apply (free, coface) mask pairs to a coface-bit table, in order.
@@ -105,10 +92,8 @@ def _replay(table: dict[int, int], pairs: list[tuple[int, int]],
     face is nonempty, it is a maximal proper face of the coface, the
     coface is present, the free face is present, the coface is a facet,
     and the free face lies in no other facet.  A valid step removes both
-    faces in O(d): the faces that lose a coface are the free face's, and
-    the coface's other codimension-1 faces, one per vertex of the free
-    face, and each loses the bit of that vertex.  Returns None when every
-    step is valid and, when ``terminal`` (a set of facet masks) is given,
+    faces in O(d) (``_remove``).  Returns None when every step is valid
+    and, when ``terminal`` (a set of facet masks) is given,
     the facets left are exactly those; else (i, violation) for the first
     invalid step i, or (len(pairs), violation) when only the terminal
     differs.  An invalid step leaves the table as it was before that
@@ -130,13 +115,7 @@ def _replay(table: dict[int, int], pairs: list[tuple[int, int]],
             return i, "coface is not a facet"
         if down & (down - 1):
             return i, "free face lies in more than one facet"
-        del table[coface], table[free]
-        rest = free
-        while rest:
-            low = rest & -rest
-            table[coface ^ low] ^= low
-            table[free ^ low] ^= low
-            rest ^= low
+        _remove(table, free, coface)
     if terminal is not None and {f for f, up in table.items() if not up} != terminal:
         return len(pairs), "the faces left are not the terminal complex"
     return None
@@ -153,13 +132,13 @@ def free_pairs(complex_: SimplicialComplex) -> list[tuple[Face, Face]]:
     """All pairs (free face, facet) eligible for an elementary collapse."""
     vertices = complex_.vertices
     return [(_face(vertices, free), _face(vertices, coface))
-            for free, coface in _free_pairs(_coface_bits(complex_))]
+            for free, coface in _free_pairs(_coface_bits(complex_._facet_masks))]
 
 
 def elementary_collapse(complex_: SimplicialComplex, step: CollapseStep) -> SimplicialComplex:
     """Remove the step's two faces; raises InvalidStepError when not free."""
     pairs, _ = _mask_pairs(complex_, (step,))
-    table = _coface_bits(complex_)
+    table = _coface_bits(complex_._facet_masks)
     bad = _replay(table, pairs)
     if bad is not None:
         raise InvalidStepError(bad[1])
@@ -174,7 +153,7 @@ def _first_violation(complex_: SimplicialComplex,
     pairs, bits = _mask_pairs(complex_, sequence.steps)
     bit = bits.__getitem__
     terminal = {sum(map(bit, f)) for f in sequence.terminal.facets}
-    return _replay(_coface_bits(complex_), pairs, terminal)
+    return _replay(_coface_bits(complex_._facet_masks), pairs, terminal)
 
 
 def verify_sequence(complex_: SimplicialComplex,
@@ -256,7 +235,7 @@ def _tree_steps(complex_: SimplicialComplex,
     point = last & -last
     pairs.extend(_simplex_steps(last, point))
     if table is None:
-        table = _coface_bits(complex_)
+        table = _coface_bits(complex_._facet_masks)
     bad = _replay(table, pairs, {point})
     if bad is not None:
         raise AssertionError(f"tree collapse certificate failed at step {bad[0]}")
@@ -302,7 +281,7 @@ def _greedy_steps(complex_: SimplicialComplex) -> tuple[list[tuple[int, int]], l
     """
     from heapq import heappop, heappush  # only this heuristic needs a heap
 
-    table = _coface_bits(complex_)
+    table = _coface_bits(complex_._facet_masks)
     get = table.get
     # _free_pairs comes sorted by _step_key, so this is already a heap
     heap = [(_step_key(pair), pair) for pair in _free_pairs(table)]

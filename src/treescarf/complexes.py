@@ -16,7 +16,10 @@ facets as masks, and only this module maps its vertex names to bits
 over ``_submasks``, the one walk of a facet's subsets, ``_mask_key``
 the one face order (size, then vertex indices: ``face_key``
 order), ``_maximal`` the one maximal-set filter and ``_connected`` the
-one connectivity test.  Names are built only for public results.
+one connectivity test.  ``_coface_bits`` is the one table of which
+faces are free, and ``_remove`` the one removal of a free pair from it;
+collapse certificates and homology ranks both run on them.  Names are
+built only for public results.
 
 The forest decision is polynomial in the number of facets: good leaves
 are deleted until none is left, and a complex that does not empty out is
@@ -124,6 +127,42 @@ def _connected(masks: Iterable[int]) -> bool:
             component |= m if m & component else 0
         left = rest
     return True
+
+
+def _coface_bits(masks: Iterable[int]) -> dict[int, int]:
+    # the coface-bit table of the complex the masks generate (their
+    # submasks): the mask of each face, the empty face (0) included, to the
+    # OR of the vertex bits v that extend it to a face: a face is a facet
+    # when its entry is 0, and free when the entry is one bit b (downward
+    # closure then makes its one coface, face | b, a facet); the popcount
+    # is the number of cofaces.  Built mask by mask: the vertices that
+    # extend a submask s of a mask F are F ^ s, so each s ORs in F ^ s.  A
+    # mask already in the table lies inside one walked before, whose walk
+    # gave each of its submasks s a superset of F ^ s, so it is skipped;
+    # given larger masks first, the cost is one dict update per subset of
+    # each facet F (the sum of 2^|F|) plus one lookup per other mask
+    table: dict[int, int] = {}
+    get = table.get
+    for facet in masks:
+        if facet in table:
+            continue
+        for s in _submasks(facet):
+            table[s] = get(s, 0) | facet ^ s
+    return table
+
+
+def _remove(table: dict[int, int], free: int, coface: int) -> None:
+    # remove a free pair from a coface-bit table in O(d): the faces that
+    # lose a coface are the free face's, and the coface's other
+    # codimension-1 faces, one per vertex of the free face, and each loses
+    # the bit of that vertex
+    del table[coface], table[free]
+    rest = free
+    while rest:
+        low = rest & -rest
+        table[coface ^ low] ^= low
+        table[free ^ low] ^= low
+        rest ^= low
 
 
 def _as_face(vertices: Iterable[Vertex]) -> Face:

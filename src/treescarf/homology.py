@@ -7,6 +7,13 @@ No floating point is used anywhere.
 Chain complexes are built on vertex-bitmask faces (``treescarf.complexes``)
 with the standard alternating-sign boundary over the bit order, and
 augmented to dimension -1 (the empty face 0), which makes homology reduced.
+
+Ranks are taken only after collapsing.  Elementary collapses keep reduced
+homology over every field, so ``reduced_ranks_from_faces`` first removes
+free pairs from the complex's coface-bit table (``complexes._coface_bits``,
+the table collapse certificates replay on) and eliminates only what is
+left; a complex that collapses to a point needs no elimination.  The
+dense elimination of every face is the reference in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from collections.abc import Iterable
 from operator import index
 
 from ._frozen import FrozenValue
-from .complexes import SimplicialComplex, _bit_indices, _mask_key
+from .complexes import SimplicialComplex, _bit_indices, _coface_bits, _mask_key, _remove
 
 # Miller-Rabin with the first 13 prime bases is exact below this bound
 # (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2015).
@@ -194,17 +201,53 @@ class HomologyRanks(FrozenValue):
         return not self.ranks
 
 
-def reduced_ranks_from_faces(faces: Iterable[int], field: FieldSpec = QQ) -> HomologyRanks:
-    """Reduced homology ranks of an explicit set of face masks.
+def _collapse(table: dict[int, int]) -> None:
+    """Remove free pairs from a coface-bit table until none is left.
 
-    The set may contain the empty face 0.  A set with no faces at all
-    (the void complex) has all ranks zero; any other set is augmented,
-    which is what makes the answer reduced, so the set containing only the
-    empty face has rank 1 in dimension -1.
+    Elementary collapses keep reduced homology over every field, and the
+    order they come in does not change it, so the pairs come off an
+    order-free worklist: first every free face, then after each removal
+    the faces whose entries it changed.  A face is checked when it is
+    popped, so one that went stale is dropped; a face with one coface
+    makes that coface a facet, by downward closure, so the pair is free.
+    The empty face is never freed.  Cost: O(N) for N faces to fill the
+    worklist, then O(d) per removal for faces of at most d vertices.
     """
-    bases, boundaries = chain_complex_from_faces(faces)
-    if not bases:
-        return HomologyRanks(())
+    get = table.get
+    work = [f for f, up in table.items() if up and not up & (up - 1)]
+    while work:
+        free = work.pop()
+        up = get(free)
+        if not (free and up) or up & (up - 1):
+            continue
+        coface = free | up
+        _remove(table, free, coface)
+        rest = free
+        while rest:
+            low = rest & -rest
+            work += (coface ^ low, free ^ low)
+            rest ^= low
+
+
+def reduced_ranks_from_faces(faces: Iterable[int], field: FieldSpec = QQ) -> HomologyRanks:
+    """Reduced homology ranks of the complex made of the given face masks
+    and all their subfaces.
+
+    The masks may be every face, or only the facets, and may contain the
+    empty face 0.  No masks at all (the void complex) give all ranks
+    zero; any other set is augmented, which is what makes the answer
+    reduced, so the set containing only the empty face has rank 1 in
+    dimension -1.  The complex is collapsed first (``_collapse``), and
+    only what is left is eliminated; a collapse to one point needs no
+    rank at all.  Cost: the coface-bit table (the sum of 2^|F| over the
+    facets F, after sorting the masks by size), the collapse, then one
+    rank per dimension of the residual's chain complex.
+    """
+    table = _coface_bits(sorted(faces, key=int.bit_count, reverse=True))
+    _collapse(table)
+    if len(table) in (0, 2):
+        return HomologyRanks(())  # the void complex, or a point and the empty face
+    bases, boundaries = chain_complex_from_faces(table)
     r = {d: rank(mat, field) for d, mat in boundaries.items()}
     return HomologyRanks(tuple(len(bases[d]) - r.get(d, 0) - r.get(d + 1, 0)
                                for d in range(-1, max(bases) + 1)))
@@ -212,7 +255,7 @@ def reduced_ranks_from_faces(faces: Iterable[int], field: FieldSpec = QQ) -> Hom
 
 def reduced_homology_ranks(complex_: SimplicialComplex, field: FieldSpec = QQ) -> HomologyRanks:
     """Reduced homology ranks of a complex; the empty complex is all zeros."""
-    return reduced_ranks_from_faces(complex_._face_masks(), field)
+    return reduced_ranks_from_faces(complex_._facet_masks, field)
 
 
 def is_acyclic(complex_: SimplicialComplex, field: FieldSpec = QQ) -> bool:

@@ -239,9 +239,9 @@ def parse_sequence_data(data, path=None) -> CollapseSequence:
     for i, entry in enumerate(data["steps"]):
         loc = f"steps[{i}]"
         if (not isinstance(entry, dict)
-                or not isinstance(entry.get("free"), list)
-                or not isinstance(entry.get("coface"), list)):
-            raise InputFileError('each step needs "free" and "coface" lists',
+                or not isinstance(entry.get("free"), list) or not entry["free"]
+                or not isinstance(entry.get("coface"), list) or not entry["coface"]):
+            raise InputFileError('each step needs nonempty "free" and "coface" lists',
                                  path=path, location=loc)
         _check_names(entry["free"], path, loc)
         _check_names(entry["coface"], path, loc)

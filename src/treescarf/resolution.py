@@ -69,6 +69,18 @@ class LabeledComplex:
             self._variables,
             [self._labels[v] for v in complex_.vertices])
 
+    @classmethod
+    def _from_ideal(cls, complex_: SimplicialComplex,
+                    ideal: MonomialIdeal) -> "LabeledComplex":
+        # the complex with its vertices, in order, labeled by the ideal's
+        # generators; the ideal is kept as it is, not built again
+        labeled = cls.__new__(cls)
+        labeled._complex = complex_
+        labeled._labels = dict(zip(complex_.vertices, ideal.generators))
+        labeled._variables = ideal.variables
+        labeled._ideal = ideal
+        return labeled
+
     @property
     def complex(self) -> SimplicialComplex:
         return self._complex
@@ -110,14 +122,19 @@ def supports_resolution(labeled: LabeledComplex,
     monomial; only lcms of generator subsets need checking, because the
     divisor subcomplex of any monomial is reproduced by the lcm of the
     labels dividing it.  On failure returns the lexicographically smallest
-    failing degree under the ideal's variable order.  Cost: one rank
-    computation per lattice element m, on the faces whose labels divide m.
+    failing degree under the ideal's variable order.  Cost: per lattice
+    element m, the q facet masks cut by the vertices whose labels divide m,
+    and ``reduced_ranks_from_faces`` on the cuts: the coface-bit table of
+    Delta_{<=m} (a cut inside a larger one costs one lookup), its
+    collapse, and ranks only on what is left.  A divisor subcomplex that
+    collapses to a point, as every one of a supporting forest does, takes
+    no elimination.
     """
     ideal = labeled.ideal()
-    faces = labeled.complex._face_masks()
+    facets = labeled.complex._facet_masks
     for m in ideal._lattice():
         keep = labeled._divisor_vertices(m)
-        if reduced_ranks_from_faces([f for f in faces if not f & ~keep], field).ranks:
+        if reduced_ranks_from_faces([f & keep for f in facets], field).ranks:
             return False, ideal._decode(m)
     return True, None
 
@@ -228,7 +245,8 @@ def _lattice_betti_table(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTa
     dividing m, the nerve then has at most 2^min(r, |G_m|) faces (r
     alone can reach C(|G_m|, |G_m|/2) when there are more variables than
     generators).  Cost: L * (t + n*|G_m| + nerve size) mask operations plus
-    the rank computations on the nerves.  The 2^t definition is kept as a
+    ``reduced_ranks_from_faces`` on the nerves, which collapses each one
+    and eliminates only what is left.  The 2^t definition is kept as a
     test oracle in ``tests/oracles.py``.  Serves every ideal that is not
     strongly generic, and checks the Scarf route under ``supports --verify``.
     """
@@ -339,12 +357,12 @@ def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
     its lcm; only (a) is tested.  Every single generator is kept, by
     minimality.  Cost: O(t) mask operations per candidate, and there are at
     most t candidates per kept face.  The 2^t definition is kept as a test
-    oracle in ``tests/oracles.py``.
+    oracle in ``tests/oracles.py``.  The result is labeled by ``ideal``
+    itself: "1".."t" sort in generator order, so nothing is rebuilt.
     """
-    gens = ideal.generators
-    names = tuple(str(i + 1) for i in range(len(gens)))
+    names = tuple(str(i + 1) for i in range(len(ideal.generators)))
     faces = _scarf_faces(ideal._masks)
     covered = {face ^ 1 << k for face in faces for k in _bit_indices(face)}
     complex_ = SimplicialComplex._from_maximal(
         _face(names, face) for face in faces if face not in covered)
-    return LabeledComplex(complex_, dict(zip(names, gens)), ideal.variables)
+    return LabeledComplex._from_ideal(complex_, ideal)

@@ -12,9 +12,10 @@ the library tests only the lcms of vertex pairs, and it builds each
 divisor subcomplex from frozensets: the maximal-set filter, the induced
 subcomplex and the connectivity test here are the references for the
 library's mask versions, which cut facet masks by a vertex mask.  The
-general criterion builds each divisor subcomplex as a complex and tests
-it with ``is_acyclic``, where the library ranks the parent complex's face
-masks inside the divisor vertex mask.  Plain Gaussian
+general criterion builds each divisor subcomplex as a complex and ranks
+every face of it, where the library collapses the coface table of the
+facet masks cut by the divisor vertex mask and ranks only what is left.
+Plain Gaussian
 elimination over Fractions is the reference for the library's
 fraction-free rank, and Gauss-Jordan elimination mod p for its rank over
 GF(p).  The face set that answers every free-face question by
@@ -40,7 +41,8 @@ The search for a leafless subcollection over all 2^q - 1 facet subsets,
 by increasing size, is the reference for the library's polynomial forest
 decision.  The library builds chain complexes and checks minimality on
 vertex bitmasks in ``_mask_key`` order; the frozenset chain-complex
-builder sorted by ``face_key``, with its ranks, and the frozenset
+builder sorted by ``face_key``, with its dense ranks of every face
+(the reference for the library's ranks after a collapse), and the frozenset
 minimality walk over ``faces`` are their references, as the comparison
 of the two face sets is for ``verify_scarf``, and both Betti
 table oracles build their chain complexes with it, so they share no
@@ -62,7 +64,7 @@ from treescarf.collapse import CollapseSequence, CollapseStep
 from treescarf.complexes import Face, SimplicialComplex, face_key, face_sorted, vertex_key
 from treescarf.errors import (BadHError, BoundaryOfSimplexError,
                               DegenerateVertexFacetError, NotAFaceError)
-from treescarf.homology import QQ, FieldSpec, HomologyRanks, is_acyclic, rank
+from treescarf.homology import QQ, FieldSpec, HomologyRanks, rank
 from treescarf.monomials import UNIT, Monomial, MonomialIdeal, lcm
 from treescarf.resolution import BettiTable, LabeledComplex
 from treescarf.scarf_ideals import face_variable_ring, is_boundary_of_simplex
@@ -387,10 +389,11 @@ def supports_resolution_tree(labeled: LabeledComplex) -> tuple[bool, Optional[Mo
 def supports_resolution(labeled: LabeledComplex,
                         field: FieldSpec = QQ) -> tuple[bool, Optional[Monomial]]:
     """The general criterion as stated: the lexicographically first m in
-    the lcm lattice whose divisor subcomplex, built as a complex, is not
-    acyclic.  Reference for the library's rank test on face masks."""
+    the lcm lattice whose divisor subcomplex, built as a complex, has a
+    nonzero reduced rank by dense elimination of every face.  Reference
+    for the library's collapse-first rank test on cut facet masks."""
     for m in lcm_lattice(labeled.ideal()):
-        if not is_acyclic(labeled.divisor_subcomplex(m), field):
+        if reduced_ranks_from_faces(labeled.divisor_subcomplex(m).faces(), field).ranks:
             return False, m
     return True, None
 

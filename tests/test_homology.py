@@ -13,6 +13,7 @@ from treescarf import (QQ, BettiTable, CollapseSequence, CollapseStep,
                        FaceVariableRing, FieldSpec, HomologyRanks,
                        SimplicialComplex, is_acyclic, parse_monomial, rank,
                        reduced_homology_ranks, tree_collapse_certificate)
+from treescarf import homology
 from treescarf.homology import (_is_prime, chain_complex_from_faces,
                                 reduced_ranks_from_faces)
 
@@ -20,7 +21,7 @@ import oracles
 from generators import random_complex, random_tree
 from oracles import (is_prime_lucas, is_prime_trial_division, rank_fraction_gauss,
                      rank_mod_p_gauss)
-from treescarf.complexes import _bit_indices
+from treescarf.complexes import _bit_indices, _coface_bits
 from treescarf.resolution import _nerve
 
 POINT = SimplicialComplex([{"1"}])
@@ -329,6 +330,88 @@ def test_reduced_euler_identity():
         reduced_chi = -1 + sum((-1) ** i * n for i, n in enumerate(f))
         total = sum((-1) ** d * r for d, r in ranks.nonzero().items())
         assert total == reduced_chi
+
+
+# -- collapse first, then eliminate ------------------------------------------------
+
+# the six-vertex real projective plane: H_1 is Z/2, so its ranks over GF(2)
+# differ from those over the other fields
+RP2 = SimplicialComplex([set(f) for f in (
+    "124", "126", "135", "136", "145", "234", "235", "256", "346", "456")])
+RANK_FIELDS = (QQ, FieldSpec(2), FieldSpec(3), FieldSpec(5))
+
+
+@st.composite
+def complexes_to_rank(draw):
+    """Trees, graph cycles, simplex boundaries and the projective plane,
+    each possibly coned off, which makes it collapsible."""
+    kind = draw(st.sampled_from(["tree", "cycle", "boundary", "rp2"]))
+    if kind == "tree":
+        complex_ = random_tree(draw(st.randoms(use_true_random=True)),
+                               max_facets=6, max_vertices=9)
+    elif kind == "cycle":
+        q = draw(st.integers(3, 9))
+        complex_ = SimplicialComplex([{str(i), str((i + 1) % q)} for i in range(q)])
+    elif kind == "boundary":  # of the simplex on 2 to 6 vertices
+        names = {str(i) for i in range(draw(st.integers(2, 6)))}
+        complex_ = SimplicialComplex([names - {v} for v in names])
+    else:
+        complex_ = RP2
+    if draw(st.booleans()):
+        complex_ = SimplicialComplex([f | {"apex"} for f in complex_.facets])
+    return complex_
+
+
+@settings(max_examples=200, deadline=None)
+@given(complexes_to_rank(), st.sampled_from(["faces", "facets"]), st.booleans(),
+       st.randoms(use_true_random=True), st.sampled_from(RANK_FIELDS))
+def test_collapsed_ranks_match_the_dense_oracle(complex_, given_as, empty, rng, field):
+    # every face or only the facets, with or without the empty face, in any
+    # order, give the ranks of the dense elimination of every face
+    masks = [*(complex_._face_masks() if given_as == "faces" else complex_._facet_masks)]
+    masks = [m for m in masks if m] + [0] * empty
+    rng.shuffle(masks)
+    faces = complex_.faces() + [frozenset()] * empty
+    assert (reduced_ranks_from_faces(masks, field)
+            == oracles.reduced_ranks_from_faces(faces, field))
+
+
+def test_projective_plane_ranks_depend_on_the_characteristic():
+    assert reduced_homology_ranks(RP2).is_zero()
+    assert reduced_homology_ranks(RP2, FieldSpec(2)).nonzero() == {1: 1, 2: 1}
+    assert reduced_homology_ranks(RP2, FieldSpec(3)).is_zero()
+
+
+def test_conventions_need_no_elimination(monkeypatch):
+    # the void complex, the empty face alone, and everything that collapses
+    # to one point are answered without a rank
+    calls = []
+    monkeypatch.setattr(homology, "rank", lambda *args: calls.append(args))
+    assert reduced_ranks_from_faces([]) == HomologyRanks(())
+    assert reduced_ranks_from_faces([0]) == HomologyRanks((1,))
+    for faces in ([1], [0, 1], [1 << 9], [0b111], [0b11, 0b110, 0b1100],
+                  POINT._face_masks(), SimplicialComplex([set("12345")])._facet_masks):
+        assert reduced_ranks_from_faces(faces) == HomologyRanks(())
+    assert is_acyclic(SimplicialComplex([set("123"), set("345")]))
+    assert calls == []
+    # the empty face is never freed, so a collapse ends at a point, not void
+    table = _coface_bits(SimplicialComplex([set("123"), set("345")])._facet_masks)
+    homology._collapse(table)
+    assert len(table) == 2 and table[0].bit_count() == 1 and table[table[0]] == 0
+
+
+def test_what_does_not_collapse_is_eliminated(monkeypatch):
+    # a circle has no free face, so its residual is all of it
+    calls = []
+    rank = homology.rank
+
+    def spy(matrix, field=QQ):
+        calls.append(len(matrix))
+        return rank(matrix, field)
+
+    monkeypatch.setattr(homology, "rank", spy)
+    assert reduced_ranks_from_faces(CIRCLE._facet_masks).nonzero() == {1: 1}
+    assert calls == [1, 3]  # the vertices' augmentation row, the edges' boundary
 
 
 # -- acyclicity ------------------------------------------------------------------

@@ -9,6 +9,7 @@ from treescarf import (LabeledComplex, MonomialIdeal, SimplicialComplex,
                        betti_table, is_minimal, lcm, parse_monomial,
                        scarf_complex, supports_resolution,
                        supports_resolution_tree)
+from treescarf import QQ, FieldSpec, homology
 from treescarf.errors import NotAFaceError, NotAForestError
 
 import oracles
@@ -145,6 +146,24 @@ def test_tree_criterion_never_builds_the_lcm_lattice(monkeypatch):
     assert calls == []
 
 
+def test_general_criterion_eliminates_nothing_on_supporting_forests(monkeypatch):
+    # each divisor subcomplex of a forest that supports is a tree, which
+    # collapses to a point before any rank is taken
+    eliminated = []
+    monkeypatch.setattr(homology, "_rank_bareiss", eliminated.append)
+    monkeypatch.setattr(homology, "_rank_mod_p", lambda m, p: eliminated.append(m))
+    rng = Random(29)
+    labeled = [diamond_labeled(), scarf_complex(SPREAD)]
+    labeled += [random_labeled_tree(rng) for _ in range(60)]
+    supporting = [lc for lc in labeled
+                  if lc.complex.is_forest()[0] and supports_resolution_tree(lc)[0]]
+    assert len(supporting) >= 10
+    for lc in supporting:
+        for field in (QQ, FieldSpec(2), FieldSpec(3)):
+            assert supports_resolution(lc, field) == (True, None)
+    assert eliminated == []
+
+
 # -- minimality -----------------------------------------------------------------------
 
 def test_taylor_of_spread_ideal_is_not_minimal():
@@ -246,6 +265,19 @@ def test_scarf_complex_keeps_every_vertex():
         sc = scarf_complex(ideal)
         assert len(sc.complex.vertices) == len(labels)
         assert set(sc.complex.faces()) == brute_scarf_faces(ideal)
+
+
+def test_scarf_complex_is_labeled_by_the_ideal_itself():
+    rng = Random(31)
+    for _ in range(10):
+        labels = random_label_antichain(rng, rng.randint(1, 11))
+        ideal = MonomialIdeal(sorted({v for m in labels for v in m.variables}), labels)
+        sc = scarf_complex(ideal)
+        assert sc.ideal() is ideal
+        rebuilt = LabeledComplex(sc.complex, dict(zip(sc.complex.vertices, labels)),
+                                 ideal.variables)
+        assert (sc.labels, sc.variables) == (rebuilt.labels, rebuilt.variables)
+        assert sc.ideal()._masks == rebuilt.ideal()._masks
 
 
 def test_scarf_support_implies_minimality():
