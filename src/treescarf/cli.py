@@ -52,8 +52,8 @@ def _field(args):
 
 
 def cmd_check(args) -> dict:
-    from .collapse import _coface_bits, _tree_steps
-    from .complexes import _f_vector, face_sorted
+    from .collapse import _tree_steps
+    from .complexes import _coface_bits, _f_vector, face_sorted
     complex_ = io.load_complex(args.complex_file)
     connected = complex_.is_connected()
     forest, witness = complex_.is_forest()

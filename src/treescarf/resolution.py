@@ -20,7 +20,8 @@ strict-divisor subcomplexes K_{<m} of the full simplex on the
 generators, one per element m of the lcm lattice, and replaces each
 K_{<m} by the nerve of its cover by maximal simplices, which has the same
 reduced homology (nerve theorem), unless that cover has more sets than
-K_{<m} has vertices.  The walk is what ``supports --verify`` checks the
+K_{<m} has vertices.  Either complex goes to the rank as its facets, and
+no face is listed.  The walk is what ``supports --verify`` checks the
 table against.  The Scarf complex is grown level by level from its
 vertices, using that a subset's lcm is unique exactly when no outside
 generator divides it and no codimension-1 subset shares it.  Neither
@@ -207,21 +208,6 @@ class BettiTable(FrozenValue):
         return col[i] if i < len(col) else 0
 
 
-def _nerve(sets: list[int]) -> list[int]:
-    """Index masks of the ``sets`` (masks) with a nonempty common meet, plus
-    the empty face 0; grown depth-first, since the family is downward closed."""
-    faces = [0]
-    stack = [(1 << j, j, s) for j, s in enumerate(sets)]
-    while stack:
-        face, last, common = stack.pop()
-        faces.append(face)
-        for k in range(last + 1, len(sets)):
-            meet = common & sets[k]
-            if meet:
-                stack.append((face | 1 << k, k, meet))
-    return faces
-
-
 def _lattice_betti_table(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTable:
     """Multigraded Betti numbers, one lcm-lattice element at a time.
 
@@ -239,15 +225,20 @@ def _lattice_betti_table(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTa
     intersection of those simplices is again a simplex, so by the nerve
     theorem (Bjoerner, *Topological methods*, 1995) K_{<m} has the reduced
     homology of the nerve of the maximal A_x, over every field.  The
-    nerve of the dual cover, which covers the vertices of K_{<m} by the
-    maximal A_x each lies in, is K_{<m} itself; it is used when it has
-    fewer sets.  With r distinct maximal A_x and |G_m| generators
-    dividing m, the nerve then has at most 2^min(r, |G_m|) faces (r
-    alone can reach C(|G_m|, |G_m|/2) when there are more variables than
-    generators).  Cost: L * (t + n*|G_m| + nerve size) mask operations plus
-    ``reduced_ranks_from_faces`` on the nerves, which collapses each one
-    and eliminates only what is left.  The 2^t definition is kept as a
-    test oracle in ``tests/oracles.py``.  Serves every ideal that is not
+    nerve is made of the dual sets {j : i in A_j}, one per generator i
+    dividing m, and their subsets; when m is itself a generator they are
+    all empty, and the complex of the empty face alone has rank 1 in
+    dimension -1, beta_0 at m.  The nerve of the dual cover is K_{<m}
+    itself, whose facets are the maximal A_x; it is used when it has
+    fewer vertices, that is when the number r of distinct maximal A_x
+    exceeds the number |G_m| of generators dividing m (r alone can reach
+    C(|G_m|, |G_m|/2) when there are more variables than generators).
+    Either way ``reduced_ranks_from_faces`` gets max(r, |G_m|) masks, on
+    min(r, |G_m|) vertices, and no face is listed.  Cost: L * (t +
+    n*|G_m|) mask operations, plus per element the coface-bit table of
+    the masks passed (the sum of 2^|F| over them), its collapse, and
+    ranks on what is left.  The 2^t definition is kept as a test oracle
+    in ``tests/oracles.py``.  Serves every ideal that is not
     strongly generic, and checks the Scarf route under ``supports --verify``.
     """
     t = len(ideal._masks)
@@ -261,12 +252,11 @@ def _lattice_betti_table(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTa
         maximal = _maximal(
             sum(1 << i for i, g in enumerate(below) if not g >> x & 1)
             for x in _bit_indices(ideal._tops(m)))
-        if len(maximal) > len(below):
-            # Every g in below falls short of m in some variable (g = m
-            # would leave maximal empty), so no dual set is empty.
+        if len(maximal) <= len(below):
+            # the nerve, by its dual sets; [0] when m is a generator
             maximal = [sum(1 << j for j, a in enumerate(maximal) if a >> i & 1)
                        for i in range(len(below))]
-        column = reduced_ranks_from_faces(_nerve(maximal), field).ranks
+        column = reduced_ranks_from_faces(maximal, field).ranks
         for i, r in enumerate(column):
             if r:
                 while len(vector) <= i:

@@ -8,8 +8,10 @@ agree exactly, over the rationals and over GF(2), GF(3) and GF(5).
 """
 
 import sys
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import or_
 from random import Random
 
 import pytest
@@ -179,17 +181,46 @@ def test_many_maximal_covers_match_oracles(ideal, field):
     assert_matches_oracles(ideal, field)
 
 
-def test_nerve_cover_never_outnumbers_the_generators(monkeypatch):
+@pytest.fixture
+def ranked_masks(monkeypatch):
+    """Records the masks of each complex the lattice walk ranks."""
+    passed = []
+    ranks = resolution.reduced_ranks_from_faces
+
+    def spy_ranks(faces, field=QQ):
+        passed.append(list(faces))
+        return ranks(passed[-1], field)
+
+    monkeypatch.setattr(resolution, "reduced_ranks_from_faces", spy_ranks)
+    return passed
+
+
+def test_nerve_cover_never_outnumbers_the_generators(ranked_masks):
     # subset_ideal(8, 4) has 70 maximal A_x at the top degree, whose nerve
-    # has more than 2^35 faces; the dual cover has one set per generator.
-    nerve = resolution._nerve
-
-    def bounded_nerve(sets):
-        assert len(sets) <= 8
-        return nerve(sets)
-
-    monkeypatch.setattr(resolution, "_nerve", bounded_nerve)
+    # has more than 2^35 faces; K_{<m} itself lies on the 8 generators.
     assert betti_table(subset_ideal(8, 4)).vector == (8, 28, 56, 70, 35)
+    assert ranked_masks
+    assert all(reduce(or_, masks, 0) < 1 << 8 for masks in ranked_masks)
+
+
+def test_walk_ranks_one_mask_per_generator_or_per_variable(ranked_masks):
+    # the walk hands over the r maximal A_x, at most one per variable, or
+    # the |G_m| dual sets, one per generator; listing every face instead
+    # passes 163 at the top degree of subset_ideal(8, 4), where max(t, n) = 70
+    rng = Random(11)
+    ideals = [subset_ideal(8, 4)]
+    while len(ideals) < 31:
+        tree = random_tree(rng, max_facets=6, max_vertices=10)
+        try:
+            ideals += (build_J(tree), build_Jprime(tree),
+                       build_intermediate(tree, random_h(tree, rng)))
+        except (BoundaryOfSimplexError, DegenerateVertexFacetError):
+            continue
+    for ideal in ideals:
+        ranked_masks.clear()
+        betti_table(ideal)
+        bound = max(len(ideal.generators), len(ideal.variables))
+        assert all(len(masks) <= bound for masks in ranked_masks)
 
 
 def test_tree_scarf_ideals_beyond_the_oracles_reach():
@@ -243,7 +274,8 @@ def generic_ideal(rng: Random, t: int, variables=("x", "y", "z", "u")) -> Monomi
 
 @pytest.fixture
 def lattice_spy(monkeypatch):
-    """Records each lcm-lattice build and nerve rank computation."""
+    """Records each lcm-lattice build and each rank computation, which the
+    walk runs on facet masks, not on listed faces."""
     calls = []
     lattice, ranks = MonomialIdeal._lattice, resolution.reduced_ranks_from_faces
 

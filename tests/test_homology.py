@@ -21,8 +21,7 @@ import oracles
 from generators import random_complex, random_tree
 from oracles import (is_prime_lucas, is_prime_trial_division, rank_fraction_gauss,
                      rank_mod_p_gauss)
-from treescarf.complexes import _bit_indices, _coface_bits
-from treescarf.resolution import _nerve
+from treescarf.complexes import _bit_indices, _coface_bits, _submasks
 
 POINT = SimplicialComplex([{"1"}])
 CIRCLE = SimplicialComplex([{"1", "2"}, {"2", "3"}, {"1", "3"}])
@@ -267,8 +266,12 @@ def nerve_covers(draw):
 @given(nerve_covers())
 def test_mask_builder_matches_the_oracle_on_nerves_with_two_digit_names(sets):
     # the nerve's vertices are cover positions; the oracle names them "0",
-    # "1", ..., "13", so "10" and up must sort after "9" by vertex_key
-    assert_builders_agree(_nerve(sets), [str(j) for j in range(len(sets))])
+    # "1", ..., "13", so "10" and up must sort after "9" by vertex_key.  Its
+    # faces are the subsets of the dual sets {j : p in sets[j]}, one per point
+    duals = [sum(1 << j for j, s in enumerate(sets) if s >> p & 1)
+             for p in range(max(sets).bit_length())]
+    faces = {face for dual in duals for face in _submasks(dual)}
+    assert_builders_agree(list(faces), [str(j) for j in range(len(sets))])
 
 
 # -- reduced homology ---------------------------------------------------------------
