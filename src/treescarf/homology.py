@@ -12,8 +12,10 @@ Ranks are taken only after collapsing.  Elementary collapses keep reduced
 homology over every field, so ``reduced_ranks_from_faces`` first removes
 free pairs from the complex's coface-bit table (``complexes._coface_bits``,
 the table collapse certificates replay on) and eliminates only what is
-left; a complex that collapses to a point needs no elimination.  The
-dense elimination of every face is the reference in ``tests/oracles.py``.
+left.  A residual with no face of 3 vertices is a graph, and its ranks
+come from counts of vertices, edges and components; so a complex that
+collapses to a graph, a point included, needs no elimination.  The dense
+elimination of every face is the reference in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -229,6 +231,32 @@ def _collapse(table: dict[int, int]) -> None:
             rest ^= low
 
 
+def _graph_ranks(table: dict[int, int]) -> tuple[int, ...]:
+    """Reduced ranks of a graph from counts, given its coface-bit table.
+
+    With no vertex left only the empty face remains: rank 1 in dimension
+    -1.  Otherwise, with V vertices, E edges and c components, H_0 has
+    rank c - 1 and H_1 rank E - V + c, over every field.  The components
+    come from a search over the vertex entries, which hold the neighbours.
+    """
+    left = table[0]  # every vertex extends the empty face
+    if not left:
+        return (1,)
+    edges = sum(f.bit_count() == 2 for f in table)
+    vertices = left.bit_count()
+    components = 0
+    while left:
+        components += 1
+        reached = left & -left
+        while reached:
+            left ^= reached
+            grown = 0
+            for v in _bit_indices(reached):
+                grown |= table[1 << v]
+            reached = grown & left
+    return (0, components - 1, edges - vertices + components)
+
+
 def reduced_ranks_from_faces(faces: Iterable[int], field: FieldSpec = QQ) -> HomologyRanks:
     """Reduced homology ranks of the complex made of the given face masks
     and all their subfaces.
@@ -238,15 +266,19 @@ def reduced_ranks_from_faces(faces: Iterable[int], field: FieldSpec = QQ) -> Hom
     zero; any other set is augmented, which is what makes the answer
     reduced, so the set containing only the empty face has rank 1 in
     dimension -1.  The complex is collapsed first (``_collapse``), and
-    only what is left is eliminated; a collapse to one point needs no
-    rank at all.  Cost: the coface-bit table (the sum of 2^|F| over the
-    facets F, after sorting the masks by size), the collapse, then one
-    rank per dimension of the residual's chain complex.
+    only what is left is eliminated.  A residual with no face of 3
+    vertices takes no rank at all: it is a graph, answered from counts
+    (``_graph_ranks``).  Cost: the coface-bit table (the sum of 2^|F| over
+    the facets F, after sorting the masks by size), the collapse, then
+    O(N) for a graph residual of N faces, or else one rank per dimension
+    of the residual's chain complex.
     """
     table = _coface_bits(sorted(faces, key=int.bit_count, reverse=True))
     _collapse(table)
-    if len(table) in (0, 2):
-        return HomologyRanks(())  # the void complex, or a point and the empty face
+    if not table:
+        return HomologyRanks(())  # the void complex
+    if all(f.bit_count() < 3 for f in table):
+        return HomologyRanks(_graph_ranks(table))
     bases, boundaries = chain_complex_from_faces(table)
     r = {d: rank(mat, field) for d, mat in boundaries.items()}
     return HomologyRanks(tuple(len(bases[d]) - r.get(d, 0) - r.get(d + 1, 0)

@@ -10,19 +10,22 @@ share a label.  For forests, acyclicity degrades to connectivity, and only
 the lcms of vertex pairs need testing, which is the fast path.  Both
 criteria take a divisor subcomplex as a vertex mask and build no complex.
 
-The multigraded Betti numbers of a strongly generic ideal, where no
-variable has the same nonzero exponent in two generators, are read off
-its Scarf complex, which supports a minimal resolution of every such
-ideal (Bayer-Peeva-Sturmfels, *Monomial resolutions*, 1998): one rank per
-face, at the face's label.  Every other ideal takes the lcm-lattice walk,
-which is independent of any candidate complex: it takes the
+The multigraded Betti numbers are read off the Scarf complex whenever it
+is known to support a resolution, which is then minimal
+(Bayer-Peeva-Sturmfels, *Monomial resolutions*, 1998): one rank per
+face, at the face's label.  It is known to for a strongly generic ideal,
+where no variable has the same nonzero exponent in two generators, and
+for any ideal whose Scarf complex is a forest that passes the pair
+criterion, as the paper's J and J' of every simplicial tree do.  Every
+other ideal takes the lcm-lattice walk, which is independent of any
+candidate complex: it takes the
 strict-divisor subcomplexes K_{<m} of the full simplex on the
 generators, one per element m of the lcm lattice, and replaces each
 K_{<m} by the nerve of its cover by maximal simplices, which has the same
 reduced homology (nerve theorem), unless that cover has more sets than
 K_{<m} has vertices.  Either complex goes to the rank as its facets, and
-no face is listed.  The walk is what ``supports --verify`` checks the
-table against.  The Scarf complex is grown level by level from its
+no face is listed; a set of generators is a mask on their positions.
+The walk is what ``supports --verify`` checks the table against.  The Scarf complex is grown level by level from its
 vertices, using that a subset's lcm is unique exactly when no outside
 generator divides it and no codimension-1 subset shares it.  Neither
 enumerates the 2^t generator subsets; the definitions that do live in
@@ -234,28 +237,37 @@ def _lattice_betti_table(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTa
     exceeds the number |G_m| of generators dividing m (r alone can reach
     C(|G_m|, |G_m|/2) when there are more variables than generators).
     Either way ``reduced_ranks_from_faces`` gets max(r, |G_m|) masks, on
-    min(r, |G_m|) vertices, and no face is listed.  Cost: L * (t +
-    n*|G_m|) mask operations, plus per element the coface-bit table of
-    the masks passed (the sum of 2^|F| over them), its collapse, and
-    ranks on what is left.  The 2^t definition is kept as a test oracle
-    in ``tests/oracles.py``.  Serves every ideal that is not
-    strongly generic, and checks the Scarf route under ``supports --verify``.
+    min(r, |G_m|) vertices, and no face is listed.  Sets of generators
+    are masks on generator positions: the holders of each mask bit are
+    found once per ideal, so each A_x is one operation on the mask of
+    G_m.  Cost: O(t*n) mask operations to find the holders, then per
+    element t divisibility tests, n operations for the A_x, r*|G_m| for
+    the dual sets, and the coface-bit table of the masks passed (the sum
+    of 2^|F| over them), its collapse, and ranks on what is left.  The 2^t
+    definition is kept as a test oracle in ``tests/oracles.py``.  Serves
+    the ideals whose Scarf complex is not shown to support a resolution
+    (see ``betti_table``), and checks the Scarf routes under ``supports
+    --verify``.
     """
-    t = len(ideal._masks)
+    masks = ideal._masks
+    t = len(masks)
+    # holders[b]: the mask of the generator positions whose masks have bit b
+    holders = [0] * max(masks).bit_length()
+    for i, g in enumerate(masks):
+        for b in _bit_indices(g):
+            holders[b] |= 1 << i
     by_degree = {}
     vector: list[int] = []
     for m in ideal._lattice():
         if not m:
             continue  # only the unit ideal has this degree, and nothing below it
-        below = [g for g in ideal._masks if not g & ~m]
-        # each A_x, the generators lacking m's top bit in x, over below
-        maximal = _maximal(
-            sum(1 << i for i, g in enumerate(below) if not g >> x & 1)
-            for x in _bit_indices(ideal._tops(m)))
-        if len(maximal) <= len(below):
+        below = sum(1 << i for i, g in enumerate(masks) if not g & ~m)
+        # each A_x, the generators of below lacking m's top bit b in x
+        maximal = _maximal(below & ~holders[b] for b in _bit_indices(ideal._tops(m)))
+        if len(maximal) <= below.bit_count():
             # the nerve, by its dual sets; [0] when m is a generator
             maximal = [sum(1 << j for j, a in enumerate(maximal) if a >> i & 1)
-                       for i in range(len(below))]
+                       for i in _bit_indices(below)]
         column = reduced_ranks_from_faces(maximal, field).ranks
         for i, r in enumerate(column):
             if r:
@@ -286,23 +298,35 @@ def betti_table(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTable:
     """Multigraded Betti numbers of the quotient by the ideal.
 
     ``by_degree`` lists its degrees in lexicographic order under the
-    ideal's variable order.  For t generators in n variables there are two
-    routes, chosen by an O(t) mask test:
+    ideal's variable order.  A Scarf complex that supports a resolution
+    supports a minimal one, over every field, since no two of its faces
+    share a label (Bayer-Peeva-Sturmfels, *Monomial resolutions*, 1998).
+    Then each face F of ``scarf_complex(ideal)`` gives one rank, in
+    homological position |F| - 1 at its label, and ``vector`` is the
+    f-vector; reading them off costs sorting the faces by label.  For t
+    generators in n variables there are three routes:
 
-    - A strongly generic ideal other than the unit ideal: the Scarf
-      complex supports its minimal resolution over every field
-      (Bayer-Peeva-Sturmfels, *Monomial resolutions*, 1998),
-      so each face F of ``scarf_complex(ideal)`` gives one rank, in
-      homological position |F| - 1 at its label, and ``vector`` is the
-      f-vector.  Cost: that of ``scarf_complex``, O(t) mask operations
-      per candidate face, plus sorting the faces by label.
-    - Every other ideal: the lcm-lattice walk, one reduced homology rank
-      computation per lattice element (``_lattice_betti_table``).
+    - A strongly generic ideal other than the unit ideal, found by an O(t)
+      mask test: its Scarf complex always supports.  Cost: that of
+      ``scarf_complex``, O(t) mask operations per candidate face.
+    - Any other ideal but the unit ideal whose Scarf complex is a forest
+      that passes the pair criterion of ``supports_resolution_tree``, as
+      the ideals J and J' that ``scarf_ideals`` builds from a simplicial
+      tree do: the tree is their Scarf complex.  Cost: the Scarf faces, built once,
+      the forest decision on their facets, and t(t-1)/2 connectivity tests.
+    - Every other ideal, the unit ideal included: the lcm-lattice walk,
+      one reduced homology rank computation per lattice element
+      (``_lattice_betti_table``), after the Scarf faces and the forest
+      decision when the ideal is not strongly generic.
     """
     # by minimality, the unit ideal is the one whose first generator is 1
-    if not ideal._masks[0] or not _strongly_generic(ideal):
+    if not ideal._masks[0]:
         return _lattice_betti_table(ideal, field)
     faces = _scarf_faces(ideal._masks)
+    if not _strongly_generic(ideal):
+        scarf = _scarf_labeled(ideal, faces)
+        if not (scarf.complex.is_forest()[0] and supports_resolution_tree(scarf)[0]):
+            return _lattice_betti_table(ideal, field)
     vector = [0] * max(map(int.bit_count, faces))
     by_degree = {}
     # label masks sort in the labels' lexicographic order
@@ -350,8 +374,12 @@ def scarf_complex(ideal: MonomialIdeal) -> LabeledComplex:
     oracle in ``tests/oracles.py``.  The result is labeled by ``ideal``
     itself: "1".."t" sort in generator order, so nothing is rebuilt.
     """
+    return _scarf_labeled(ideal, _scarf_faces(ideal._masks))
+
+
+def _scarf_labeled(ideal: MonomialIdeal, faces: dict[int, int]) -> LabeledComplex:
+    # the Scarf complex of the ideal from its faces (``_scarf_faces``)
     names = tuple(str(i + 1) for i in range(len(ideal.generators)))
-    faces = _scarf_faces(ideal._masks)
     covered = {face ^ 1 << k for face in faces for k in _bit_indices(face)}
     complex_ = SimplicialComplex._from_maximal(
         _face(names, face) for face in faces if face not in covered)

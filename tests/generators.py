@@ -38,6 +38,27 @@ def random_tree(rng: Random, max_facets: int = 8, max_vertices: int = 10) -> Sim
             return candidate
 
 
+def triangle_tree(rng: Random, t: int) -> SimplicialComplex:
+    """A random tree of triangles on t >= 3 vertices, by leaf attachment.
+
+    Each new triangle keeps one or two vertices of an existing one, two
+    about as often as one, until t vertices are used; the last one keeps
+    two when a single vertex is left.  Keeping two can close a simplicial
+    cycle, so a candidate that is not a tree is resampled.
+    """
+    while True:
+        facets = [{0, 1, 2}]
+        used = 3
+        while used < t:
+            keep = 2 if t - used == 1 else rng.choice((1, 2))
+            base = sorted(rng.choice(facets))
+            facets.append(set(rng.sample(base, keep)) | set(range(used, used + 3 - keep)))
+            used += 3 - keep
+        candidate = SimplicialComplex([{str(v) for v in f} for f in facets])
+        if candidate.is_tree():
+            return candidate
+
+
 def random_forest(rng: Random, parts: int, max_facets: int = 4,
                   max_vertices: int = 8) -> SimplicialComplex:
     """A disjoint union of ``parts`` random trees on at most max_vertices

@@ -385,6 +385,9 @@ def test_check_reports_an_inclusion_minimal_witness(files, capsys):
     ("supports", "diamond", "ideal", "--verify"),
 ])
 def test_each_command_decides_forest_once(files, capsys, monkeypatch, argv):
+    # the input complex is decided once; supports' Betti table may decide
+    # one more complex, the Scarf complex of an ideal that is not strongly
+    # generic, as the spread ideal is not (x has exponent 1 twice)
     searched = []
     search = SimplicialComplex._simplicial_cycle
 
@@ -395,7 +398,12 @@ def test_each_command_decides_forest_once(files, capsys, monkeypatch, argv):
     monkeypatch.setattr(SimplicialComplex, "_simplicial_cycle", spy)
     code, _, _ = run(capsys, *(files.get(a, a) for a in argv))
     assert code == 0
-    assert searched == [load_complex(files["diamond"])]
+    expected = [load_complex(files["diamond"])]
+    if argv[0] == "supports":
+        ideal = load_ideal(files["ideal"])
+        assert not resolution._strongly_generic(ideal)
+        expected.append(resolution.scarf_complex(ideal).complex)
+    assert searched == expected
 
 
 @pytest.mark.parametrize("command", ["check", "collapse"])
@@ -632,6 +640,34 @@ def test_supports_verify_rechecks_betti_on_a_non_forest(files, capsys, monkeypat
     assert json.loads(checked)["diagnostics"] == [
         "general criterion used (complex is not a forest)",
         "Betti table cross-checked against the lcm-lattice walk"]
+
+
+def test_supports_on_a_tree_and_its_J_reads_betti_off_the_scarf_forest(
+        files, capsys, monkeypatch):
+    # J of a tree is not strongly generic, but its Scarf complex is the tree,
+    # which supports; the walk runs only as the --verify cross-check
+    ideal_path = str(files["tmp"] / "J.json")
+    code, _, _ = run(capsys, "build-scarf", files["tail"], "--variant", "J",
+                     "--out", ideal_path)
+    assert code == 0
+    assert not resolution._strongly_generic(load_ideal(ideal_path))
+    walked = []
+    walk = resolution._lattice_betti_table
+
+    def spy(ideal, field):
+        walked.append(ideal)
+        return walk(ideal, field)
+
+    monkeypatch.setattr(resolution, "_lattice_betti_table", spy)
+    argv = ("supports", files["tail"], ideal_path)
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0 and walked == []
+    code, checked, _ = run(capsys, *argv, "--verify")
+    assert code == 0 and walked == [load_ideal(ideal_path)]
+    assert json.loads(checked)["result"] == json.loads(plain)["result"]
+    assert json.loads(plain)["result"]["betti"] == [5, 6, 2]
+    assert ("Betti table cross-checked against the lcm-lattice walk"
+            in json.loads(checked)["diagnostics"])
 
 
 def test_supports_verify_raises_on_a_betti_mismatch(files, monkeypatch):

@@ -1,5 +1,5 @@
 """Scarf complexes and Betti tables against the 2^t definitions in oracles.py,
-the two Betti routes against each other, the pair-lcm tree criterion
+the Betti routes against each other, the pair-lcm tree criterion
 against the lcm-lattice loop, and the general support criterion on face
 masks against the loop that builds each divisor subcomplex.
 
@@ -32,7 +32,7 @@ from treescarf.monomials import UNIT, Monomial
 
 import oracles
 from generators import (RING_VARS, random_complex, random_forest,
-                        random_label_antichain, random_tree)
+                        random_label_antichain, random_tree, triangle_tree)
 
 FIELDS = (QQ, FieldSpec(2), FieldSpec(3), FieldSpec(5))
 fields = st.sampled_from(FIELDS)
@@ -218,21 +218,31 @@ def test_walk_ranks_one_mask_per_generator_or_per_variable(ranked_masks):
             continue
     for ideal in ideals:
         ranked_masks.clear()
-        betti_table(ideal)
+        resolution._lattice_betti_table(ideal)
         bound = max(len(ideal.generators), len(ideal.variables))
         assert all(len(masks) <= bound for masks in ranked_masks)
 
 
-def test_tree_scarf_ideals_beyond_the_oracles_reach():
+def test_tree_scarf_ideals_beyond_the_oracles_reach(lattice_spy):
     # t >= 16 is out of reach for the 2^t definitions; the tree is its own
-    # Scarf complex and its f-vector is the Betti vector of J and Jprime.
+    # Scarf complex and its f-vector is the Betti vector of J and Jprime,
+    # which betti_table reads off the tree, building no lcm lattice, and
+    # which the walk computes.  A random tree on 16 or more vertices, then
+    # trees of triangles on 20 to 32.
     rng = Random(5)
     tree = random_tree(rng, max_facets=10, max_vertices=20)
     while len(tree.vertices) < 16:
         tree = random_tree(rng, max_facets=10, max_vertices=20)
-    for ideal in (build_J(tree), build_Jprime(tree)):
-        assert verify_scarf(tree, ideal)[0] == ScarfComparison.EQUAL
-        assert betti_table(ideal).vector == tree.f_vector()
+    trees = [tree] + [triangle_tree(Random(f"triangles:{t}"), t) for t in (20, 24, 28, 32)]
+    for tree in trees:
+        for ideal in (build_J(tree), build_Jprime(tree)):
+            assert verify_scarf(tree, ideal)[0] == ScarfComparison.EQUAL
+            lattice_spy.clear()
+            fast = betti_table(ideal)
+            assert lattice_spy == []
+            walk = resolution._lattice_betti_table(ideal)
+            assert fast.vector == walk.vector == tree.f_vector()
+            assert list(fast.by_degree.items()) == list(walk.by_degree.items())
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -258,7 +268,7 @@ def test_edge_case_answers():
     assert betti_table(coprime).vector == tuple(comb(4, i + 1) for i in range(4))
 
 
-# -- Betti routes: Scarf faces for strongly generic ideals, else the lattice ----
+# -- Betti routes: Scarf faces when they provably support, else the lattice --
 
 def generic_ideal(rng: Random, t: int, variables=("x", "y", "z", "u")) -> MonomialIdeal:
     """t minimal generators; each variable's exponents are a permutation of
@@ -319,6 +329,84 @@ def test_scarf_route_matches_the_lattice_walk_beyond_the_oracles_reach(t):
         fast, walk = betti_table(ideal, field), resolution._lattice_betti_table(ideal, field)
         assert fast.vector == walk.vector
         assert list(fast.by_degree.items()) == list(walk.by_degree.items())
+
+
+def betti_route(ideal: MonomialIdeal) -> str:
+    """The route ``betti_table`` takes, decided the slow way."""
+    if ideal.generators[0].is_unit():
+        return "walk"
+    if resolution._strongly_generic(ideal):
+        return "strongly generic"
+    scarf = oracles.scarf_complex(ideal)
+    if not scarf.complex.is_forest()[0]:
+        return "walk"
+    if oracles.supports_resolution_tree(scarf)[0]:
+        return "Scarf forest"
+    return "walk after the pair criterion"
+
+
+@st.composite
+def forest_scarf_ideals(draw):
+    """J, J' or an intermediate ideal of a random tree, or of a forest of
+    two or three trees, as (number of trees, variant, ideal)."""
+    rng = draw(st.randoms(use_true_random=True))
+    parts = draw(st.sampled_from((1, 2, 3)))
+    if parts == 1:
+        forest = random_tree(rng, max_facets=5, max_vertices=8)
+    else:
+        forest = random_forest(rng, parts, max_vertices=9)
+    variant = draw(st.sampled_from(("J", "Jprime", "intermediate")))
+    try:
+        if variant == "J":
+            ideal = build_J(forest)
+        elif variant == "Jprime":
+            ideal = build_Jprime(forest)
+        else:
+            ideal = build_intermediate(forest, random_h(forest, rng))
+    except (BoundaryOfSimplexError, DegenerateVertexFacetError):
+        assume(False)
+    return parts, variant, ideal
+
+
+def test_forest_scarf_route_matches_the_walk_and_the_oracle():
+    # J and J' of a tree take the Scarf route, those of a forest of several
+    # trees fail the pair criterion on the forest Scarf complex and walk
+    seen = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(forest_scarf_ideals(), st.sampled_from((QQ, FieldSpec(2), FieldSpec(3))))
+    def check(case, field):
+        parts, variant, ideal = case
+        ref = oracles.betti_table(ideal, field)
+        for table in (betti_table(ideal, field), resolution._lattice_betti_table(ideal, field)):
+            assert table.vector == ref.vector
+            assert list(table.by_degree.items()) == list(ref.by_degree.items())
+        route = betti_route(ideal)
+        if variant != "intermediate" and len(ideal.generators) > 1:
+            assert route in ("strongly generic", "Scarf forest" if parts == 1
+                             else "walk after the pair criterion")
+        seen.add(route)
+
+    check()
+    assert seen == {"strongly generic", "Scarf forest", "walk after the pair criterion",
+                    "walk"}
+
+
+def test_J_and_Jprime_of_trees_build_no_lattice(lattice_spy):
+    rng = Random(29)
+    checked = 0
+    while checked < 60:
+        tree = random_tree(rng, max_facets=8, max_vertices=12)
+        if len(tree.vertices) == 1:
+            continue  # J is the unit ideal, which walks
+        try:
+            ideals = (build_J(tree), build_Jprime(tree))
+        except (BoundaryOfSimplexError, DegenerateVertexFacetError):
+            continue
+        for ideal in ideals:
+            assert betti_table(ideal).vector == tree.f_vector()
+            checked += 1
+    assert lattice_spy == []
 
 
 # -- the tree criterion: pair lcms against the whole lcm lattice -----------------

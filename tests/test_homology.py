@@ -385,9 +385,14 @@ def test_projective_plane_ranks_depend_on_the_characteristic():
     assert reduced_homology_ranks(RP2, FieldSpec(3)).is_zero()
 
 
+def graph(*edges: str) -> SimplicialComplex:
+    return SimplicialComplex([set(e) for e in edges])
+
+
 def test_conventions_need_no_elimination(monkeypatch):
-    # the void complex, the empty face alone, and everything that collapses
-    # to one point are answered without a rank
+    # the void complex, the empty face alone, everything that collapses to
+    # one point, and every residual with no face of 3 vertices (a graph,
+    # answered from its vertex, edge and component counts) take no rank
     calls = []
     monkeypatch.setattr(homology, "rank", lambda *args: calls.append(args))
     assert reduced_ranks_from_faces([]) == HomologyRanks(())
@@ -396,6 +401,17 @@ def test_conventions_need_no_elimination(monkeypatch):
                   POINT._face_masks(), SimplicialComplex([set("12345")])._facet_masks):
         assert reduced_ranks_from_faces(faces) == HomologyRanks(())
     assert is_acyclic(SimplicialComplex([set("123"), set("345")]))
+    graphs = [
+        CIRCLE,
+        graph("12", "23", "13", "45", "56", "46"),        # two disjoint circles
+        graph("12", "23", "34", "41", "13"),              # a theta graph
+        graph("12", "23", "31", "34", "45", "53", "6"),   # two circles on a vertex, and a point
+        *(SimplicialComplex([{str(i)} for i in range(k)]) for k in (1, 2, 3, 7)),
+    ]
+    for complex_ in graphs:
+        for field in RANK_FIELDS:
+            assert (reduced_ranks_from_faces(complex_._facet_masks, field)
+                    == oracles.reduced_ranks_from_faces([frozenset(), *complex_.faces()], field))
     assert calls == []
     # the empty face is never freed, so a collapse ends at a point, not void
     table = _coface_bits(SimplicialComplex([set("123"), set("345")])._facet_masks)
@@ -404,7 +420,8 @@ def test_conventions_need_no_elimination(monkeypatch):
 
 
 def test_what_does_not_collapse_is_eliminated(monkeypatch):
-    # a circle has no free face, so its residual is all of it
+    # the hollow tetrahedron has no free face, so its residual is all of it,
+    # and a residual with a 2-face goes to elimination
     calls = []
     rank = homology.rank
 
@@ -413,8 +430,9 @@ def test_what_does_not_collapse_is_eliminated(monkeypatch):
         return rank(matrix, field)
 
     monkeypatch.setattr(homology, "rank", spy)
-    assert reduced_ranks_from_faces(CIRCLE._facet_masks).nonzero() == {1: 1}
-    assert calls == [1, 3]  # the vertices' augmentation row, the edges' boundary
+    assert reduced_ranks_from_faces(SPHERE._facet_masks).nonzero() == {2: 1}
+    # the augmentation row, then the boundaries of the edges and the triangles
+    assert calls == [1, 4, 6]
 
 
 # -- acyclicity ------------------------------------------------------------------
