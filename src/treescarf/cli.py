@@ -3,25 +3,27 @@
 Every command prints one report object with the keys "command", "inputs",
 "result" and "diagnostics" as ``json.dumps(report, indent=2,
 sort_keys=True)`` writes it, so identical inputs and seeds give
-byte-identical output.  ``collapse`` and ``verify-collapse`` lay out their
-certificate from masks and splice the text in where json would put it
-(see ``treescarf.io``).  Exit code 0 means the computation ran (whatever
-the mathematical answer).  A bad file, or a flag value that parses but is
-wrong (``--field 4``, a bad ``--labels``), exits 2 with a JSON error on
-stderr.  A command line that argparse rejects (an unknown command
-or flag, a missing argument, ``--field two``) exits 2 with argparse's usage
-text on stderr instead.
+byte-identical output.  ``treescarf.io.json_text`` writes those bytes
+without importing json, over json's C string quoter, and ``collapse`` and
+``verify-collapse`` lay out their certificate from masks and splice the
+text in where json would put it (see ``treescarf.io``).  Exit code 0
+means the computation ran (whatever the mathematical answer).  A bad
+file, or a flag value that parses but is wrong (``--field 4``, a bad
+``--labels``), exits 2 with a JSON error on stderr.  A command line that
+argparse rejects (an unknown command or flag, a missing argument,
+``--field two``) exits 2 with argparse's usage text on stderr instead.
 
 Each command runs in its own process, so its fixed cost matters: a command
 line spelled exactly as ``_GRAMMAR`` writes it is parsed without argparse,
-and each command imports only the library modules it runs.  argparse is
-built from the same table, and only for the other lines, so every help,
-usage and error text is still argparse's own.  ``python -m treescarf.cli``
-runs with the cyclic garbage collector off, and once ``main()`` returns it
-flushes stdout and stderr and ends with ``os._exit(code)``, skipping the
-interpreter's finalisation.  Whatever ``main()`` raises (argparse's
-``SystemExit``, an uncaught error, a ``BrokenPipeError``) and a stream that
-cannot be flushed still exit the normal way.  ``main()`` called in process,
+and each command imports only the library modules it runs; no valid
+command line imports json or re.  argparse is built from the same table,
+and only for the other lines, so every help, usage and error text is
+still argparse's own.  ``python -m treescarf.cli`` runs with the cyclic
+garbage collector off, and once ``main()`` returns it flushes stdout and
+stderr and ends with ``os._exit(code)``, skipping the interpreter's
+finalisation.  Whatever ``main()`` raises (argparse's ``SystemExit``, an
+uncaught error, a ``BrokenPipeError``) and a stream that cannot be flushed
+still exit the normal way.  ``main()`` called in process,
 as by the ``treescarf`` console script, is unaffected: it leaves the
 collector as it finds it, and its process keeps the normal exit.
 """

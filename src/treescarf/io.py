@@ -9,37 +9,86 @@ Vertex-name order inside a facet is irrelevant; duplicate names in a facet
 or in a step's face, and duplicate facets, are rejected.  All emitters
 produce deterministic, canonically ordered JSON data that re-parses to an
 equal value, and ``json_text`` writes it as ``json.dumps(data, indent=2,
-sort_keys=True)``.  The one exception is a collapse certificate, which can
-run to megabytes: ``_certificate_text`` lays out the same bytes straight
-from the step masks, with no data in between and without json's
-pure-Python indenting encoder, and ``_with_certificate`` splices that text
-into a report.
+sort_keys=True)`` writes it.  The one exception is a collapse certificate,
+which can run to megabytes: ``_certificate_text`` lays out the same bytes
+straight from the step masks, with no data in between, and
+``_with_certificate`` splices that text into a report.
 
 Each command runs in its own process, so ``collapse`` and ``monomials``
 are imported inside the readers and writers that use them: a command
-loads only the layers it runs.
+loads only the layers it runs.  For the same reason no valid input loads
+the ``json`` package, whose import compiles six regular expressions.
+Files are read by the C scanner that ``json.loads`` runs, and text is
+written by a short recursive writer over json's C string quoter, both
+from ``_json``.  What they do not handle goes to ``json`` itself,
+imported only then: a text that fails to scan or has trailing data, and
+a value of another type.  So every value, text and error is json's.
+Without ``_json`` (an interpreter other than CPython) files are read by
+``json.loads`` and strings quoted by json's pure-Python quoter.
 """
 
 from __future__ import annotations
 
-import json
-from json.encoder import encode_basestring_ascii as _quote
-
 from .complexes import SimplicialComplex, _bit_indices, face_sorted, vertex_key
 from .errors import InputFileError, MonomialParseError
+
+try:
+    from _json import encode_basestring_ascii as _quote
+    from _json import make_scanner
+except ImportError:  # an interpreter without json's C accelerators
+    from json.encoder import encode_basestring_ascii as _quote
+    make_scanner = None
+
+
+class _LoadsSettings:
+    # what json.loads hands its C scanner: strict strings, no hooks, and
+    # NaN and Infinity read as floats
+    strict = True
+    object_hook = object_pairs_hook = None
+    parse_float, parse_int = float, int
+    parse_constant = {"NaN": float("nan"), "Infinity": float("inf"),
+                      "-Infinity": float("-inf")}.__getitem__
+
+
+_scan = None if make_scanner is None else make_scanner(_LoadsSettings)
+_SPACE = " \t\n\r"  # JSON's whitespace
+
+
+def _parse_json(text):
+    """``json.loads(text)``: the value, or json's own exception.
+
+    A text with one value between JSON whitespace is read by the C scanner
+    that json.loads runs, with the same settings.  Anything else, and
+    whatever the scan raises (without ``json.decoder`` loaded it raises
+    ``SystemError`` or ``StopIteration`` where json raises
+    ``JSONDecodeError``), goes to json.loads itself, imported only then.
+    """
+    if _scan is not None:
+        start = len(text) - len(text.lstrip(_SPACE))
+        try:
+            value, end = _scan(text, start)
+        except Exception:  # json.loads below raises what json raises
+            pass
+        else:
+            if not text[end:].strip(_SPACE):
+                return value
+    import json
+    return json.loads(text)
 
 
 def _load_json(path):
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise InputFileError("invalid JSON: " + exc.msg, path=path,
-                             location=f"line {exc.lineno}, column {exc.colno}") from None
+            return _parse_json(handle.read())
     except UnicodeDecodeError as exc:
         raise InputFileError("invalid JSON: not UTF-8 text", path=path,
                              location=f"byte {exc.start}") from None
     except ValueError as exc:
+        # json is loaded: only its decoder raises a ValueError here
+        from json import JSONDecodeError
+        if isinstance(exc, JSONDecodeError):
+            raise InputFileError("invalid JSON: " + exc.msg, path=path,
+                                 location=f"line {exc.lineno}, column {exc.colno}") from None
         # an integer literal longer than int()'s digit limit
         raise InputFileError(f"invalid JSON: {exc}", path=path) from None
     except RecursionError:
@@ -91,7 +140,7 @@ def complex_to_data(complex_: SimplicialComplex) -> dict:
 
 
 def parse_ideal_data(data, path=None) -> MonomialIdeal:
-    from .monomials import _NAME_RE, MonomialIdeal, parse_monomial
+    from .monomials import MonomialIdeal, _is_name, parse_monomial
     if not isinstance(data, dict) or "variables" not in data or "generators" not in data:
         raise InputFileError('expected an object with "variables" and "generators"',
                              path=path)
@@ -99,7 +148,7 @@ def parse_ideal_data(data, path=None) -> MonomialIdeal:
     if not isinstance(variables, list):
         raise InputFileError('"variables" must be a list of names', path=path)
     for i, name in enumerate(variables):
-        if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
+        if not isinstance(name, str) or not _is_name(name):
             raise InputFileError(f"bad variable name {name!r}", path=path,
                                  location=f"variables[{i}]")
     raw = data["generators"]
@@ -184,14 +233,14 @@ def _certificate_text(vertices, pairs, terminal) -> str:
     Laid out straight from the masks: each step is one template filled
     with its two faces' texts, and each face's text is its parent's plus
     one name (see ``_StepNames``).  Only the terminal, a few facets, goes
-    through json.
+    through ``json_text``.
     """
     parts = ['{\n  "steps": [']
     if pairs:
         names = _StepNames(vertices)
         parts += ["\n", ",\n".join([_STEP % (names[coface], names[free])
                                    for free, coface in pairs]), "\n  "]
-    terminal = json.dumps([_names(vertices, f) for f in terminal], indent=2)
+    terminal = json_text([_names(vertices, f) for f in terminal])
     parts += ['],\n  "terminal": ', terminal.replace("\n", "\n  "), "\n}"]
     return "".join(parts)
 
@@ -267,5 +316,56 @@ def _write_file(text, path) -> None:
 
 
 def json_text(value) -> str:
-    """The text of every report, JSON error and file this package writes."""
-    return json.dumps(value, indent=2, sort_keys=True)
+    """The text of every report, JSON error and file this package writes:
+    ``json.dumps(value, indent=2, sort_keys=True)``.
+
+    Written by ``_lay_out`` when the value is made of the types reports
+    hold; any other value goes to json, imported only then, which writes
+    it or raises as it always does.
+    """
+    parts = []
+    try:
+        _lay_out(value, parts, "\n")
+    except (TypeError, ValueError, RecursionError):
+        # another type, an int too long for repr, or a cycle
+        import json
+        return json.dumps(value, indent=2, sort_keys=True)
+    return "".join(parts)
+
+
+def _lay_out(value, parts, newline) -> None:
+    """Append to ``parts`` the text json.dumps(indent=2, sort_keys=True)
+    gives ``value``, at the depth whose line break and indent is
+    ``newline``.  Only dicts with str keys, lists, str, int, bool and None
+    are taken, each of exactly that type; anything else is a TypeError."""
+    kind = type(value)
+    if kind is str:
+        parts.append(_quote(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True or value is False:
+        parts.append("true" if value else "false")
+    elif kind is int:
+        parts.append(int.__repr__(value))
+    elif kind is list and value:
+        inner = newline + "  "
+        parts.append("[")
+        for item in value:
+            parts.append(inner)
+            _lay_out(item, parts, inner)
+            parts.append(",")
+        parts[-1] = newline + "]"  # the last item's comma
+    elif kind is dict and value:
+        inner = newline + "  "
+        parts.append("{")
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError("a key that is not a str")
+            parts += inner, _quote(key), ": "
+            _lay_out(value[key], parts, inner)
+            parts.append(",")
+        parts[-1] = newline + "}"
+    elif kind is list or kind is dict:
+        parts.append("[]" if kind is list else "{}")
+    else:
+        raise TypeError(f"{kind.__name__} is not laid out here")

@@ -16,9 +16,9 @@ lexicographic; a mask has at most t*n bits, however large the exponents.
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_right
 from collections.abc import Iterable, Mapping
+from itertools import compress
 
 from .complexes import vertex_key
 from .errors import EmptyListError, MonomialParseError
@@ -40,6 +40,15 @@ class Monomial:
                 exps[name] = e
         self._exps = exps
         self._items = tuple(sorted(exps.items()))
+
+    @classmethod
+    def _of(cls, exponents: Iterable[tuple[str, int]]) -> "Monomial":
+        """The monomial of (name, positive exponent) pairs with distinct
+        names, which the caller vouches for: nothing is checked."""
+        m = cls.__new__(cls)
+        m._exps = exps = dict(exponents)
+        m._items = tuple(sorted(exps.items()))
+        return m
 
     # -- queries -------------------------------------------------------------
 
@@ -102,9 +111,17 @@ def lcm(monomials: Iterable[Monomial]) -> Monomial:
 # monomial = "1" | term ("*" term)*
 # term     = name ("^" positive-integer)?
 # name     = letter (letter | digit | "_")*
+#
+# with ASCII letters and digits only.
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_INT_RE = re.compile(r"[0-9]+")
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+_DIGITS = frozenset("0123456789")
+_NAME_CHARS = _LETTERS | _DIGITS | {"_"}
+
+
+def _is_name(s: str) -> bool:
+    """Whether ``s`` is a whole name of the grammar above."""
+    return s.isascii() and s[:1].isalpha() and s.replace("_", "a").isalnum()
 
 
 def parse_monomial(text: str) -> Monomial:
@@ -117,24 +134,27 @@ def parse_monomial(text: str) -> Monomial:
     while True:
         while pos < n and text[pos].isspace():
             pos += 1
-        m = _NAME_RE.match(text, pos)
-        if m is None:
+        start = pos
+        if pos == n or text[pos] not in _LETTERS:
             raise MonomialParseError("expected a variable name", pos)
-        name = m.group()
-        pos = m.end()
+        pos += 1
+        while pos < n and text[pos] in _NAME_CHARS:
+            pos += 1
+        name = text[start:pos]
         exp = 1
         if pos < n and text[pos] == "^":
             pos += 1
-            d = _INT_RE.match(text, pos)
-            if d is None:
+            start = pos
+            while pos < n and text[pos] in _DIGITS:
+                pos += 1
+            if pos == start:
                 raise MonomialParseError("expected an integer exponent", pos)
             try:
-                exp = int(d.group())
+                exp = int(text[start:pos])
             except ValueError:  # more digits than int() converts
-                raise MonomialParseError("exponent too large", pos) from None
+                raise MonomialParseError("exponent too large", start) from None
             if exp < 1:
-                raise MonomialParseError("exponent must be positive", pos)
-            pos = d.end()
+                raise MonomialParseError("exponent must be positive", start)
         exps[name] = exps.get(name, 0) + exp
         while pos < n and text[pos].isspace():
             pos += 1
@@ -174,7 +194,7 @@ class MonomialIdeal:
     variable list.
     """
 
-    __slots__ = ("_variables", "_generators", "_spans", "_starts", "_masks")
+    __slots__ = ("_variables", "_generators", "_spans", "_starts", "_masks", "_levels")
 
     def __init__(self, variables: Iterable[str], generators: Iterable[Monomial]):
         self._variables = tuple(variables)
@@ -188,12 +208,14 @@ class MonomialIdeal:
             missing = set(g.variables) - known
             if missing:
                 raise ValueError(f"generator {g} uses undeclared variables {sorted(missing)}")
-        # (variable, levels, shift) per variable, the last in the lowest bits
-        spans, shift = [], 0
+        # (variable, levels, shift) per variable, the last in the lowest bits,
+        # and per mask bit, from the lowest, its (variable, exponent)
+        spans, shift, self._levels = [], 0, []
         for x in reversed(self._variables):
             levels = sorted({g.exponent(x) for g in gens} - {0})
             spans.append((x, levels, shift))
             shift += len(levels)
+            self._levels += [(x, e) for e in levels]
         self._spans = spans
         self._starts = sum(1 << s for _, levels, s in spans if levels)
         self._masks = tuple(map(self._encode, gens))
@@ -221,12 +243,11 @@ class MonomialIdeal:
         return mask
 
     def _decode(self, mask: int) -> Monomial:
-        """The monomial of an lcm of generator masks."""
-        exps = {}
-        for x, levels, shift in self._spans:
-            if k := (mask >> shift & (1 << len(levels)) - 1).bit_length():
-                exps[x] = levels[k - 1]
-        return Monomial(exps)
+        """The monomial of an lcm of generator masks: the top set bit of
+        each variable's span names its (variable, exponent) in a table
+        built with the spans, picked out by one pass in C over the bits."""
+        bits = bin(self._tops(mask))[:1:-1]  # lowest bit first
+        return Monomial._of(compress(self._levels, map("1".__eq__, bits)))
 
     def _tops(self, mask: int) -> int:
         """The highest set bit of each variable's span in the mask."""

@@ -316,14 +316,20 @@ def betti_table(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTable:
       the forest decision on their facets, and t(t-1)/2 connectivity tests.
     - Every other ideal, the unit ideal included: the lcm-lattice walk,
       one reduced homology rank computation per lattice element
-      (``_lattice_betti_table``), after the Scarf faces and the forest
-      decision when the ideal is not strongly generic.
+      (``_lattice_betti_table``), after the Scarf faces when the ideal is
+      not strongly generic.  The forest decision is skipped when the Scarf
+      faces' Euler characteristic, sum of (-1)^(|F|-1), is below 1, which
+      no forest's is.
     """
     # by minimality, the unit ideal is the one whose first generator is 1
     if not ideal._masks[0]:
         return _lattice_betti_table(ideal, field)
     faces = _scarf_faces(ideal._masks)
     if not _strongly_generic(ideal):
+        # a nonempty forest collapses to one point per component, so its
+        # Euler characteristic is its number of components, at least 1
+        if sum(1 if face.bit_count() & 1 else -1 for face in faces) < 1:
+            return _lattice_betti_table(ideal, field)
         scarf = _scarf_labeled(ideal, faces)
         if not (scarf.complex.is_forest()[0] and supports_resolution_tree(scarf)[0]):
             return _lattice_betti_table(ideal, field)

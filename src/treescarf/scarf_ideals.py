@@ -21,7 +21,7 @@ from ._frozen import FrozenValue
 from .complexes import SimplicialComplex, face_sorted
 from .errors import (ArityMismatchError, BadHError, BoundaryOfSimplexError,
                      DegenerateVertexFacetError)
-from .monomials import UNIT, Monomial, MonomialIdeal, _NAME_RE
+from .monomials import UNIT, Monomial, MonomialIdeal, _is_name
 from .resolution import LabeledComplex, scarf_complex
 
 
@@ -45,7 +45,7 @@ def face_variable_ring(complex_: SimplicialComplex) -> FaceVariableRing:
     outside the monomial grammar or the same name for two faces."""
     for v in complex_.vertices:
         # other face-variable names join vertex names with "" or "_"
-        if not _NAME_RE.fullmatch("x_" + v):
+        if not _is_name("x_" + v):
             raise ValueError(f"vertex name {v!r} cannot be part of a variable name")
     faces = complex_.faces()
     sep = "" if all(len(v) == 1 for v in complex_.vertices) else "_"

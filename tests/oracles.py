@@ -48,7 +48,11 @@ of the two face sets is for ``verify_scarf``, and both Betti
 table oracles build their chain complexes with it, so they share no
 chain-complex code with the library.  The closure of ``Monomial.lcm``
 over the generators, sorted by exponent vector, is the reference for the
-sorted mask closure ``MonomialIdeal._lattice`` and reads no mask.
+sorted mask closure ``MonomialIdeal._lattice`` and reads no mask.  The
+walk over every variable's span of a mask is the reference for
+``MonomialIdeal._decode``, which looks up only the top set bits, and the
+monomial grammar by regular expressions the reference for the library's
+parser, which scans ASCII letters and digits with index loops.
 Monomial products, exact quotients, radicals, exponent vectors with
 their lexicographic key, the Euler characteristic, a complex's dimension,
 face membership and face labels, none of which the library needs, are
@@ -56,6 +60,7 @@ defined here for the tests and the references above.
 """
 
 import itertools
+import re
 from fractions import Fraction
 from random import Random
 from typing import Iterable, Iterator, Mapping, Optional
@@ -63,7 +68,8 @@ from typing import Iterable, Iterator, Mapping, Optional
 from treescarf.collapse import CollapseSequence, CollapseStep
 from treescarf.complexes import Face, SimplicialComplex, face_key, face_sorted, vertex_key
 from treescarf.errors import (BadHError, BoundaryOfSimplexError,
-                              DegenerateVertexFacetError, NotAFaceError)
+                              DegenerateVertexFacetError, MonomialParseError,
+                              NotAFaceError)
 from treescarf.homology import QQ, FieldSpec, HomologyRanks, rank
 from treescarf.monomials import UNIT, Monomial, MonomialIdeal, lcm
 from treescarf.resolution import BettiTable, LabeledComplex
@@ -96,6 +102,63 @@ def divide_exact(a: Monomial, b: Monomial) -> Monomial:
 def radical(m: Monomial) -> Monomial:
     """m with every positive exponent set to 1."""
     return Monomial({v: 1 for v in m.variables})
+
+
+# the monomial grammar of ``treescarf.monomials`` as regular expressions
+NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+INT_RE = re.compile(r"[0-9]+")
+
+
+def parse_monomial(text: str) -> Monomial:
+    """The grammar's parser by regex matches; reference for the library's
+    index loops over ASCII letters and digits.  Raises the same
+    MonomialParseError, message and offset."""
+    if text.strip() == "1":
+        return UNIT
+    exps: dict[str, int] = {}
+    pos = 0
+    n = len(text)
+    while True:
+        while pos < n and text[pos].isspace():
+            pos += 1
+        m = NAME_RE.match(text, pos)
+        if m is None:
+            raise MonomialParseError("expected a variable name", pos)
+        name = m.group()
+        pos = m.end()
+        exp = 1
+        if pos < n and text[pos] == "^":
+            pos += 1
+            d = INT_RE.match(text, pos)
+            if d is None:
+                raise MonomialParseError("expected an integer exponent", pos)
+            try:
+                exp = int(d.group())
+            except ValueError:  # more digits than int() converts
+                raise MonomialParseError("exponent too large", pos) from None
+            if exp < 1:
+                raise MonomialParseError("exponent must be positive", pos)
+            pos = d.end()
+        exps[name] = exps.get(name, 0) + exp
+        while pos < n and text[pos].isspace():
+            pos += 1
+        if pos == n:
+            break
+        if text[pos] != "*":
+            raise MonomialParseError("expected '*' between terms", pos)
+        pos += 1
+    return Monomial(exps)
+
+
+def decode(ideal: MonomialIdeal, mask: int) -> Monomial:
+    """The monomial of an lcm mask, read span by span: each variable's
+    exponent is the level of the highest set bit in its span.  Reference
+    for ``MonomialIdeal._decode``, which reads only the set top bits."""
+    exps = {}
+    for x, levels, shift in ideal._spans:
+        if k := (mask >> shift & (1 << len(levels)) - 1).bit_length():
+            exps[x] = levels[k - 1]
+    return Monomial(exps)
 
 
 def lcm_lattice(ideal: MonomialIdeal) -> tuple[Monomial, ...]:

@@ -244,6 +244,132 @@ def test_writer_edge_cases_and_file_output(value, tmp_path):
     assert out.read_text() == expected + "\n"
 
 
+class IntSubclass(int):
+    pass
+
+
+class DictSubclass(dict):
+    pass
+
+
+class StrSubclass(str):
+    pass
+
+
+# every code point, lone surrogates and control characters included
+json_strings = st.text(st.characters(exclude_categories=()), max_size=6)
+laid_out = st.one_of(st.none(), st.booleans(), st.integers(),
+                     st.integers(min_value=2**64, max_value=10**300), json_strings)
+# what json_text hands to json: floats, subclasses, tuples
+handed_over = st.one_of(st.floats(), st.builds(IntSubclass, st.integers()),
+                        st.builds(StrSubclass, json_strings))
+keys = st.one_of(json_strings, json_strings, st.integers(), st.none(), st.booleans(),
+                 st.floats(allow_nan=False), st.builds(StrSubclass, json_strings))
+
+
+def nest(children):
+    return st.one_of(st.lists(children, max_size=4),
+                     st.dictionaries(json_strings, children, max_size=4),
+                     st.dictionaries(keys, children, max_size=3),
+                     st.lists(children, max_size=3).map(tuple),
+                     st.dictionaries(json_strings, children, max_size=3).map(DictSubclass))
+
+
+def outcome(write, value):
+    try:
+        return write(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def deep(depth):
+    value = []
+    for i in range(depth):
+        value = [1, value] if i % 2 else {"k": value}
+    return value
+
+
+cyclic = []
+cyclic.append(cyclic)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.recursive(st.one_of(laid_out, handed_over), nest, max_leaves=12))
+@example(10**4400)  # longer than int's repr limit: ValueError from both
+@example({"b": [10**4400]})
+@example(deep(40))
+@example(cyclic)  # json: "Circular reference detected"
+@example({1: "a", "1": "b"})
+@example({"a": 1, 2: "b"})  # keys that do not sort
+@example({"\x00\x1f\x7f\u00e9\ud800\udfff\U0001f600": "\u2028\\\""})
+@example([object(), b"x", {1, 2}])
+def test_writer_is_json_dumps_indented_with_sorted_keys(value):
+    expected = outcome(lambda v: json.dumps(v, indent=2, sort_keys=True), value)
+    assert outcome(io.json_text, value) == expected
+
+
+def reader_outcome(read, text):
+    try:
+        return "value", repr(read(text))
+    except (ValueError, RecursionError) as exc:
+        return type(exc), str(exc)
+
+
+# JSON's own characters, the whitespace JSON has and the whitespace it has not
+# (vertical tab, form feed, NBSP, a line separator), and a byte order mark
+JSON_CHARS = st.sampled_from(list('{}[]:,"\\ 0123456789-+.eEtrufalsnNI\tu\n\r') +
+                             ["\x0b", "\x0c", "\xa0", "\u2028", "\ufeff", "\x00",
+                              "\ud800", "\u00e9", "/", "x"])
+WHITESPACE = st.text(st.sampled_from([" ", "\t", "\n", "\r"]), max_size=3)
+
+
+@st.composite
+def json_texts(draw):
+    """A JSON document between JSON whitespace, sometimes broken: a prefix,
+    a byte order mark, something other than whitespace after it, or one
+    character changed."""
+    value = draw(st.recursive(st.one_of(st.none(), st.booleans(), st.integers(),
+                                        st.floats(), json_strings),
+                              lambda c: st.lists(c, max_size=3)
+                              | st.dictionaries(json_strings, c, max_size=3),
+                              max_leaves=8))
+    text = json.dumps(value, indent=draw(st.sampled_from((None, 0, 2))),
+                      ensure_ascii=draw(st.booleans()))
+    text = draw(WHITESPACE) + text + draw(WHITESPACE)
+    change = draw(st.sampled_from(("none", "cut", "bom", "tail", "char")))
+    if change == "cut":
+        text = text[:draw(st.integers(0, len(text)))]
+    elif change == "bom":
+        text = "\ufeff" + text
+    elif change == "tail":
+        text += draw(st.text(JSON_CHARS, min_size=1, max_size=3))
+    elif change == "char" and text:
+        i = draw(st.integers(0, len(text) - 1))
+        text = text[:i] + draw(JSON_CHARS) + text[i + 1:]
+    return text
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(json_texts(), st.text(JSON_CHARS, max_size=12)))
+@example("")
+@example(" \t\n\r")
+@example("\ufeff{}")
+@example('{"a": 1} x')
+@example('{"a": 1}\x0b')
+@example('\x0c[]')
+@example('[1]\xa0')
+@example("[" * 100000 + "]" * 100000)  # nested too deeply for both
+@example("[" * 200 + "]" * 200)
+@example("1" * 5000)  # longer than int()'s digit limit
+@example('{"x": [' + "9" * 4301 + "]}")
+@example('[NaN, Infinity, -Infinity, 1e400, -0.0, 1.5]')
+@example('"\\ud800\\udc00 \\ud800"')
+@example('"\x01"')  # a raw control character: strict
+@example('{"a": 1, "a": 2}')
+def test_reader_is_json_loads(text):
+    assert reader_outcome(io._parse_json, text) == reader_outcome(json.loads, text)
+
+
 # names that JSON escapes, and names whose vertex_key order is not string order
 CERTIFICATE_NAMES = ("1", "2", "10", "a", '"', "\\", "é", "\x01", "\n", "\u2028", "😀")
 
@@ -1259,7 +1385,7 @@ def test_cli_import_loads_neither_dataclasses_nor_fractions(files):
                           capture_output=True, text=True, check=True)
     added = set(proc.stdout.split())
     assert "treescarf.cli" in added
-    assert not added & {"dataclasses", "fractions", "typing", "random"}
+    assert not added & {"dataclasses", "fractions", "typing", "random", "json", "re"}
     # Each command end to end: a valid command line never builds the
     # argparse parser, and a command loads only the library modules it runs.
     for argv, forbidden in COMMAND_MODULES:
@@ -1268,10 +1394,85 @@ def test_cli_import_loads_neither_dataclasses_nor_fractions(files):
             env=env, cwd=files["tmp"], capture_output=True, text=True, check=True)
         code, *added = proc.stderr.split()
         assert code == "0" and "treescarf.io" in added, (argv, proc.stderr)
-        never = {"dataclasses", "fractions", "typing", "argparse", "gettext", "locale"}
+        never = {"dataclasses", "fractions", "typing", "argparse", "gettext", "locale",
+                 "json", "re"}
         if "intermediate" not in argv:
             never.add("random")
         assert not set(added) & (never | forbidden), argv
+
+
+WITHOUT_C_JSON = """
+import runpy, sys
+sys.modules["_json"] = None  # json's C accelerators cannot be imported
+runpy.run_module("treescarf.cli", run_name="__main__")
+"""
+
+# reading and writing by json itself, as json.load and json.dumps did
+BY_JSON = """
+import json, runpy, sys
+import treescarf.io
+treescarf.io._parse_json = json.loads
+treescarf.io.json_text = lambda value: json.dumps(value, indent=2, sort_keys=True)
+runpy.run_module("treescarf.cli", run_name="__main__")
+"""
+
+# malformed files: the C scanner's failures, in a process that has not
+# loaded json, must read as json's own
+MALFORMED = {
+    "cut.json": b'{"facets": [["1", "2"]',
+    "bom.json": b'\xef\xbb\xbf{"facets": [["1"]]}',
+    "latin1.json": b'{"facets": [["\xe9"]]}',
+    "deep.json": b"[" * 100000 + b"]" * 100000,
+    "huge.json": b'{"facets": [[' + b"7" * 5000 + b"]]}",
+    "list.json": b'[["1", "2"]]',
+    "trailing.json": b'{"facets": [["1"]]}\n x',
+    "vtab.json": b'\x0b{"facets": [["1"]]}',
+    "nan.json": b'{"facets": [[NaN]]}',
+    "control.json": b'{"facets": [["a\x01"]]}',
+    "empty.json": b"",
+}
+
+
+def test_output_is_that_of_json_with_and_without_its_c_accelerators(files):
+    # every report, error and --out file is the one json.load and
+    # json.dumps give; with _json unimportable, io reads with json.loads
+    # and quotes with json's pure-Python encoder, to the same bytes
+    tmp = files["tmp"]
+    for name, data in MALFORMED.items():
+        (tmp / name).write_bytes(data)
+    (tmp / "names.json").write_text(json.dumps(
+        {"facets": [["1", "\u00e9\u2028", '"'], ["1", "\ud83d\ude00"], ["2", "1"]]}))
+    command_lines = [
+        ("check", "tail"), ("fvector", "names.json"), ("check", "names.json"),
+        ("collapse", "names.json", "--out", "cert.json"),
+        ("verify-collapse", "names.json", "cert.json"),
+        ("collapse", "diamond", "--out", "cert2.json"), ("verify-collapse", "tail", "cert2.json"),
+        ("scarf", "ideal"), ("betti", "ideal", "--field", "2"),
+        ("supports", "diamond", "ideal", "--verify"),
+        ("build-scarf", "tail", "--variant", "intermediate", "--seed", "3",
+         "--out", "built.json"), ("betti", "built.json"),
+        *(("check", name) for name in MALFORMED),
+        ("verify-collapse", "tail", "trailing.json"), ("scarf", "list.json"),
+    ]
+    src = str(Path(treescarf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    outputs = {}
+    for head in (("-m", "treescarf.cli"), ("-c", WITHOUT_C_JSON), ("-c", BY_JSON)):
+        runs = outputs[head] = {}
+        for argv in command_lines:
+            proc = subprocess.run([sys.executable, *head, *(files.get(a, a) for a in argv)],
+                                  env=env, cwd=tmp, capture_output=True)
+            outs = [(tmp / argv[i + 1]).read_bytes()
+                    for i, a in enumerate(argv) if a == "--out"]
+            runs[argv] = (proc.returncode, proc.stdout, proc.stderr, outs)
+    ours, without, reference = outputs.values()
+    assert ours == reference
+    # json's pure-Python scanner words one error differently from its C one
+    del without["check", "control.json"], reference["check", "control.json"]
+    assert without == reference
+    codes = [code for code, *_ in ours.values()]
+    assert codes == [0] * 12 + [2] * (len(MALFORMED) + 2)
+    assert not any(b"Traceback" in stderr for _, _, stderr, _ in ours.values())
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -409,6 +409,40 @@ def test_J_and_Jprime_of_trees_build_no_lattice(lattice_spy):
     assert lattice_spy == []
 
 
+def test_intermediate_ideals_whose_scarf_faces_no_forest_has_skip_the_forest_attempt(
+        monkeypatch):
+    # a nonempty simplicial forest collapses to one point per component, so
+    # its Euler characteristic is at least 1; below that, betti_table walks
+    # without labeling the Scarf faces or deciding the forest question
+    labeled = []
+    real = resolution._scarf_labeled
+
+    def spy(ideal, faces):
+        labeled.append(ideal)
+        return real(ideal, faces)
+
+    monkeypatch.setattr(resolution, "_scarf_labeled", spy)
+    rng = Random(31)
+    below = at_least = 0
+    while below < 15 or at_least < 5:
+        tree = random_tree(rng, max_facets=5, max_vertices=9)
+        try:
+            ideal = build_intermediate(tree, random_h(tree, rng))
+        except (BoundaryOfSimplexError, DegenerateVertexFacetError):
+            continue
+        if len(ideal.generators) == 1 or resolution._strongly_generic(ideal):
+            continue
+        chi = oracles.euler_characteristic(oracles.scarf_complex(ideal).complex)
+        labeled.clear()
+        table = betti_table(ideal)
+        assert (labeled == []) == (chi < 1), chi
+        ref = oracles.betti_table(ideal)
+        assert table.vector == ref.vector
+        assert list(table.by_degree.items()) == list(ref.by_degree.items())
+        below += chi < 1
+        at_least += chi >= 1
+
+
 # -- the tree criterion: pair lcms against the whole lcm lattice -----------------
 
 @st.composite

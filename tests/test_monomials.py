@@ -5,12 +5,13 @@ from random import Random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treescarf import (UNIT, LabeledComplex, Monomial, MonomialIdeal,
                        SimplicialComplex, format_monomial, lcm, parse_monomial)
 from treescarf.errors import EmptyListError, MonomialParseError
+from treescarf.monomials import _is_name
 
 import oracles
 from generators import RING_VARS, random_monomial
@@ -241,3 +242,69 @@ def test_masks_agree_with_monomial_arithmetic(case):
     complex_ = labeled.complex
     assert labeled.divisor_subcomplex(m) == complex_.induced(
         v for v in complex_.vertices if labeled.label(v).divides(m))
+
+
+# -- the parser against the regex grammar ---------------------------------------
+
+# the grammar's characters, their non-ASCII look-alikes, and whitespace
+PARSE_CHARS = st.sampled_from(list("xyzXZ_019^* 1") + ["\t", "\n", "\x0b", "\u00e9",
+                                                        "\u00b2", "\u0663", "\uff11",
+                                                        "\u212a", "\xa0", "-"])
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except MonomialParseError as exc:
+        return type(exc), str(exc), exc.position
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.text(PARSE_CHARS, max_size=12),
+                 st.text(max_size=8),
+                 st.lists(st.tuples(st.sampled_from(["x", "y_1", "Z", "ab9"]),
+                                    st.sampled_from(["", "^0", "^2", "^007", "^" + "9" * 4301]),
+                                    st.sampled_from(["*", " * ", "**", " "])),
+                          max_size=4).map(lambda ts: "".join(map("".join, ts)))))
+# digits and letters that are not ASCII, which str methods accept
+@example("x^\u0663")
+@example("x^1\u00b2")
+@example("x\u00e9*y")
+@example("\u212a")
+@example("x^" + "9" * 4301)
+def test_parser_matches_the_regex_grammar(text):
+    assert parse_outcome(parse_monomial, text) == parse_outcome(oracles.parse_monomial, text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(PARSE_CHARS, max_size=6), st.text(max_size=4)))
+def test_name_test_matches_the_regex_grammar(text):
+    assert _is_name(text) == bool(oracles.NAME_RE.fullmatch(text))
+
+
+# -- decoding lattice masks -----------------------------------------------------
+
+@st.composite
+def leveled_ideals(draw):
+    """A minimal ideal whose variables may take several levels, some above
+    1, with a declared variable unused; sometimes the unit ideal."""
+    variables = draw(st.permutations(RING_VARS + ("w",)))[:draw(st.integers(1, 6))]
+    used = [x for x in variables if x != "w"]
+    if not used or draw(st.integers(0, 9)) == 0:
+        return MonomialIdeal(variables, [UNIT])
+    drawn = draw(st.lists(st.dictionaries(st.sampled_from(used), EXPONENTS, min_size=1),
+                          min_size=1, max_size=7))
+    gens = list(dict.fromkeys(map(Monomial, drawn)))
+    gens = [g for g in gens if not any(h != g and h.divides(g) for h in gens)]
+    return MonomialIdeal(variables, gens)
+
+
+@settings(max_examples=300, deadline=None)
+@given(leveled_ideals())
+@example(MonomialIdeal(("x",), [UNIT]))
+@example(MonomialIdeal(("x", "y"), [Monomial({"x": 3}), Monomial({"x": 1, "y": 5}),
+                                    Monomial({"y": 7})]))
+def test_decode_reads_top_bits_as_the_span_walk_does(ideal):
+    masks = ideal._lattice() + list(map(ideal._encode, ideal.generators))
+    for mask in masks:
+        assert ideal._decode(mask) == oracles.decode(ideal, mask)
