@@ -4,9 +4,10 @@ Every command prints one report object with the keys "command", "inputs",
 "result" and "diagnostics" as ``json.dumps(report, indent=2,
 sort_keys=True)`` writes it, so identical inputs and seeds give
 byte-identical output.  ``treescarf.io.json_text`` writes those bytes
-without importing json, over json's C string quoter, and ``collapse`` and
-``verify-collapse`` lay out their certificate from masks and splice the
-text in where json would put it (see ``treescarf.io``).  Exit code 0
+without importing json, over json's C string quoter; ``collapse`` and
+``verify-collapse`` lay out their certificate from masks and hand the text
+to that writer, which places it where json would put the certificate's
+data (see ``treescarf.io``).  Exit code 0
 means the computation ran (whatever the mathematical answer).  A bad
 file, or a flag value that parses but is wrong (``--field 4``, a bad
 ``--labels``), exits 2 with a JSON error on stderr.  A command line that
@@ -122,17 +123,27 @@ def cmd_supports(args) -> dict:
         supports, failing = supports_resolution(labeled, field)
         diagnostics.append("general criterion used (complex is not a forest)")
     minimal, _ = is_minimal(labeled)
-    betti = betti_table(ideal, field)
-    if args.verify:
-        if _lattice_betti_table(ideal, field) != betti:
-            raise AssertionError("Betti table disagrees with the lcm-lattice walk")
-        diagnostics.append("Betti table cross-checked against the lcm-lattice walk")
+    f_vector = betti = list(complex_.f_vector())
+    # a minimal complex that supports a resolution over the field just
+    # decided supports the minimal one, so its f-vector is the Betti vector
+    # (Bayer-Peeva-Sturmfels, *Monomial resolutions*, 1998)
+    minimal_support = supports and minimal
+    if not minimal_support or args.verify:
+        table = betti_table(ideal, field)
+        if args.verify:
+            if _lattice_betti_table(ideal, field) != table:
+                raise AssertionError("Betti table disagrees with the lcm-lattice walk")
+            if minimal_support and list(table.vector) != f_vector:
+                raise AssertionError("Betti vector differs from the f-vector of "
+                                     "a minimal support")
+            diagnostics.append("Betti table cross-checked against the lcm-lattice walk")
+        betti = list(table.vector)
     result = {
         "supports": supports,
         "minimal": minimal,
         "failing_degree": None if failing is None else ideal.format(failing),
-        "betti": list(betti.vector),
-        "f_vector": list(complex_.f_vector()),
+        "betti": betti,
+        "f_vector": f_vector,
     }
     return {"inputs": {"complex": io.complex_to_data(complex_),
                        "ideal": io.ideal_to_data(ideal),
@@ -214,6 +225,7 @@ def cmd_collapse(args) -> dict:
     certificate = io._certificate_text(vertices, pairs, left)
     terminal = [io._names(vertices, f) for f in left]
     result = {
+        "certificate": io._Laid(certificate),
         "steps": len(pairs),
         "terminal": terminal,
         "collapsed_to_point": len(terminal) == 1 and len(terminal[0]) == 1,
@@ -222,7 +234,7 @@ def cmd_collapse(args) -> dict:
         io._write_file(certificate, args.out)
         diagnostics.append(f"certificate written to {args.out}")
     return {"inputs": {"complex": io.complex_to_data(complex_)}, "result": result,
-            "diagnostics": diagnostics, "certificate": ("result", certificate)}
+            "diagnostics": diagnostics}
 
 
 def cmd_verify_collapse(args) -> dict:
@@ -233,8 +245,9 @@ def cmd_verify_collapse(args) -> dict:
     result = {"valid": bad is None,
               "first_bad_step": None if bad is None else bad[0],
               "violation": None if bad is None else bad[1]}
-    return {"inputs": {"complex": io.complex_to_data(complex_)}, "result": result,
-            "diagnostics": [], "certificate": ("inputs", io._sequence_text(sequence))}
+    return {"inputs": {"certificate": io._Laid(io._sequence_text(sequence)),
+                       "complex": io.complex_to_data(complex_)},
+            "result": result, "diagnostics": []}
 
 
 _COMMANDS = {
@@ -367,13 +380,7 @@ def main(argv=None) -> int:
         print(io.json_text(error), file=sys.stderr)
         return 2
     report["command"] = args.command
-    # collapse and verify-collapse hand over their certificate as text, with
-    # the report object that holds it
-    certificate = report.pop("certificate", None)
-    text = io.json_text(report)
-    if certificate is not None:
-        text = io._with_certificate(text, *certificate)
-    print(text)
+    print(io.json_text(report))
     return 0
 
 

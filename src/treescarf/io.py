@@ -11,8 +11,8 @@ produce deterministic, canonically ordered JSON data that re-parses to an
 equal value, and ``json_text`` writes it as ``json.dumps(data, indent=2,
 sort_keys=True)`` writes it.  The one exception is a collapse certificate,
 which can run to megabytes: ``_certificate_text`` lays out the same bytes
-straight from the step masks, with no data in between, and
-``_with_certificate`` splices that text into a report.
+straight from the step masks, with no data in between.  A report holds
+that text as a ``_Laid`` value, which ``json_text`` places at its depth.
 
 Each command runs in its own process, so ``collapse`` and ``monomials``
 are imported inside the readers and writers that use them: a command
@@ -180,17 +180,6 @@ def ideal_to_data(ideal: MonomialIdeal) -> dict:
                            for g in ideal.generators]}
 
 
-def sequence_to_data(sequence: CollapseSequence) -> dict:
-    # one vertex_key sort of every name, then each face sorts by index
-    steps = sequence.steps
-    names = set().union(*(s.free_face for s in steps), *(s.coface for s in steps))
-    index = {v: i for i, v in enumerate(sorted(names, key=vertex_key))}.__getitem__
-    return {"steps": [{"free": sorted(s.free_face, key=index),
-                       "coface": sorted(s.coface, key=index)}
-                      for s in steps],
-            "terminal": complex_to_data(sequence.terminal)["facets"]}
-
-
 def _names(vertices, mask) -> list[str]:
     # the names of a face mask over a complex's vertices; bit order is
     # vertex_key order, so they come out sorted
@@ -233,22 +222,23 @@ def _certificate_text(vertices, pairs, terminal) -> str:
     Laid out straight from the masks: each step is one template filled
     with its two faces' texts, and each face's text is its parent's plus
     one name (see ``_StepNames``).  Only the terminal, a few facets, goes
-    through ``json_text``.
+    through ``_lay_out``.
     """
     parts = ['{\n  "steps": [']
     if pairs:
         names = _StepNames(vertices)
         parts += ["\n", ",\n".join([_STEP % (names[coface], names[free])
                                    for free, coface in pairs]), "\n  "]
-    terminal = json_text([_names(vertices, f) for f in terminal])
-    parts += ['],\n  "terminal": ', terminal.replace("\n", "\n  "), "\n}"]
+    parts.append('],\n  "terminal": ')
+    _lay_out([_names(vertices, f) for f in terminal], parts, "\n  ")
+    parts.append("\n}")
     return "".join(parts)
 
 
 def _sequence_text(sequence: CollapseSequence) -> str:
-    # the text of sequence_to_data(sequence), laid out from masks over the
-    # certificate's names in vertex_key order; the terminal's facets keep
-    # their canonical order
+    # the certificate text of the sequence, laid out from masks over its
+    # names in vertex_key order; the terminal's facets keep their
+    # canonical order
     steps, facets = sequence.steps, sequence.terminal.facets
     vertices = sorted(set().union(*facets, *(s.free_face for s in steps),
                                   *(s.coface for s in steps)), key=vertex_key)
@@ -259,23 +249,6 @@ def _sequence_text(sequence: CollapseSequence) -> str:
 
     return _certificate_text(vertices, [(mask(s.free_face), mask(s.coface)) for s in steps],
                              list(map(mask, facets)))
-
-
-def _with_certificate(text, parent, certificate) -> str:
-    """A report's ``json_text`` with ``certificate`` text placed under the
-    key "certificate" of its top-level object ``parent``, a nonempty
-    object whose keys all sort after "certificate".
-
-    The parent's opening line, ``\\n  "<parent>": {\\n``, occurs exactly
-    once in the text: each top-level key opens its own line two spaces
-    in, deeper lines are indented further, dict keys are distinct, and no
-    JSON string holds a raw newline.  Keys are sorted, so "certificate"
-    goes first, straight after that line, two spaces deeper.
-    """
-    opening = f'\n  "{parent}": {{\n'
-    head, _, tail = text.partition(opening)
-    return "".join((head, opening, '    "certificate": ',
-                    certificate.replace("\n", "\n    "), ",\n", tail))
 
 
 def parse_sequence_data(data, path=None) -> CollapseSequence:
@@ -315,6 +288,17 @@ def _write_file(text, path) -> None:
         raise InputFileError(f"cannot write: {exc.strerror}", path=path) from None
 
 
+class _Laid:
+    """JSON text already laid out at depth 0, as ``json_text`` writes it,
+    for ``_lay_out`` to place as a value at any depth.  Not a ``str``, so
+    json.dumps rejects it rather than writing it as a string."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text):
+        self.text = text
+
+
 def json_text(value) -> str:
     """The text of every report, JSON error and file this package writes:
     ``json.dumps(value, indent=2, sort_keys=True)``.
@@ -336,8 +320,9 @@ def json_text(value) -> str:
 def _lay_out(value, parts, newline) -> None:
     """Append to ``parts`` the text json.dumps(indent=2, sort_keys=True)
     gives ``value``, at the depth whose line break and indent is
-    ``newline``.  Only dicts with str keys, lists, str, int, bool and None
-    are taken, each of exactly that type; anything else is a TypeError."""
+    ``newline``.  Only dicts with str keys, lists, str, int, bool, None
+    and ``_Laid`` text are taken, each of exactly that type; anything else
+    is a TypeError."""
     kind = type(value)
     if kind is str:
         parts.append(_quote(value))
@@ -367,5 +352,7 @@ def _lay_out(value, parts, newline) -> None:
         parts[-1] = newline + "}"
     elif kind is list or kind is dict:
         parts.append("[]" if kind is list else "{}")
+    elif kind is _Laid:
+        parts.append(value.text.replace("\n", newline))
     else:
         raise TypeError(f"{kind.__name__} is not laid out here")

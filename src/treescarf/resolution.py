@@ -104,11 +104,6 @@ class LabeledComplex:
         """The ideal generated by the vertex labels, in vertex order."""
         return self._ideal
 
-    def divisor_subcomplex(self, m: Monomial) -> SimplicialComplex:
-        """Subcomplex induced on the vertices whose labels divide m."""
-        keep = self._divisor_vertices(self._ideal._encode(m))
-        return self._complex.induced(_face(self._complex.vertices, keep))
-
     def _divisor_vertices(self, m: int) -> int:
         # the vertex mask of the vertices whose label masks divide the mask m
         return sum(1 << i for i, g in enumerate(self._ideal._masks) if not g & ~m)

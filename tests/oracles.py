@@ -449,6 +449,14 @@ def supports_resolution_tree(labeled: LabeledComplex) -> tuple[bool, Optional[Mo
     return True, None
 
 
+def divisor_subcomplex(labeled: LabeledComplex, m: Monomial) -> SimplicialComplex:
+    """The subcomplex induced on the vertices whose labels divide m, by
+    ``Monomial.divides``.  Reference for the divisor vertex masks that both
+    support criteria cut facet masks by."""
+    complex_ = labeled.complex
+    return complex_.induced(v for v in complex_.vertices if labeled.label(v).divides(m))
+
+
 def supports_resolution(labeled: LabeledComplex,
                         field: FieldSpec = QQ) -> tuple[bool, Optional[Monomial]]:
     """The general criterion as stated: the lexicographically first m in
@@ -456,7 +464,7 @@ def supports_resolution(labeled: LabeledComplex,
     nonzero reduced rank by dense elimination of every face.  Reference
     for the library's collapse-first rank test on cut facet masks."""
     for m in lcm_lattice(labeled.ideal()):
-        if reduced_ranks_from_faces(labeled.divisor_subcomplex(m).faces(), field).ranks:
+        if reduced_ranks_from_faces(divisor_subcomplex(labeled, m).faces(), field).ranks:
             return False, m
     return True, None
 
@@ -776,6 +784,15 @@ def tree_collapse_certificate(tree: SimplicialComplex) -> CollapseSequence:
     point = frozenset({min(last, key=vertex_key)})
     steps.extend(simplex_steps(last, point))
     return CollapseSequence(tuple(steps), SimplicialComplex([point]))
+
+
+def sequence_to_data(sequence: CollapseSequence) -> dict:
+    """The certificate data of a collapse sequence, as dicts and name lists
+    sorted by ``vertex_key``; the terminal's facets keep their canonical
+    order.  Reference for the certificate text ``verify-collapse`` echoes."""
+    return {"steps": [{"free": list(face_sorted(s.free_face)),
+                       "coface": list(face_sorted(s.coface))} for s in sequence.steps],
+            "terminal": [list(face_sorted(f)) for f in sequence.terminal.facets]}
 
 
 def mask_steps_to_data(vertices, pairs, terminal) -> dict:

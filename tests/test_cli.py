@@ -402,6 +402,56 @@ def test_certificate_text_is_the_writer_text_of_its_data(facets):
     assert [io._names(vertices, f) for f in left] == json.loads(expected)["terminal"]
 
 
+json_leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=3))
+
+
+@st.composite
+def placed(draw, value):
+    """``value`` at the bottom of zero to four nested dicts and lists, each
+    with siblings around it."""
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            siblings = draw(st.dictionaries(st.text(max_size=3), json_leaves, max_size=3))
+            siblings[draw(st.text(max_size=3))] = value
+        else:
+            siblings = draw(st.lists(json_leaves, max_size=3))
+            siblings.insert(draw(st.integers(0, len(siblings))), value)
+        value = siblings
+    return value
+
+
+certificate_data = st.fixed_dictionaries({
+    "steps": st.lists(st.fixed_dictionaries(
+        {"free": st.lists(st.sampled_from(CERTIFICATE_NAMES), min_size=1, max_size=3),
+         "coface": st.lists(st.sampled_from(CERTIFICATE_NAMES), min_size=1, max_size=3)}),
+        max_size=3),
+    "terminal": st.lists(st.lists(st.sampled_from(CERTIFICATE_NAMES), min_size=1,
+                                  max_size=3), min_size=1, max_size=2)})
+
+
+ESCAPED = {"steps": [{"free": ['"'], "coface": ["\n", "\\"]}], "terminal": [["\u2028"]]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(certificate_data.flatmap(lambda data: placed(io._Laid(io.json_text(data)))))
+@example({"inputs": {"certificate": io._Laid('{\n  "steps": [],\n  "terminal": [\n'
+                                             '    [\n      "1"\n    ]\n  ]\n}')}})
+@example([0, [{"": None}, io._Laid(io.json_text(ESCAPED))]])
+def test_laid_out_text_is_placed_at_any_depth(report):
+    # a certificate laid out at depth 0 is placed where json.dumps puts
+    # its data, inside dicts and lists at any depth
+    expected = json.dumps(report, indent=2, sort_keys=True,
+                          default=lambda laid: json.loads(laid.text))
+    assert io.json_text(report) == expected
+
+
+def test_laid_out_text_is_no_string_to_json():
+    # a report json_text hands to json, here for its float, is refused
+    # rather than written with the certificate as a quoted string
+    with pytest.raises(TypeError):
+        io.json_text({"certificate": io._Laid("{}"), "ratio": 0.5})
+
+
 def with_certificate(text, parent, certificate):
     # json's indented text of the report ``text`` holds, with the
     # certificate under its object ``parent`` given as data
@@ -427,8 +477,8 @@ certificate_faces = st.lists(st.sampled_from(CERTIFICATE_NAMES + ("x", "11")),
 def test_certificate_reports_are_json_text_of_their_data(facets, steps, terminal):
     # collapse (its report and --out file, tree and greedy) and
     # verify-collapse (of that file, and of any well-formed certificate:
-    # invalid, or with names outside the complex) splice certificate text
-    # into the report exactly where json puts the certificate's data
+    # invalid, or with names outside the complex) place certificate text
+    # in the report exactly where json puts the certificate's data
     complex_ = SimplicialComplex(facets)
     pairs, left = certificate_masks(complex_)
     certificate = oracles.mask_steps_to_data(complex_.vertices, pairs, left)
@@ -455,7 +505,7 @@ def test_certificate_reports_are_json_text_of_their_data(facets, steps, terminal
     assert collapsed == with_certificate(collapsed, "result", certificate)
     assert replayed == with_certificate(replayed, "inputs", certificate)
     assert json.loads(replayed)["result"]["valid"]
-    echoed = io.sequence_to_data(parse_sequence_data(other))
+    echoed = oracles.sequence_to_data(parse_sequence_data(other))
     assert checked == with_certificate(checked, "inputs", echoed)
 
 
@@ -596,25 +646,20 @@ def test_each_facet_is_walked_once(files, capsys, monkeypatch, command, name):
 @pytest.mark.parametrize("argv", [("check",), ("collapse", "--out", "cert.json")])
 def test_tree_commands_name_faces_only_for_output(files, capsys, monkeypatch, argv):
     # check and collapse work on masks from schedule to output: no
-    # CollapseStep is built and the frozenset writer is never called
-    built, written = [], []
+    # CollapseStep is built
+    built = []
     init = collapse.CollapseStep.__init__
 
     def spy_step(self, free_face, coface):
         built.append((free_face, coface))
         init(self, free_face, coface)
 
-    def spy_data(sequence):
-        written.append(sequence)
-        raise AssertionError("sequence_to_data called")
-
     monkeypatch.setattr(collapse.CollapseStep, "__init__", spy_step)
-    monkeypatch.setattr(io, "sequence_to_data", spy_data)
     monkeypatch.chdir(files["tmp"])
     command, *options = argv
     code, out, _ = run(capsys, command, files["tail"], *options)
     assert code == 0
-    assert built == [] and written == []
+    assert built == []
     complex_ = load_complex(files["tail"])
     # the public certificate is still the frozenset schedule's, and the
     # report carries its length and terminal
@@ -636,30 +681,24 @@ NON_TREE_FACETS = {"facets": [["1", "2"], ["2", "3"], ["1", "3"], ["3", "4", "5"
 def test_greedy_collapse_command_names_faces_only_for_output(files, capsys, monkeypatch,
                                                              options):
     # collapse on a non-tree works on masks from the greedy steps to the
-    # output too: no CollapseStep is built and the frozenset writer is
-    # never called
+    # output too: no CollapseStep is built
     path = files["tmp"] / "non_tree.json"
     path.write_text(json.dumps(NON_TREE_FACETS))
     complex_ = load_complex(str(path))
     assert not complex_.is_tree()
-    expected = io.sequence_to_data(oracles.greedy_collapse(complex_)[0])
-    built, written = [], []
+    expected = oracles.sequence_to_data(oracles.greedy_collapse(complex_)[0])
+    built = []
     init = collapse.CollapseStep.__init__
 
     def spy_step(self, free_face, coface):
         built.append((free_face, coface))
         init(self, free_face, coface)
 
-    def spy_data(sequence):
-        written.append(sequence)
-        raise AssertionError("sequence_to_data called")
-
     monkeypatch.setattr(collapse.CollapseStep, "__init__", spy_step)
-    monkeypatch.setattr(io, "sequence_to_data", spy_data)
     monkeypatch.chdir(files["tmp"])
     code, out, _ = run(capsys, "collapse", str(path), *options)
     assert code == 0
-    assert built == [] and written == []
+    assert built == []
     result = json.loads(out)["result"]
     assert result["certificate"] == expected
     assert result["terminal"] == [["1", "2"], ["1", "3"], ["2", "3"]]
@@ -679,7 +718,7 @@ def test_greedy_collapse_report_matches_the_frozenset_greedy(facets):
     # the frozenset writer's text of the rescanning greedy's steps
     complex_ = SimplicialComplex(facets)
     assume(not complex_.is_tree())
-    expected = io.sequence_to_data(oracles.greedy_collapse(complex_)[0])
+    expected = oracles.sequence_to_data(oracles.greedy_collapse(complex_)[0])
     with tempfile.TemporaryDirectory() as tmp:
         complex_file = os.path.join(tmp, "complex.json")
         out = os.path.join(tmp, "cert.json")
@@ -794,6 +833,44 @@ def test_supports_on_a_tree_and_its_J_reads_betti_off_the_scarf_forest(
     assert json.loads(plain)["result"]["betti"] == [5, 6, 2]
     assert ("Betti table cross-checked against the lcm-lattice walk"
             in json.loads(checked)["diagnostics"])
+
+
+def test_supports_on_a_tree_and_its_Jprime_takes_betti_from_the_f_vector(
+        files, capsys, monkeypatch):
+    # the tree supports J' minimally, so its f-vector is the Betti vector:
+    # no Scarf face and no lcm lattice is built unless --verify asks
+    ideal_path = str(files["tmp"] / "Jprime.json")
+    code, _, _ = run(capsys, "build-scarf", files["tail"], "--variant", "Jprime",
+                     "--out", ideal_path)
+    assert code == 0
+    calls = []
+    for owner, name in ((resolution, "_scarf_faces"), (MonomialIdeal, "_lattice")):
+        def spy(*args, _name=name, _method=getattr(owner, name)):
+            calls.append(_name)
+            return _method(*args)
+        monkeypatch.setattr(owner, name, spy)
+    argv = ("supports", files["tail"], ideal_path)
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0 and calls == []
+    result = json.loads(plain)["result"]
+    assert result["supports"] and result["minimal"]
+    assert result["betti"] == result["f_vector"] == [5, 6, 2]
+    code, checked, _ = run(capsys, *argv, "--verify")
+    assert code == 0 and {"_scarf_faces", "_lattice"} <= set(calls)
+    assert json.loads(checked)["result"] == result
+
+
+def test_supports_verify_raises_when_a_minimal_support_is_not_the_betti_vector(
+        files, monkeypatch):
+    # the edge and triangle support the spread ideal minimally; a table
+    # that both Betti routes agree on must still be the f-vector
+    p = files["tmp"] / "edge_triangle.json"
+    p.write_text(json.dumps({"facets": [["1", "2"], ["2", "3", "4"]]}))
+    table = BettiTable({}, (4, 5, 1))
+    monkeypatch.setattr(resolution, "betti_table", lambda ideal, field: table)
+    monkeypatch.setattr(resolution, "_lattice_betti_table", lambda ideal, field: table)
+    with pytest.raises(AssertionError, match="f-vector"):
+        main(["supports", str(p), files["ideal"], "--verify"])
 
 
 def test_supports_verify_raises_on_a_betti_mismatch(files, monkeypatch):
@@ -1315,7 +1392,7 @@ PUBLIC_METHODS = {
         "empty", "f_vector", "faces", "facets", "induced", "is_connected",
         "is_empty", "is_forest", "is_tree", "vertices"],
     LabeledComplex: [
-        "complex", "divisor_subcomplex", "ideal", "label", "labels", "variables"],
+        "complex", "ideal", "label", "labels", "variables"],
     Monomial: [
         "divides", "exponent", "is_unit", "lcm", "variables"],
     MonomialIdeal: [
@@ -1412,7 +1489,10 @@ BY_JSON = """
 import json, runpy, sys
 import treescarf.io
 treescarf.io._parse_json = json.loads
-treescarf.io.json_text = lambda value: json.dumps(value, indent=2, sort_keys=True)
+# a report's laid-out certificate goes in as its data, so json lays out
+# the whole report
+treescarf.io.json_text = lambda value: json.dumps(
+    value, indent=2, sort_keys=True, default=lambda laid: json.loads(laid.text))
 runpy.run_module("treescarf.cli", run_name="__main__")
 """
 

@@ -7,8 +7,11 @@ Facets, labels, Betti vectors and the multigraded columns (in order) must
 agree exactly, over the rationals and over GF(2), GF(3) and GF(5).
 """
 
+import json
 import sys
+from contextlib import redirect_stdout
 from functools import reduce
+from io import StringIO
 from itertools import combinations
 from math import comb
 from operator import or_
@@ -24,10 +27,11 @@ from treescarf import (BettiTable, LabeledComplex, MonomialIdeal, ScarfCompariso
                        parse_monomial, random_h, scarf_complex,
                        supports_resolution, supports_resolution_tree,
                        verify_scarf)
-from treescarf import complexes, resolution
+from treescarf import cli, complexes, resolution
 from treescarf.complexes import SimplicialComplex
 from treescarf.errors import BoundaryOfSimplexError, DegenerateVertexFacetError
 from treescarf.homology import QQ, FieldSpec
+from treescarf.io import complex_to_data, ideal_to_data
 from treescarf.monomials import UNIT, Monomial
 
 import oracles
@@ -512,6 +516,34 @@ def test_general_criterion_matches_the_built_subcomplex_loop():
 
     check()
     assert seen == {True, False}
+
+
+# -- supports' Betti vector against the 2^t table --------------------------------
+
+def test_supports_reports_the_betti_vector_of_the_definition(tmp_path):
+    # read off the f-vector when the complex supports minimally, from the
+    # Betti table otherwise; either way the 2^t definition's vector
+    complex_file, ideal_file = tmp_path / "complex.json", tmp_path / "ideal.json"
+    seen = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(labeled_forests(), labeled_non_forests()),
+           st.sampled_from((QQ, FieldSpec(2))))
+    def check(labeled, field):
+        if labeled is None:
+            return
+        complex_file.write_text(json.dumps(complex_to_data(labeled.complex)))
+        ideal_file.write_text(json.dumps(ideal_to_data(labeled.ideal())))
+        out = StringIO()
+        with redirect_stdout(out):
+            assert cli.main(["supports", str(complex_file), str(ideal_file),
+                             "--field", str(field.characteristic)]) == 0
+        result = json.loads(out.getvalue())["result"]
+        assert result["betti"] == list(oracles.betti_table(labeled.ideal(), field).vector)
+        seen.add((labeled.complex.is_forest()[0], result["supports"] and result["minimal"]))
+
+    check()
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 # -- mask-based minimality and Scarf verification against the frozenset walks ----

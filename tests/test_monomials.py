@@ -240,8 +240,9 @@ def test_masks_agree_with_monomial_arithmetic(case):
             assert (not a & ~b) == ma.divides(mb)
             assert ideal._decode(a | b) == ma.lcm(mb)
     complex_ = labeled.complex
-    assert labeled.divisor_subcomplex(m) == complex_.induced(
-        v for v in complex_.vertices if labeled.label(v).divides(m))
+    keep = labeled._divisor_vertices(ideal._encode(m))
+    names = [v for i, v in enumerate(complex_.vertices) if keep >> i & 1]
+    assert complex_.induced(names) == oracles.divisor_subcomplex(labeled, m)
 
 
 # -- the parser against the regex grammar ---------------------------------------

@@ -75,13 +75,13 @@ def test_labels_must_be_minimal_and_cover_vertices():
 
 def test_divisor_subcomplex_extremes():
     lc = diamond_labeled()
-    assert lc.divisor_subcomplex(lcm(GENS)) == DIAMOND
-    assert lc.divisor_subcomplex(parse_monomial("1")).is_empty()
+    assert oracles.divisor_subcomplex(lc, lcm(GENS)) == DIAMOND
+    assert oracles.divisor_subcomplex(lc, parse_monomial("1")).is_empty()
 
 
 def test_divisor_subcomplex_of_mixed_degree():
     lc = diamond_labeled()
-    sub = lc.divisor_subcomplex(parse_monomial("x*y^2*z^2"))
+    sub = oracles.divisor_subcomplex(lc, parse_monomial("x*y^2*z^2"))
     assert set(sub.vertices) == {"1", "2", "3"}
     assert sub.is_connected()
 
