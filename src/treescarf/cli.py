@@ -155,13 +155,14 @@ def cmd_scarf(args) -> dict:
     from .resolution import scarf_complex
     ideal = io.load_ideal(args.ideal_file)
     scarf = scarf_complex(ideal)
+    data = io.ideal_to_data(ideal)
+    # vertex i of the Scarf complex is generator i, so its label is written once
     result = {
         "facets": io.complex_to_data(scarf.complex)["facets"],
         "f_vector": list(scarf.complex.f_vector()),
-        "labels": {v: ideal.format(scarf.label(v)) for v in scarf.complex.vertices},
+        "labels": dict(zip(scarf.complex.vertices, data["generators"])),
     }
-    return {"inputs": {"ideal": io.ideal_to_data(ideal)}, "result": result,
-            "diagnostics": []}
+    return {"inputs": {"ideal": data}, "result": result, "diagnostics": []}
 
 
 def cmd_build_scarf(args) -> dict:

@@ -10,16 +10,18 @@ kept; each write is idempotent and stores an immutable value, so instances
 stay safe to share between threads.
 
 Inside the library a face is a vertex bitmask: bit i stands for the i-th
-vertex in canonical order, and 0 is the empty face.  A complex stores its
-facets as masks, and only this module maps its vertex names to bits
-(``_face`` maps back).  ``_face_masks`` is the one face enumeration,
-over ``_submasks``, the one walk of a facet's subsets, ``_mask_key``
-the one face order (size, then vertex indices: ``face_key``
-order), ``_maximal`` the one maximal-set filter and ``_connected`` the
-one connectivity test.  ``_coface_bits`` is the one table of which
-faces are free, and ``_remove`` the one removal of a free pair from it;
-collapse certificates and homology ranks both run on them.  Names are
-built only for public results.
+vertex in canonical order, and 0 is the empty face.  A complex stores
+its facets as masks.  This module maps its vertex names to bits
+(``_vertex_bits``; ``_face`` maps back), and so do
+``collapse._mask_pairs``, which replays a certificate's steps, and
+``io._sequence_text``, which writes a certificate.  ``_face_masks`` is
+the one face enumeration, over ``_submasks``, the one walk of a facet's
+subsets, ``_mask_key`` the one face order (size, then vertex indices:
+``face_key`` order), ``_maximal`` the one maximal-set filter and
+``_connected`` the one connectivity test.  ``_coface_bits`` is the one
+table of which faces are free, and ``_remove`` the one removal of a free
+pair from it; collapse certificates and homology ranks both run on them.
+Names are built only for public results.
 
 The forest decision is polynomial in the number of facets: good leaves
 are deleted until none is left, and a complex that does not empty out is

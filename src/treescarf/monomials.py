@@ -1,17 +1,19 @@
 """Exact monomial arithmetic and monomial ideals.
 
-Monomials are maps from variable names to positive integer exponents (the
-unit monomial is the empty map); exponents are plain Python ints, so nothing
-overflows.  Ideals carry an explicit ordered variable list, which fixes the
-lexicographic order used for deterministic serialization and for reporting
-failing degrees.
+A monomial is its exponent map alone, from variable names to positive
+integer exponents (the unit monomial is the empty map), as plain Python
+ints, so nothing overflows.  Ideals carry an explicit ordered variable list,
+which fixes the lexicographic order used for deterministic serialization
+and for reporting failing degrees.
 
 Inside the library an ideal also encodes monomials as private int masks.
 Each variable gets one bit per level, a distinct nonzero exponent among the
 generators, with the first variable in the highest bits, and an exponent
-reaching k levels sets the low k bits of its span.  On generators and their
-lcms, divisibility is ``a & ~b == 0``, lcm is ``a | b`` and int order is
-lexicographic; a mask has at most t*n bits, however large the exponents.
+reaching k levels sets the low k bits of its span.  The levels are read
+off the generators' exponent maps in one pass, and a monomial is encoded
+off its own.  On generators and their lcms, divisibility is
+``a & ~b == 0``, lcm is ``a | b`` and int order is lexicographic; a mask
+has at most t*n bits, however large the exponents.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .errors import EmptyListError, MonomialParseError
 class Monomial:
     """An exponent vector over named variables; immutable and hashable."""
 
-    __slots__ = ("_exps", "_items")
+    __slots__ = ("_exps",)
 
     def __init__(self, exponents: Mapping[str, int] | Iterable[tuple[str, int]] = ()):
         exps = {}
@@ -39,15 +41,13 @@ class Monomial:
             if e > 0:
                 exps[name] = e
         self._exps = exps
-        self._items = tuple(sorted(exps.items()))
 
     @classmethod
     def _of(cls, exponents: Iterable[tuple[str, int]]) -> "Monomial":
         """The monomial of (name, positive exponent) pairs with distinct
         names, which the caller vouches for: nothing is checked."""
         m = cls.__new__(cls)
-        m._exps = exps = dict(exponents)
-        m._items = tuple(sorted(exps.items()))
+        m._exps = dict(exponents)
         return m
 
     # -- queries -------------------------------------------------------------
@@ -57,33 +57,33 @@ class Monomial:
 
     @property
     def variables(self) -> tuple[str, ...]:
-        return tuple(v for v, _ in self._items)
+        return tuple(sorted(self._exps))
 
     def is_unit(self) -> bool:
         return not self._exps
 
     def divides(self, other: "Monomial") -> bool:
         o = other._exps
-        return all(e <= o.get(v, 0) for v, e in self._items)
+        return all(e <= o.get(v, 0) for v, e in self._exps.items())
 
     # -- arithmetic -----------------------------------------------------------
 
     def lcm(self, other: "Monomial") -> "Monomial":
         exps = dict(self._exps)
-        for v, e in other._items:
+        for v, e in other._exps.items():
             if e > exps.get(v, 0):
                 exps[v] = e
-        return Monomial(exps)
+        return Monomial._of(exps.items())
 
     # -- value semantics ---------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Monomial):
             return NotImplemented
-        return self._items == other._items
+        return self._exps == other._exps
 
     def __hash__(self) -> int:
-        return hash(self._items)
+        return hash(frozenset(self._exps.items()))
 
     def __str__(self) -> str:
         return format_monomial(self)
@@ -172,18 +172,12 @@ def format_monomial(m: Monomial, variables: Iterable[str] | None = None) -> str:
     With ``variables`` the factors follow that order (any leftover variables
     come after, in default order); otherwise variables sort by (length, name).
     """
-    if m.is_unit():
+    exps = m._exps
+    if not exps:
         return "1"
-    present = set(m.variables)
-    order = []
-    if variables is not None:
-        order = [v for v in variables if v in present]
-    order += sorted(present - set(order), key=vertex_key)
-    parts = []
-    for v in order:
-        e = m.exponent(v)
-        parts.append(v if e == 1 else f"{v}^{e}")
-    return "*".join(parts)
+    order = [v for v in variables or () if v in exps]
+    order += sorted(exps.keys() - set(order), key=vertex_key)
+    return "*".join(v if (e := exps[v]) == 1 else f"{v}^{e}" for v in order)
 
 
 class MonomialIdeal:
@@ -203,21 +197,23 @@ class MonomialIdeal:
         self._generators = gens = tuple(generators)
         if not gens:
             raise ValueError("an ideal needs at least one generator")
-        known = set(self._variables)
+        # each variable's distinct exponents, in one pass over the generators
+        values: dict[str, set[int]] = {x: set() for x in self._variables}
         for g in gens:
-            missing = set(g.variables) - known
-            if missing:
-                raise ValueError(f"generator {g} uses undeclared variables {sorted(missing)}")
-        # (variable, levels, shift) per variable, the last in the lowest bits,
-        # and per mask bit, from the lowest, its (variable, exponent)
-        spans, shift, self._levels = [], 0, []
+            for x, e in g._exps.items():
+                if x not in values:
+                    missing = sorted(g._exps.keys() - values.keys())
+                    raise ValueError(f"generator {g} uses undeclared variables {missing}")
+                values[x].add(e)
+        # variable -> (levels, shift), the last in the lowest bits; the lowest
+        # bit of each nonempty span; per bit, from the lowest, its (variable, exponent)
+        self._spans, self._starts, self._levels, shift = {}, 0, [], 0
         for x in reversed(self._variables):
-            levels = sorted({g.exponent(x) for g in gens} - {0})
-            spans.append((x, levels, shift))
+            levels = sorted(values[x])
+            self._spans[x] = levels, shift
+            self._starts |= bool(levels) << shift
             shift += len(levels)
             self._levels += [(x, e) for e in levels]
-        self._spans = spans
-        self._starts = sum(1 << s for _, levels, s in spans if levels)
         self._masks = tuple(map(self._encode, gens))
         for i, g in enumerate(self._masks):
             for j, h in enumerate(self._masks):
@@ -238,8 +234,10 @@ class MonomialIdeal:
     def _encode(self, m: Monomial) -> int:
         """Mask of m, exact for divisibility by generators: exponents clip to levels."""
         mask = 0
-        for x, levels, shift in self._spans:
-            mask |= (1 << bisect_right(levels, m.exponent(x))) - 1 << shift
+        for x, e in m._exps.items():
+            if span := self._spans.get(x):  # a variable outside the ring sets no bit
+                levels, shift = span
+                mask |= (1 << bisect_right(levels, e)) - 1 << shift
         return mask
 
     def _decode(self, mask: int) -> Monomial:
@@ -248,6 +246,10 @@ class MonomialIdeal:
         built with the spans, picked out by one pass in C over the bits."""
         bits = bin(self._tops(mask))[:1:-1]  # lowest bit first
         return Monomial._of(compress(self._levels, map("1".__eq__, bits)))
+
+    def _divisors(self, m: int) -> int:
+        """The mask of the generator positions whose masks divide the mask m."""
+        return sum(1 << i for i, g in enumerate(self._masks) if not g & ~m)
 
     def _tops(self, mask: int) -> int:
         """The highest set bit of each variable's span in the mask."""

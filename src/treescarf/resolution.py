@@ -1,14 +1,15 @@
 """Labeled complexes, the support criterion for resolutions, Betti numbers,
 and Scarf complexes.
 
-A labeled complex carries a bijection from vertices to the minimal
-generators of a monomial ideal; each face is labeled by the lcm of its
-vertex labels.  The chain complex of the labeled complex resolves the
-quotient by the ideal exactly when every divisor subcomplex is empty or
-acyclic, and the resolution is minimal exactly when no two nested faces
-share a label.  For forests, acyclicity degrades to connectivity, and only
-the lcms of vertex pairs need testing, which is the fast path.  Both
-criteria take a divisor subcomplex as a vertex mask and build no complex.
+A labeled complex is a complex and a monomial ideal, and only those: the
+ideal's minimal generators label the vertices, both in order, and each
+face is labeled by the lcm of its vertex labels.  The chain complex of
+the labeled complex resolves the quotient by the ideal exactly when
+every divisor subcomplex is empty or acyclic, and the resolution is
+minimal exactly when no two nested faces share a label.  For forests,
+acyclicity degrades to connectivity, and only the lcms of vertex pairs
+need testing, which is the fast path.  Both criteria take a divisor
+subcomplex as a vertex mask and build no complex.
 
 The multigraded Betti numbers are read off the Scarf complex whenever it
 is known to support a resolution, which is then minimal
@@ -18,20 +19,22 @@ where no variable has the same nonzero exponent in two generators, and
 for any ideal whose Scarf complex is a forest that passes the pair
 criterion, as the paper's J and J' of every simplicial tree do.  Every
 other ideal takes the lcm-lattice walk, which is independent of any
-candidate complex: it takes the
-strict-divisor subcomplexes K_{<m} of the full simplex on the
-generators, one per element m of the lcm lattice, and replaces each
-K_{<m} by the nerve of its cover by maximal simplices, which has the same
-reduced homology (nerve theorem), unless that cover has more sets than
-K_{<m} has vertices.  Either complex goes to the rank as its facets, and
-no face is listed; a set of generators is a mask on their positions.
-The walk is what ``supports --verify`` checks the table against.  The Scarf complex is grown level by level from its
-vertices, using that a subset's lcm is unique exactly when no outside
-generator divides it and no codimension-1 subset shares it.  Neither
-enumerates the 2^t generator subsets; the definitions that do live in
-``tests/oracles.py`` as the reference both are tested against.  Every
-loop runs on the ideal's generator masks (see ``MonomialIdeal``); Monomials
-are built only for failing degrees, ``by_degree`` keys and labels.
+candidate complex: it takes the strict-divisor subcomplexes K_{<m} of
+the full simplex on the generators, one per element m of the lcm
+lattice, and replaces each K_{<m} by the nerve of its cover by maximal
+simplices, which has the same reduced homology (nerve theorem), unless
+that cover has more sets than K_{<m} has vertices.  Either complex goes
+to the rank as its facets, and no face is listed; a set of generators is
+a mask on their positions.  The walk is what ``supports --verify``
+checks the table against.  The Scarf complex is grown level by level
+from its vertices, using that a subset's lcm is unique exactly when no
+outside generator divides it and no codimension-1 subset shares it.
+Neither enumerates the 2^t generator subsets; the definitions that do
+live in ``tests/oracles.py`` as the reference both are tested against.
+Every loop runs on the ideal's generator masks (see ``MonomialIdeal``),
+and the generators dividing a degree are one mask,
+``MonomialIdeal._divisors``; Monomials are built only for failing
+degrees and ``by_degree`` keys.
 """
 
 from __future__ import annotations
@@ -54,24 +57,19 @@ class LabeledComplex:
     order.
     """
 
-    __slots__ = ("_complex", "_labels", "_variables", "_ideal")
+    __slots__ = ("_complex", "_ideal")
 
     def __init__(self, complex_: SimplicialComplex,
                  labels: Mapping[str, Monomial],
                  variables: Iterable[str] | None = None):
-        self._complex = complex_
-        self._labels = dict(labels)
-        if set(self._labels) != set(complex_.vertices):
+        labels = dict(labels)
+        if set(labels) != set(complex_.vertices):
             raise ValueError("labels must cover exactly the vertex set")
         if variables is None:
-            seen = set()
-            for m in self._labels.values():
-                seen.update(m.variables)
-            variables = sorted(seen, key=vertex_key)
-        self._variables = tuple(variables)
-        self._ideal = MonomialIdeal(
-            self._variables,
-            [self._labels[v] for v in complex_.vertices])
+            variables = sorted({x for m in labels.values() for x in m._exps},
+                               key=vertex_key)
+        self._complex = complex_
+        self._ideal = MonomialIdeal(variables, [labels[v] for v in complex_.vertices])
 
     @classmethod
     def _from_ideal(cls, complex_: SimplicialComplex,
@@ -80,8 +78,6 @@ class LabeledComplex:
         # generators; the ideal is kept as it is, not built again
         labeled = cls.__new__(cls)
         labeled._complex = complex_
-        labeled._labels = dict(zip(complex_.vertices, ideal.generators))
-        labeled._variables = ideal.variables
         labeled._ideal = ideal
         return labeled
 
@@ -91,25 +87,21 @@ class LabeledComplex:
 
     @property
     def labels(self) -> dict:
-        return dict(self._labels)
+        return dict(zip(self._complex.vertices, self._ideal.generators))
 
     @property
     def variables(self) -> tuple[str, ...]:
-        return self._variables
+        return self._ideal.variables
 
     def label(self, vertex: str) -> Monomial:
-        return self._labels[vertex]
+        return self.labels[vertex]
 
     def ideal(self) -> MonomialIdeal:
         """The ideal generated by the vertex labels, in vertex order."""
         return self._ideal
 
-    def _divisor_vertices(self, m: int) -> int:
-        # the vertex mask of the vertices whose label masks divide the mask m
-        return sum(1 << i for i, g in enumerate(self._ideal._masks) if not g & ~m)
-
     def __repr__(self) -> str:
-        pairs = ", ".join(f"{v}:{self._labels[v]}" for v in self._complex.vertices)
+        pairs = ", ".join(f"{v}:{g}" for v, g in self.labels.items())
         return f"LabeledComplex({pairs})"
 
 
@@ -132,7 +124,7 @@ def supports_resolution(labeled: LabeledComplex,
     ideal = labeled.ideal()
     facets = labeled.complex._facet_masks
     for m in ideal._lattice():
-        keep = labeled._divisor_vertices(m)
+        keep = ideal._divisors(m)
         if reduced_ranks_from_faces([f & keep for f in facets], field).ranks:
             return False, ideal._decode(m)
     return True, None
@@ -160,7 +152,7 @@ def supports_resolution_tree(labeled: LabeledComplex) -> tuple[bool, Monomial | 
     masks = ideal._masks
     facets = labeled.complex._facet_masks
     for m in sorted({g | h for i, g in enumerate(masks) for h in masks[i + 1:]}):
-        keep = labeled._divisor_vertices(m)
+        keep = ideal._divisors(m)
         if not _connected([f & keep for f in facets]):
             return False, ideal._decode(m)
     return True, None
@@ -256,7 +248,7 @@ def _lattice_betti_table(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTa
     for m in ideal._lattice():
         if not m:
             continue  # only the unit ideal has this degree, and nothing below it
-        below = sum(1 << i for i, g in enumerate(masks) if not g & ~m)
+        below = ideal._divisors(m)
         # each A_x, the generators of below lacking m's top bit b in x
         maximal = _maximal(below & ~holders[b] for b in _bit_indices(ideal._tops(m)))
         if len(maximal) <= below.bit_count():

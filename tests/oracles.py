@@ -150,12 +150,30 @@ def parse_monomial(text: str) -> Monomial:
     return Monomial(exps)
 
 
+def spans(ideal: MonomialIdeal):
+    """(variable, levels, shift) per variable, the last variable in the
+    lowest bits: its levels are its distinct nonzero exponents among the
+    generators, sorted.  Reads only ``variables`` and ``generators``."""
+    shift = 0
+    for x in reversed(ideal.variables):
+        levels = sorted({g.exponent(x) for g in ideal.generators} - {0})
+        yield x, levels, shift
+        shift += len(levels)
+
+
+def encode(ideal: MonomialIdeal, m: Monomial) -> int:
+    """The mask of m: in each variable's span, one bit per level that m's
+    exponent reaches.  Reference for ``MonomialIdeal._encode``."""
+    return sum(((1 << sum(e <= m.exponent(x) for e in levels)) - 1) << shift
+               for x, levels, shift in spans(ideal))
+
+
 def decode(ideal: MonomialIdeal, mask: int) -> Monomial:
     """The monomial of an lcm mask, read span by span: each variable's
     exponent is the level of the highest set bit in its span.  Reference
     for ``MonomialIdeal._decode``, which reads only the set top bits."""
     exps = {}
-    for x, levels, shift in ideal._spans:
+    for x, levels, shift in spans(ideal):
         if k := (mask >> shift & (1 << len(levels)) - 1).bit_length():
             exps[x] = levels[k - 1]
     return Monomial(exps)

@@ -7,8 +7,11 @@ Usage (from the repository root):  python3 tests/report_digest.py SRC_DIR
 ``perfbench/workloads.py`` (trees, cycles, scarf) at seeds 0, 1 and 2, the
 plan's input files are written to a fresh directory and every query runs
 in plan order as ``python -m treescarf.cli``, with ``SRC_DIR`` first on
-``PYTHONPATH``.  Each ``supports`` runs again with ``--verify``, and each
-``collapse --out`` is followed by ``verify-collapse`` of the file it wrote.
+``PYTHONPATH``.  Each ``supports`` runs again with ``--verify`` and again
+with ``--labels`` listing the vertices in reverse ``vertex_key`` order (so
+the generators label a permutation of the vertices), each ``collapse --out``
+is followed by ``verify-collapse`` of the file it wrote, and each
+``build-scarf`` by ``betti --field 2`` of the ideal it wrote.
 The digest covers each command's argv, exit code, stdout and stderr and the
 bytes of its ``--out`` file, so two source trees whose commands write the
 same bytes print the same line.  The plans are read from ``perfbench/``
@@ -40,8 +43,14 @@ def commands(plan):
         yield argv
         if argv[0] == "supports":
             yield argv + ["--verify"]
+            vertices = {v for facet in plan.files[argv[1]]["facets"] for v in facet}
+            # vertex_key order is length, then name
+            order = sorted(vertices, key=lambda v: (len(v), v), reverse=True)
+            yield argv + ["--labels", ",".join(order)]
         elif argv[0] == "collapse" and "--out" in argv:
             yield ["verify-collapse", argv[1], argv[argv.index("--out") + 1]]
+        elif argv[0] == "build-scarf":
+            yield ["betti", argv[argv.index("--out") + 1], "--field", "2"]
 
 
 def digest(src) -> tuple[str, int]:

@@ -1158,6 +1158,23 @@ def test_malformed_file_is_an_operational_error(files, capsys):
     assert "generators[0]" in json.loads(err)["message"]
 
 
+def test_undeclared_variables_are_reported_as_the_ideal_reports_them(files, capsys):
+    # the first generator in order that uses an undeclared name is named,
+    # with its own undeclared names sorted, before minimality is checked
+    generators = ["x", "z*y_1^2*x*f*b*d_3*c*e*a_2", "w*u", "x^2"]
+    with pytest.raises(ValueError) as err:
+        MonomialIdeal(("x",), list(map(parse_monomial, generators)))
+    message = str(err.value)
+    assert message == ("generator b*c*e*f*x*z*a_2*d_3*y_1^2 uses undeclared variables "
+                       "['a_2', 'b', 'c', 'd_3', 'e', 'f', 'y_1', 'z']")
+    p = files["tmp"] / "undeclared.json"
+    p.write_text(json.dumps({"variables": ["x"], "generators": generators}))
+    code, out, err = run(capsys, "betti", str(p))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"command": "betti", "error": "InputFileError",
+                               "message": f"{p}: {message}"}
+
+
 def test_missing_file_is_an_operational_error(files, capsys):
     # so is an --out path that cannot be written, such as a directory
     absent = str(files["tmp"] / "absent.json")

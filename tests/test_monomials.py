@@ -137,6 +137,9 @@ def test_format_round_trip():
 def test_format_respects_variable_order():
     assert format_monomial(ZU, ("x", "y", "z", "u")) == "z*u"
     assert format_monomial(ZU) == "u*z"
+    # the given order is followed as given, a repeated name included, and
+    # the leftover names come after by (length, name)
+    assert format_monomial(parse_monomial("x*y^2*z*u_1"), ("y", "w", "y")) == "y^2*y^2*x*z*u_1"
 
 
 # -- ideals ---------------------------------------------------------------------
@@ -234,15 +237,41 @@ def test_masks_agree_with_monomial_arithmetic(case):
     assert lattice == tuple(map(ideal._decode, masks))
     assert list(lattice) == sorted(subsets, key=lambda s: oracles.monomial_key(ideal, s))
     assert all(mask.bit_length() <= t * n for mask in masks)
+    assert ideal._masks == tuple(oracles.encode(ideal, g) for g in gens)
+    assert ideal._encode(m) == oracles.encode(ideal, m)
     assert [ideal._decode(ideal._encode(g)) for g in gens] == list(gens)
     for a, ma in zip(masks, lattice):
         for b, mb in zip(masks, lattice):
             assert (not a & ~b) == ma.divides(mb)
-            assert ideal._decode(a | b) == ma.lcm(mb)
+            assert (a == b) == (ma == mb)
+            decoded, joined = ideal._decode(a | b), ma.lcm(mb)
+            assert decoded == joined and hash(decoded) == hash(joined)
+    # equal values compare equal and hash alike, whatever built them and in
+    # whatever order their variables came; unequal ones compare unequal
+    values = [m, UNIT, *lattice, *map(ideal._decode, masks)]
+    vectors = [oracles.exponent_vector(x, RING_VARS + ("w", "s")) for x in values]
+    for x in values:
+        pairs = [(v, x.exponent(v)) for v in x.variables]
+        same = [Monomial(dict(reversed(pairs))), Monomial._of(pairs),
+                parse_monomial(format_monomial(x)), x.lcm(UNIT), lcm([UNIT, x, x])]
+        assert all(y == x and hash(y) == hash(x) for y in same)
+    for x, vx in zip(values, vectors):
+        for y, vy in zip(values, vectors):
+            assert (x == y) == (vx == vy) and (x != y) == (vx != vy)
     complex_ = labeled.complex
-    keep = labeled._divisor_vertices(ideal._encode(m))
+    keep = ideal._divisors(ideal._encode(m))
     names = [v for i, v in enumerate(complex_.vertices) if keep >> i & 1]
     assert complex_.induced(names) == oracles.divisor_subcomplex(labeled, m)
+    # the public constructor and the ideal's own labeling agree
+    built = LabeledComplex._from_ideal(complex_, ideal)
+    assert (built.labels, built.variables, repr(built)) == (
+        labeled.labels, labeled.variables, repr(labeled))
+    assert [built.label(v) for v in complex_.vertices] == [
+        labeled.label(v) for v in complex_.vertices] == list(gens)
+    for absent in ("", "0", "w", str(t + 1), "10" + str(t)):
+        for lc in (labeled, built):
+            with pytest.raises(KeyError):
+                lc.label(absent)
 
 
 # -- the parser against the regex grammar ---------------------------------------

@@ -276,7 +276,9 @@ def test_scarf_complex_is_labeled_by_the_ideal_itself():
         assert sc.ideal() is ideal
         rebuilt = LabeledComplex(sc.complex, dict(zip(sc.complex.vertices, labels)),
                                  ideal.variables)
-        assert (sc.labels, sc.variables) == (rebuilt.labels, rebuilt.variables)
+        assert (sc.labels, sc.variables, repr(sc)) == (
+            rebuilt.labels, rebuilt.variables, repr(rebuilt))
+        assert [sc.label(v) for v in sc.complex.vertices] == labels
         assert sc.ideal()._masks == rebuilt.ideal()._masks
 
 
