@@ -23,9 +23,9 @@ table of which faces are free, and ``_remove`` the one removal of a free
 pair from it; collapse certificates and homology ranks both run on them.
 Names are built only for public results.
 
-The forest decision is polynomial in the number of facets: good leaves
-are deleted until none is left, and a complex that does not empty out is
-shrunk to a simplicial cycle as its witness.
+The forest decision deletes good leaves until none is left and shrinks a
+complex that does not empty out to a simplicial cycle; it and a forest's
+leaf order read one sparse map of the facets that meet (``_incidence``).
 
 The complex with no facets (the *empty complex*) is a legal value: it is
 produced by ``SimplicialComplex.empty()`` and by induced subcomplexes, and
@@ -37,7 +37,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from itertools import permutations
 
 from .errors import EmptyFaceError, EmptyInputError
 
@@ -309,35 +310,39 @@ class SimplicialComplex:
         # the result was dropped once without success, so each proper
         # subcollection is a forest while the whole is not: a simplicial
         # cycle (Caboara-Faridi-Selinger 2007).
-        masks = self._facet_masks
-        inter = [[m & n for n in masks] for m in masks]
-        q = len(masks)
-        meets = [[j for j in range(q) if j != i and inter[i][j]]
-                 for i in range(q)]
-        core = _stuck_core(inter, meets, range(q), range(q))
+        near = _incidence(self._facet_masks)
+        core = _stuck_core(near, range(len(near)), range(len(near)))
         if not core:
             return None
         for i in sorted(core):
             if i in core:
                 rest = core - {i}
-                smaller = _stuck_core(inter, meets, rest,
-                                      [j for j in meets[i] if j in rest])
+                smaller = _stuck_core(near, rest, [j for j in near[i] if j in rest])
                 if smaller:
                     core = smaller
         return tuple(self._facets[i] for i in sorted(core))
 
-    def _leaf_order(self) -> list[tuple[int, int | None]]:
-        # (leaf, joint) facet masks pruning a forest down to nothing: each
-        # leaf is the first in facet order of the facets still left, and
-        # only the last, lone facet has no joint
+    def _leaf_order(self) -> Iterator[tuple[int, int | None]]:
+        # yields the (leaf, joint) facet masks pruning a forest to nothing:
+        # each leaf is the first facet left whose traces on the others left
+        # lie inside one of them, its joint: the first whose trace is their
+        # union, or the first other facet left when there are no traces
         masks = self._facet_masks
-        left = list(range(len(masks)))
-        order = []
+        near = _incidence(masks)
+        left = dict.fromkeys(range(len(masks)))
         while left:
-            leaf, joint = _first_leaf(masks, left)
-            order.append((masks[leaf], None if joint is None else masks[joint]))
-            left.remove(leaf)
-        return order
+            for i in left:
+                row = near[i]
+                union = 0
+                for j in row:
+                    union |= row[j] if j in left else 0
+                joint = min((j for j in row if j in left and row[j] == union), default=None)
+                if joint is not None or not union:
+                    break
+            del left[i]
+            if not union:  # i is apart from the facets left: the first one joins it
+                joint = next(iter(left), None)
+            yield masks[i], None if joint is None else masks[joint]
 
     def _vertex_bits(self) -> dict[Vertex, int]:
         # the bit of each vertex in a face mask; Python ints keep masks
@@ -363,49 +368,41 @@ class SimplicialComplex:
         return f"SimplicialComplex<{inside}>"
 
 
-def _good_leaf(row, others) -> bool:
-    # Facet i, with row = inter[i], is a good leaf among the facets
-    # `others` when its traces on them form a chain under inclusion
-    traces = sorted((row[j] for j in others), key=int.bit_count)
+def _incidence(masks) -> list[dict[int, int]]:
+    # row i maps each facet j != i that shares a vertex with facet i to
+    # masks[i] & masks[j]; built from the facets on each vertex, so it
+    # costs the sum of the squared vertex degrees, not q^2
+    on: dict[int, list[int]] = {}
+    for i, m in enumerate(masks):
+        for v in _bit_indices(m):
+            on.setdefault(v, []).append(i)
+    near: list[dict[int, int]] = [{} for _ in masks]
+    for around in on.values():
+        for i, j in permutations(around, 2):
+            near[i][j] = masks[i] & masks[j]
+    return near
+
+
+def _good_leaf(row, live) -> bool:
+    # Facet i, with row = near[i], is a good leaf among the facets in
+    # `live` when its traces on them form a chain under inclusion
+    traces = sorted((row[j] for j in row if j in live), key=int.bit_count)
     return all(a & ~b == 0 for a, b in zip(traces, traces[1:]))
 
 
-def _stuck_core(inter, meets, live, pending) -> set[int]:
+def _stuck_core(near, live, pending) -> set[int]:
     # Delete good leaves from the facet indices `live` until none is left.
     # Only the facets in `pending` can be good leaves at the start; after a
-    # deletion only the facets that met the deleted one can become good.
+    # deletion only the facets in the deleted one's row can become good.
     # A good leaf stays good when any facet is deleted, so the stuck core
     # returned does not depend on the order of deletion.
     live = set(live)
-    pending = sorted(pending, reverse=True)
-    queued = set(pending)
+    pending = dict.fromkeys(sorted(pending, reverse=True))
     while pending:
-        i = pending.pop()
-        queued.discard(i)
-        if _good_leaf(inter[i], [j for j in meets[i] if j in live]):
+        i = pending.popitem()[0]
+        if _good_leaf(near[i], live):
             live.discard(i)
-            for j in meets[i]:
-                if j in live and j not in queued:
-                    queued.add(j)
-                    pending.append(j)
+            for j in near[i]:
+                if j in live:
+                    pending.setdefault(j)
     return live
-
-
-def _first_leaf(masks, combo) -> tuple[int, int | None] | None:
-    # The first leaf of the subcollection `combo` (ascending indices into
-    # masks) and its first joint: a facet F is a leaf when F is alone, or
-    # when some other facet G, its joint, contains every intersection of F
-    # with the rest.  Those intersections have the union F & (the union of
-    # the rest).  None when the subcollection is leafless.
-    if len(combo) == 1:
-        return combo[0], None
-    for i in combo:
-        rest = 0
-        for h in combo:
-            if h != i:
-                rest |= masks[h]
-        union = masks[i] & rest
-        for j in combo:
-            if j != i and union & ~masks[j] == 0:
-                return i, j
-    return None

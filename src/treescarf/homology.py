@@ -83,9 +83,12 @@ def rank(matrix, field: FieldSpec = QQ) -> int:
     """Exact rank of a matrix of ints over the field.
 
     An entry that ``operator.index`` refuses, such as a rational or a
-    float, raises TypeError; bools count as ints.
+    float, raises TypeError; bools count as ints.  Rows of different
+    lengths raise ValueError.
     """
     rows = [list(map(index, r)) for r in matrix]
+    if len(set(map(len, rows))) > 1:
+        raise ValueError("rank needs rows of equal length")
     if not rows or not rows[0]:
         return 0
     if field.characteristic == 0:

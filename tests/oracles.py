@@ -36,10 +36,13 @@ The Scarf ideals built by monomial products, radicals and exact quotients
 are the references for ``treescarf.scarf_ideals``, which builds each
 squarefree generator as a set of faces.  The frozenset leaf test, and the
 loop that prunes a forest with it one complex at a time, are the
-references for the bitmask leaf test and the leaf order of the forest code.
+references for the leaf order of the forest code.
 The search for a leafless subcollection over all 2^q - 1 facet subsets,
 by increasing size, is the reference for the library's polynomial forest
-decision.  The library builds chain complexes and checks minimality on
+decision.  The dense q x q table of facet intersections, with the
+good-leaf deletion that reads it, is the reference for the sparse
+incidence map and for the decision's witness.  The library builds chain
+complexes and checks minimality on
 vertex bitmasks in ``_mask_key`` order; the frozenset chain-complex
 builder sorted by ``face_key``, with its dense ranks of every face
 (the reference for the library's ranks after a collapse), and the frozenset
@@ -845,6 +848,64 @@ def leafless_subcollection(complex_: SimplicialComplex) -> Optional[tuple[Face, 
             if first_leaf(SimplicialComplex(combo)) is None:
                 return combo
     return None
+
+
+def facet_masks(complex_: SimplicialComplex) -> list[int]:
+    """The facets as vertex bitmasks, bit i for the i-th vertex, in
+    canonical facet order; derived from the names alone."""
+    bit = {v: 1 << i for i, v in enumerate(complex_.vertices)}
+    return [sum(map(bit.__getitem__, f)) for f in complex_.facets]
+
+
+def intersection_table(masks) -> tuple[list[list[int]], list[list[int]]]:
+    """The dense q x q table of facet-mask intersections, and for each
+    facet the other facets it meets, in index order."""
+    inter = [[m & n for n in masks] for m in masks]
+    q = len(masks)
+    meets = [[j for j in range(q) if j != i and inter[i][j]] for i in range(q)]
+    return inter, meets
+
+
+def _good_leaf_dense(row, others) -> bool:
+    traces = sorted((row[j] for j in others), key=int.bit_count)
+    return all(a & ~b == 0 for a, b in zip(traces, traces[1:]))
+
+
+def _stuck_core_dense(inter, meets, live, pending) -> set[int]:
+    # good-leaf deletion from the facet indices `live`, testing first the
+    # facets in `pending` and after a deletion the facets that met it
+    live = set(live)
+    pending = sorted(pending, reverse=True)
+    queued = set(pending)
+    while pending:
+        i = pending.pop()
+        queued.discard(i)
+        if _good_leaf_dense(inter[i], [j for j in meets[i] if j in live]):
+            live.discard(i)
+            for j in meets[i]:
+                if j in live and j not in queued:
+                    queued.add(j)
+                    pending.append(j)
+    return live
+
+
+def simplicial_cycle_dense(complex_: SimplicialComplex) -> Optional[tuple[Face, ...]]:
+    """The forest decision on the dense intersection table: delete good
+    leaves until none is left, then shrink the stuck core facet by facet in
+    canonical order to a simplicial cycle.  None for a forest."""
+    inter, meets = intersection_table(facet_masks(complex_))
+    q = len(inter)
+    core = _stuck_core_dense(inter, meets, range(q), range(q))
+    if not core:
+        return None
+    for i in sorted(core):
+        if i in core:
+            rest = core - {i}
+            smaller = _stuck_core_dense(inter, meets, rest,
+                                        [j for j in meets[i] if j in rest])
+            if smaller:
+                core = smaller
+    return tuple(complex_.facets[i] for i in sorted(core))
 
 
 def greedy_collapse(complex_: SimplicialComplex) -> tuple[CollapseSequence, SimplicialComplex]:

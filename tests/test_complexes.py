@@ -10,12 +10,12 @@ import itertools
 from random import Random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treescarf import SimplicialComplex
 from treescarf import complexes
-from treescarf.complexes import _bit_indices, _first_leaf, face_key, vertex_key
+from treescarf.complexes import _bit_indices, face_key, vertex_key
 from treescarf.errors import EmptyFaceError, EmptyInputError
 
 import oracles
@@ -272,15 +272,6 @@ def named_leaf_order(c):
     return [(name(leaf), name(joint)) for leaf, joint in c._leaf_order()]
 
 
-def first_leaf_of(c, combo):
-    # the bitmask leaf test on a subcollection, as facets
-    found = _first_leaf(c._facet_masks, combo)
-    if found is None:
-        return None
-    leaf, joint = found
-    return c.facets[leaf], None if joint is None else c.facets[joint]
-
-
 def test_lone_facet_is_a_leaf_without_joint():
     c = SimplicialComplex([{"1", "2"}])
     assert oracles.is_leaf(c, {"1", "2"}) == (True, None)
@@ -314,7 +305,7 @@ def test_leaf_matches_direct_definition_on_random_trees():
 def test_triangle_boundary_edge_is_not_a_leaf():
     c = SimplicialComplex(TRIANGLE_BOUNDARY)
     assert oracles.is_leaf(c, {"1", "2"}) == (False, None)
-    assert first_leaf_of(c, (0, 1, 2)) is None
+    assert oracles.first_leaf(c) is None
 
 
 def test_leaves_have_free_vertices_on_random_trees():
@@ -335,24 +326,16 @@ def test_joint_tie_break_picks_first_facet():
     assert named_leaf_order(c)[0] == (frozenset({"0", "1", "2"}), joint)
 
 
-@settings(max_examples=200)
-@given(st.randoms(use_true_random=True), st.sampled_from((1, 1, 2, 3)))
-def test_leaf_order_matches_the_oracle_loop(rng, parts):
-    forest = random_forest(rng, parts, max_facets=6, max_vertices=12)
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=True), st.sampled_from((1, 1, 2, 3)),
+       st.sampled_from((6, 20)), st.booleans())
+def test_leaf_order_matches_the_oracle_loop(rng, parts, max_facets, fan):
+    forest = random_forest(rng, parts, max_facets=max_facets,
+                           max_vertices=2 * max_facets)
+    if fan:
+        # a cone over a forest is a tree with one vertex in every facet
+        forest = SimplicialComplex(f | {"apex"} for f in forest.facets)
     assert named_leaf_order(forest) == oracles.leaf_order(forest)
-
-
-@settings(max_examples=200)
-@given(st.lists(st.sets(st.sampled_from("123456"), min_size=2, max_size=3),
-                min_size=3, max_size=7))
-def test_first_leaf_matches_the_oracle_scan_on_non_forests(candidates):
-    c = SimplicialComplex(candidates)
-    assume(not c.is_forest()[0])
-    q = len(c.facets)
-    for r in range(1, q + 1):
-        for combo in itertools.combinations(range(q), r):
-            sub = SimplicialComplex(c.facets[i] for i in combo)
-            assert first_leaf_of(c, combo) == oracles.first_leaf(sub)
 
 
 # -- connectivity, forests, trees -----------------------------------------------
@@ -419,6 +402,44 @@ def test_graph_cycle_witness_equals_the_oracle(q, names, pendants):
     edges += [{str(names[at % q]), f"p{k}"} for k, at in enumerate(pendants)]
     c = SimplicialComplex(edges)
     assert c.is_forest() == (False, oracles.leafless_subcollection(c))
+
+
+@st.composite
+def incidence_inputs(draw):
+    # facets on ten vertices, so that some share two or more, or a random
+    # forest; then maybe a graph cycle and an isolated facet on fresh
+    # vertices, and maybe an apex in every facet, which makes a fan
+    if draw(st.booleans()):
+        facets = draw(st.lists(st.sets(st.sampled_from("0123456789"), min_size=1,
+                                       max_size=4), min_size=1, max_size=10))
+    else:
+        rng = draw(st.randoms(use_true_random=True))
+        facets = list(random_forest(rng, draw(st.sampled_from((1, 2, 3))),
+                                    max_facets=12, max_vertices=24).facets)
+    q = draw(st.sampled_from((0, 3, 4, 7)))
+    facets += [{f"c{i}", f"c{(i + 1) % q}"} for i in range(q)]
+    if draw(st.booleans()):
+        facets.append({"i0", "i1", "i2"})
+    if draw(st.booleans()):
+        facets = [set(f) | {"apex"} for f in facets]
+    return SimplicialComplex(facets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(incidence_inputs())
+def test_incidence_rows_are_the_dense_table(c):
+    masks = oracles.facet_masks(c)
+    assert list(c._facet_masks) == masks
+    inter, meets = oracles.intersection_table(masks)
+    rows = complexes._incidence(masks)
+    assert rows == [{j: inter[i][j] for j in meets[i]} for i in range(len(masks))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(incidence_inputs())
+def test_forest_witness_equals_the_dense_decision(c):
+    witness = oracles.simplicial_cycle_dense(c)
+    assert c.is_forest() == (witness is None, witness)
 
 
 def graph_cycle(q):

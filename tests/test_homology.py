@@ -127,6 +127,16 @@ def test_rank_rejects_non_integer_entries():
         assert rank([[True, False], [False, True]], field) == 2
 
 
+def test_rank_rejects_ragged_matrices():
+    # each of these once gave 0, 2 or an IndexError; the empty first row
+    # is no shortcut past the check
+    for field in (QQ, FieldSpec(3)):
+        for matrix in ([[0], [0, 1]], [[0, 1], [1]], [[1, 0], [0]], [[], [1]]):
+            with pytest.raises(ValueError, match="equal length"):
+                rank(matrix, field)
+        assert rank([[], []], field) == 0
+
+
 PRIMES = (2, 3, 5, 7, 10**18 + 3)
 
 
