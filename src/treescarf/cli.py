@@ -242,11 +242,12 @@ def cmd_verify_collapse(args) -> dict:
     from .collapse import _first_violation
     complex_ = io.load_complex(args.complex_file)
     sequence = io.load_sequence(args.certificate_file)
-    bad = _first_violation(complex_, sequence)
+    # the echo is laid out from the masks the replay ran on
+    encoding, bad = _first_violation(complex_, sequence)
     result = {"valid": bad is None,
               "first_bad_step": None if bad is None else bad[0],
               "violation": None if bad is None else bad[1]}
-    return {"inputs": {"certificate": io._Laid(io._sequence_text(sequence)),
+    return {"inputs": {"certificate": io._Laid(io._certificate_text(*encoding)),
                        "complex": io.complex_to_data(complex_)},
             "result": result, "diagnostics": []}
 

@@ -22,7 +22,8 @@ whole complex; the greedy collapse applies its pairs one at a time as a
 heap hands them out.  Frozenset faces are built only for the public
 results; the ``collapse`` command lays out certificate text straight from
 the masks (``io._certificate_text``), and ``verify-collapse`` echoes the
-certificate it reads through the same layout.
+certificate it reads through the same layout, from the masks its replay
+ran on: ``_mask_pairs`` is the one encoder of a certificate's names.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from collections.abc import Iterator
 
 from ._frozen import FrozenValue
 from .complexes import (Face, SimplicialComplex, _coface_bits, _face, _mask_key,
-                        _remove)
+                        _remove, vertex_key)
 from .errors import InvalidStepError, NotATreeError
 
 
@@ -68,20 +69,22 @@ def _named(vertices: tuple[str, ...], pairs: list[tuple[int, int]],
         steps, SimplicialComplex._from_maximal(_face(vertices, f) for f in left))
 
 
-class _NameBits(dict):
-    """Vertex name -> bit.  A name outside the complex gets the next bit
-    above the complex's, so no present face holds it."""
+def _mask_pairs(complex_: SimplicialComplex, steps, terminal=()):
+    # the one encoder of a certificate: numbers the complex's vertices and
+    # the names of the steps and terminal facets together, in vertex_key
+    # order, and returns those names and, over them, the facet masks, the
+    # (free, coface) mask pairs and the terminal masks.  A name outside the
+    # complex is in no facet, so no face that holds it is present
+    faces = (face for s in steps for face in (s.free_face, s.coface))
+    names = tuple(sorted(set(complex_.vertices).union(*faces, *terminal),
+                         key=vertex_key))
+    bit = {v: 1 << i for i, v in enumerate(names)}.__getitem__
 
-    def __missing__(self, name):
-        bit = self[name] = 1 << len(self)
-        return bit
+    def mask(face):
+        return sum(map(bit, face))
 
-
-def _mask_pairs(complex_: SimplicialComplex, steps) -> tuple[list[tuple[int, int]], _NameBits]:
-    # the (free, coface) mask pairs of CollapseSteps, and the name bits used
-    bits = _NameBits(complex_._vertex_bits())
-    bit = bits.__getitem__
-    return [(sum(map(bit, s.free_face)), sum(map(bit, s.coface))) for s in steps], bits
+    pairs = [(mask(s.free_face), mask(s.coface)) for s in steps]
+    return names, list(map(mask, complex_.facets)), pairs, list(map(mask, terminal))
 
 
 def _replay(table: dict[int, int], pairs: list[tuple[int, int]],
@@ -137,23 +140,21 @@ def free_pairs(complex_: SimplicialComplex) -> list[tuple[Face, Face]]:
 
 def elementary_collapse(complex_: SimplicialComplex, step: CollapseStep) -> SimplicialComplex:
     """Remove the step's two faces; raises InvalidStepError when not free."""
-    pairs, _ = _mask_pairs(complex_, (step,))
-    table = _coface_bits(complex_._facet_masks)
+    names, facets, pairs, _ = _mask_pairs(complex_, (step,))
+    table = _coface_bits(facets)
     bad = _replay(table, pairs)
     if bad is not None:
         raise InvalidStepError(bad[1])
-    vertices = complex_.vertices
     return SimplicialComplex._from_maximal(
-        _face(vertices, f) for f, up in table.items() if not up)
+        _face(names, f) for f, up in table.items() if not up)
 
 
-def _first_violation(complex_: SimplicialComplex,
-                     sequence: CollapseSequence) -> tuple[int, str] | None:
-    # the replay of a named certificate: None, or (first bad step, violation)
-    pairs, bits = _mask_pairs(complex_, sequence.steps)
-    bit = bits.__getitem__
-    terminal = {sum(map(bit, f)) for f in sequence.terminal.facets}
-    return _replay(_coface_bits(complex_._facet_masks), pairs, terminal)
+def _first_violation(complex_: SimplicialComplex, sequence: CollapseSequence):
+    # the replay of a named certificate: its encoding (names, mask pairs,
+    # terminal masks) and None, or (first bad step, violation)
+    names, facets, pairs, terminal = _mask_pairs(complex_, sequence.steps,
+                                                 sequence.terminal.facets)
+    return (names, pairs, terminal), _replay(_coface_bits(facets), pairs, set(terminal))
 
 
 def verify_sequence(complex_: SimplicialComplex,
@@ -164,13 +165,15 @@ def verify_sequence(complex_: SimplicialComplex,
     complex equals ``sequence.terminal``; otherwise (False, i) where i is
     the first invalid step, or len(steps) when only the terminal differs.
     Every step is checked against all six conditions of ``_replay``; the
-    steps' names become vertex bitmasks first, and a name outside the
-    complex gets a bit of its own above the complex's.  Cost: one dict
-    update per subset of each facet F (the sum of 2^|F|) to build the
-    coface-bit table, then O(d) per step for faces of at most d vertices;
-    nothing is sorted.
+    steps' names become vertex bitmasks first (``_mask_pairs``), in one
+    numbering of the complex's vertices and the names outside it, sorted
+    by ``vertex_key``, so no face that holds an outside name is present
+    and every name must be a string.  Cost: one sort of the n names, one
+    dict update per subset of each facet F (the sum of 2^|F|) to build
+    the coface-bit table, then O(d) per step for faces of at most d
+    vertices.
     """
-    bad = _first_violation(complex_, sequence)
+    bad = _first_violation(complex_, sequence)[1]
     return (True, None) if bad is None else (False, bad[0])
 
 

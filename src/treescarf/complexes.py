@@ -5,27 +5,30 @@ exactly when it is contained in some facet, so faces are only enumerated on
 demand.  Public faces (``faces``, ``facets``, witnesses) are frozensets of
 vertex-name strings, and the empty face has dimension -1.  Every value is
 immutable after construction and every operation is a pure function.  The
-face masks and the forest decision are computed once per instance and
-kept; each write is idempotent and stores an immutable value, so instances
-stay safe to share between threads.
+face masks, the facet incidence map and the forest decision are computed
+once per instance and kept; each write is idempotent, and each kept value
+is immutable or, as the incidence map, never changed once stored, so
+instances stay safe to share between threads.
 
 Inside the library a face is a vertex bitmask: bit i stands for the i-th
 vertex in canonical order, and 0 is the empty face.  A complex stores
 its facets as masks.  This module maps its vertex names to bits
-(``_vertex_bits``; ``_face`` maps back), and so do
-``collapse._mask_pairs``, which replays a certificate's steps, and
-``io._sequence_text``, which writes a certificate.  ``_face_masks`` is
-the one face enumeration, over ``_submasks``, the one walk of a facet's
-subsets, ``_mask_key`` the one face order (size, then vertex indices:
-``face_key`` order), ``_maximal`` the one maximal-set filter and
-``_connected`` the one connectivity test.  ``_coface_bits`` is the one
-table of which faces are free, and ``_remove`` the one removal of a free
-pair from it; collapse certificates and homology ranks both run on them.
-Names are built only for public results.
+(``_vertex_bits``; ``_face`` maps back), and so does
+``collapse._mask_pairs``, the one encoder of a certificate's names, which
+numbers the complex's vertices and any name outside it together, in
+``vertex_key`` order.  ``_face_masks`` is the one face enumeration, over
+``_submasks``, the one walk of a facet's subsets, ``_mask_key`` the one
+face order (size, then vertex indices: ``face_key`` order), ``_maximal``
+the one maximal-set filter and ``_connected`` the one connectivity test.
+``_coface_bits`` is the one table of which faces are free, and
+``_remove`` the one removal of a free pair from it; collapse certificates
+and homology ranks both run on them.  Names are built only for public
+results.
 
 The forest decision deletes good leaves until none is left and shrinks a
 complex that does not empty out to a simplicial cycle; it and a forest's
-leaf order read one sparse map of the facets that meet (``_incidence``).
+leaf order read one sparse map of the facets that meet (``_incidence``),
+built once per complex (``_incidence_rows``).
 
 The complex with no facets (the *empty complex*) is a legal value: it is
 produced by ``SimplicialComplex.empty()`` and by induced subcomplexes, and
@@ -186,7 +189,7 @@ class SimplicialComplex:
     deterministic.
     """
 
-    __slots__ = ("_facets", "_vertices", "_facet_masks", "_masks", "_forest")
+    __slots__ = ("_facets", "_vertices", "_facet_masks", "_masks", "_near", "_forest")
 
     def __init__(self, candidate_facets: Iterable[Iterable[Vertex]]):
         candidates = [_as_face(f) for f in candidate_facets]
@@ -204,8 +207,7 @@ class SimplicialComplex:
         named = {sum(map(bits.__getitem__, f)): f for f in facets}
         self._facet_masks = tuple(sorted(keep(named), key=_mask_key))
         self._facets = tuple(map(named.__getitem__, self._facet_masks))
-        self._masks = None
-        self._forest = None
+        self._masks = self._near = self._forest = None
 
     @classmethod
     def _from_maximal(cls, facets: Iterable[Face]) -> "SimplicialComplex":
@@ -310,7 +312,7 @@ class SimplicialComplex:
         # the result was dropped once without success, so each proper
         # subcollection is a forest while the whole is not: a simplicial
         # cycle (Caboara-Faridi-Selinger 2007).
-        near = _incidence(self._facet_masks)
+        near = self._incidence_rows()
         core = _stuck_core(near, range(len(near)), range(len(near)))
         if not core:
             return None
@@ -328,7 +330,7 @@ class SimplicialComplex:
         # lie inside one of them, its joint: the first whose trace is their
         # union, or the first other facet left when there are no traces
         masks = self._facet_masks
-        near = _incidence(masks)
+        near = self._incidence_rows()
         left = dict.fromkeys(range(len(masks)))
         while left:
             for i in left:
@@ -343,6 +345,12 @@ class SimplicialComplex:
             if not union:  # i is apart from the facets left: the first one joins it
                 joint = next(iter(left), None)
             yield masks[i], None if joint is None else masks[joint]
+
+    def _incidence_rows(self) -> list[dict[int, int]]:
+        # the facet incidence map (_incidence), built on first use and kept
+        if self._near is None:
+            self._near = _incidence(self._facet_masks)
+        return self._near
 
     def _vertex_bits(self) -> dict[Vertex, int]:
         # the bit of each vertex in a face mask; Python ints keep masks

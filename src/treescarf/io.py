@@ -29,7 +29,7 @@ Without ``_json`` (an interpreter other than CPython) files are read by
 
 from __future__ import annotations
 
-from .complexes import SimplicialComplex, _bit_indices, face_sorted, vertex_key
+from .complexes import SimplicialComplex, _bit_indices, face_sorted
 from .errors import InputFileError, MonomialParseError
 
 try:
@@ -233,22 +233,6 @@ def _certificate_text(vertices, pairs, terminal) -> str:
     _lay_out([_names(vertices, f) for f in terminal], parts, "\n  ")
     parts.append("\n}")
     return "".join(parts)
-
-
-def _sequence_text(sequence: CollapseSequence) -> str:
-    # the certificate text of the sequence, laid out from masks over its
-    # names in vertex_key order; the terminal's facets keep their
-    # canonical order
-    steps, facets = sequence.steps, sequence.terminal.facets
-    vertices = sorted(set().union(*facets, *(s.free_face for s in steps),
-                                  *(s.coface for s in steps)), key=vertex_key)
-    bit = {v: 1 << i for i, v in enumerate(vertices)}.__getitem__
-
-    def mask(face):
-        return sum(map(bit, face))
-
-    return _certificate_text(vertices, [(mask(s.free_face), mask(s.coface)) for s in steps],
-                             list(map(mask, facets)))
 
 
 def parse_sequence_data(data, path=None) -> CollapseSequence:

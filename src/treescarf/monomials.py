@@ -163,7 +163,7 @@ def parse_monomial(text: str) -> Monomial:
         if text[pos] != "*":
             raise MonomialParseError("expected '*' between terms", pos)
         pos += 1
-    return Monomial(exps)
+    return Monomial._of(exps.items())  # the grammar checked names and exponents
 
 
 def format_monomial(m: Monomial, variables: Iterable[str] | None = None) -> str:

@@ -100,8 +100,8 @@ def _face_sets(complex_: SimplicialComplex, reduced: bool):
 
 
 def _product(variables) -> Monomial:
-    """The squarefree monomial over these variables."""
-    return Monomial(dict.fromkeys(variables, 1))
+    """The squarefree monomial over these face-variable names, unchecked."""
+    return Monomial._of(dict.fromkeys(variables, 1).items())
 
 
 def build_J(complex_: SimplicialComplex) -> MonomialIdeal:

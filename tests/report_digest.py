@@ -17,10 +17,14 @@ the plans' trees of at most 19 facets, ``check``, ``collapse --out`` and
 ``perfbench/inputs.py``: triangle paths of 100 and 400 facets, chains of
 100 and 200 six-vertex facets that share two vertices, a fan of 40
 triangles {0, i, i+1}, a 60-facet attachment tree and the 60-cycle graph.
-The digest covers each command's argv, exit code, stdout and stderr and the
-bytes of its ``--out`` file, so two source trees whose commands write the
-same bytes print the same line.  The plans are read from ``perfbench/``
-without writing to it.  pytest does not collect this file.
+Each of their certificates is also replayed in three corrupted copies (see
+``corrupted``): a step whose free face holds a name outside the complex
+that sorts between its vertex names, two adjacent steps swapped, and a
+terminal facet that holds that name.  The digest covers each command's
+argv, exit code, stdout and stderr and the bytes of its ``--out`` file, so
+two source trees whose commands write the same bytes print the same line.
+The plans are read from ``perfbench/`` without writing to it.  pytest does
+not collect this file.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ import inputs  # noqa: E402
 import workloads  # noqa: E402
 
 SEEDS = (0, 1, 2)
+CORRUPTIONS = ("free", "swap", "terminal")
 
 
 def large_complexes() -> dict:
@@ -58,17 +63,48 @@ def large_complexes() -> dict:
     return {f"{name}.json": {"facets": facets} for name, facets in complexes.items()}
 
 
+def corrupted(certificate: dict, kind: str) -> dict:
+    """A copy of certificate data, corrupted as ``kind`` says.
+
+    The outside name is "z" repeated to the length of the shortest name in
+    the certificate: it sorts after every name of that length and before
+    the longer ones, so numbering it with the vertices moves their bits.
+    "free" puts it first in the free face of the middle step, "swap"
+    swaps the first two steps, and "terminal" puts it first in the first
+    terminal facet.  A certificate with too few steps for a kind is left
+    as it is.
+    """
+    steps = [dict(step) for step in certificate["steps"]]
+    terminal = [list(facet) for facet in certificate["terminal"]]
+    names = [v for step in steps for v in step["coface"]] + sum(terminal, [])
+    outside = "z" * min(map(len, names))
+    middle = len(steps) // 2
+    if kind == "free" and steps:
+        steps[middle]["free"] = [outside, *steps[middle]["free"]]
+    elif kind == "swap" and len(steps) > 1:
+        steps[:2] = steps[1], steps[0]
+    elif kind == "terminal":
+        terminal[0].insert(0, outside)
+    return {"steps": steps, "terminal": terminal}
+
+
 def batches():
-    """Each set of input files, with the command lines run on it in order."""
+    """Each set of input files, the command lines run on it in order, and
+    the corrupted certificate files to derive before they are read, as
+    file name -> (kind, certificate file)."""
     for workload in workloads.WORKLOADS:
         for seed in SEEDS:
             plan = workloads.build(workload, seed)
-            yield plan.files, list(commands(plan))
+            yield plan.files, list(commands(plan)), {}
     files = large_complexes()
+    derived = {f"{kind}-cert-{path}": (kind, f"cert-{path}")
+               for path in files for kind in CORRUPTIONS}
     yield files, [argv for path in files for argv in (
         ["check", path],
         ["collapse", path, "--out", f"cert-{path}"],
-        ["verify-collapse", path, f"cert-{path}"])]
+        ["verify-collapse", path, f"cert-{path}"],
+        *(["verify-collapse", path, f"{kind}-cert-{path}"] for kind in CORRUPTIONS))
+    ], derived
 
 
 def commands(plan):
@@ -94,11 +130,16 @@ def digest(src) -> tuple[str, int]:
         p for p in (str(Path(src).resolve()), os.environ.get("PYTHONPATH")) if p))
     sha = hashlib.sha256()
     count = 0
-    for files, argvs in batches():
+    for files, argvs, derived in batches():
         with tempfile.TemporaryDirectory() as tmp:
             for name, data in files.items():
                 Path(tmp, name).write_text(json.dumps(data))
             for argv in argvs:
+                for name in argv:
+                    if name in derived:
+                        kind, source = derived[name]
+                        certificate = json.loads(Path(tmp, source).read_text())
+                        Path(tmp, name).write_text(json.dumps(corrupted(certificate, kind)))
                 proc = subprocess.run([sys.executable, "-m", "treescarf.cli", *argv],
                                       cwd=tmp, env=env, capture_output=True)
                 outs = [Path(tmp, argv[i + 1]).read_bytes()

@@ -582,6 +582,41 @@ def test_each_command_decides_forest_once(files, capsys, monkeypatch, argv):
     assert searched == expected
 
 
+@pytest.mark.parametrize("argv", [("check",), ("collapse", "--out", "cert.json")])
+def test_tree_commands_build_the_incidence_map_once(files, capsys, monkeypatch, argv):
+    # the forest decision and the certificate's leaf order read one map
+    built = []
+    incidence = complexes_module._incidence
+
+    def spy(masks):
+        built.append(masks)
+        return incidence(masks)
+
+    monkeypatch.setattr(complexes_module, "_incidence", spy)
+    monkeypatch.chdir(files["tmp"])
+    command, *options = argv
+    code, _, _ = run(capsys, command, files["tail"], *options)
+    assert code == 0
+    assert built == [load_complex(files["tail"])._facet_masks]
+
+
+def test_verify_collapse_encodes_the_certificate_once(files, capsys, monkeypatch):
+    # the replay and the echo read one encoding of the certificate's names
+    out_path = str(files["tmp"] / "cert.json")
+    assert run(capsys, "collapse", files["tail"], "--out", out_path)[0] == 0
+    encoded = []
+    mask_pairs = collapse._mask_pairs
+
+    def spy(complex_, steps, terminal=()):
+        encoded.append(len(steps))
+        return mask_pairs(complex_, steps, terminal)
+
+    monkeypatch.setattr(collapse, "_mask_pairs", spy)
+    code, out, _ = run(capsys, "verify-collapse", files["tail"], out_path)
+    assert code == 0 and json.loads(out)["result"]["valid"]
+    assert encoded == [len(load_sequence(out_path).steps)]
+
+
 @pytest.mark.parametrize("command", ["check", "collapse"])
 @pytest.mark.parametrize("facets", [
     [["1", "2", "4"], ["2", "3", "4"]],     # a tree

@@ -335,19 +335,28 @@ def test_coface_table_matches_scanning_oracle(complex_, rng):
     names = list(complex_.vertices) + ["0"]
     table, ref = collapse._coface_bits(complex_._facet_masks), oracles.FaceSet(complex_)
     vertices = complex_.vertices
+    taken = []
     for step in seq.steps + (None,):
         assert [(_face(vertices, free), _face(vertices, coface))
                 for free, coface in collapse._free_pairs(table)] == ref.free_pairs()
         assert facets_left(complex_, table) == ref.to_complex()
         for candidate in candidate_steps(rng, sorted(ref.faces, key=sorted), names):
-            # the replay of the candidate alone, from this state
-            pairs, _ = collapse._mask_pairs(complex_, (candidate,))
-            bad = collapse._replay(dict(table), pairs)
+            numbered, facets, pairs, _ = collapse._mask_pairs(complex_, (*taken, candidate))
+            if numbered == vertices:
+                # the replay of the candidate alone, from this state
+                bad = collapse._replay(dict(table), pairs[-1:])
+            else:
+                # "0" numbers before every vertex: replay the steps taken
+                # and then the candidate on a fresh table in that numbering
+                fresh = collapse._coface_bits(facets)
+                assert collapse._replay(fresh, pairs[:-1]) is None
+                bad = collapse._replay(fresh, pairs[-1:])
             assert (None if bad is None else bad[1]) == ref.step_violation(candidate)
         if step is not None:
-            (pair,), _ = collapse._mask_pairs(complex_, (step,))
+            _, _, (pair,), _ = collapse._mask_pairs(complex_, (step,))
             assert collapse._replay(table, [pair]) is None
             ref.apply(step)
+            taken.append(step)
 
 
 @settings(max_examples=200)
@@ -479,7 +488,7 @@ def check_corruptions(complex_, rng) -> set[str]:
             corrupted = CollapseSequence(steps, seq.terminal)
             # the count-table replay names the same step and message
             assert ref.step_violation(bad) == MESSAGES[kind]
-            assert collapse._first_violation(complex_, corrupted) == (i, MESSAGES[kind])
+            assert collapse._first_violation(complex_, corrupted)[1] == (i, MESSAGES[kind])
             assert (verify_sequence(complex_, corrupted)
                     == oracles.verify_sequence(complex_, corrupted) == (False, i))
             shown.add(kind)
@@ -510,6 +519,30 @@ def test_every_corruption_kind_is_exercised():
     assert shown == set(MESSAGES) | {"wrong terminal"}
 
 
+def test_outside_names_are_numbered_with_the_vertices_in_vertex_key_order():
+    # "z" sorts between "9" and "10", so "10" moves up a bit
+    complex_ = SimplicialComplex([{"1", "9"}, {"9", "10"}])
+    step = CollapseStep(frozenset({"z"}), frozenset({"9", "z"}))
+    names, facets, pairs, terminal = collapse._mask_pairs(
+        complex_, (step,), [frozenset({"10", "z"})])
+    assert names == ("1", "9", "z", "10")
+    assert facets == [0b0011, 0b1010]
+    assert pairs == [(0b0100, 0b0110)] and terminal == [0b1100]
+    # with no outside name the numbering is the complex's own
+    names, facets, pairs, terminal = collapse._mask_pairs(complex_, ())
+    assert names == complex_.vertices and facets == list(complex_._facet_masks)
+    assert pairs == terminal == []
+
+
+def test_step_names_must_be_strings():
+    # names are sorted by vertex_key with the complex's vertices
+    step = CollapseStep(frozenset({1}), frozenset({1, "2"}))
+    with pytest.raises(TypeError):
+        verify_sequence(EDGE_TRIANGLE, CollapseSequence((step,), EDGE_TRIANGLE))
+    with pytest.raises(TypeError):
+        elementary_collapse(EDGE_TRIANGLE, step)
+
+
 def test_elementary_collapse_keeps_its_six_messages():
     cases = [
         ((), {"1", "2"}, "free face must be nonempty"),
@@ -530,7 +563,7 @@ def test_elementary_collapse_keeps_its_six_messages():
     # by hand shows the sixth message.
     step = CollapseStep(frozenset({"1"}), frozenset({"1", "2"}))
     table, ref = collapse._coface_bits(EDGE_TRIANGLE._facet_masks), oracles.CofaceTable(EDGE_TRIANGLE)
-    pairs, _ = collapse._mask_pairs(EDGE_TRIANGLE, (step,))
+    _, _, pairs, _ = collapse._mask_pairs(EDGE_TRIANGLE, (step,))
     # the vertex {1} goes, and with it a coface of the empty face
     free = pairs[0][0]
     del table[free]
